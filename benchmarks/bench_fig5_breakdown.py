@@ -35,7 +35,7 @@ def breakdown_from_trace(path):
     sec = lambda name: bd.get(name, {}).get("seconds", 0.0)
     out = {k: sec(k) for k in KERNELS}
     # The runtime charges block-cyclic redistribution to the ScaLAPACK
-    # matmult phase (see _parallel_rayleigh_ritz).
+    # matmult phase (see SimulatedScheduler.charge_rayleigh_ritz).
     out["matmult"] += sec("redistribute")
     comm = sec("redistribute") + sec("allreduce")
     return out, comm

@@ -5,23 +5,21 @@ Runs the distributed Algorithm 6 on simulated MPI ranks: every rank's
 Sternheimer work is executed for real and timed, communication and
 ScaLAPACK kernels are charged from the PACE-Phoenix-calibrated cost models.
 Prints the strong-scaling table (Figure 4's data) and the per-kernel
-breakdown (Figure 5's data), then demonstrates the *real* thread-pool
-backend for actual wall-clock speedup on this machine.
+breakdown (Figure 5's data), then runs the same sweep on the *real*
+shared-memory SPMD backend for actual wall-clock time on this machine.
 
 Run:  python examples/parallel_scaling.py
 """
 
 import os
-import time
 
 import numpy as np
 
 from repro.analysis import format_table, parallel_efficiency
 from repro.config import RPAConfig
-from repro.core import Chi0Operator
 from repro.dft import run_scf, scaled_silicon_crystal
 from repro.grid import CoulombOperator
-from repro.parallel import ThreadedChi0Operator, compute_rpa_energy_parallel
+from repro.parallel import compute_rpa_energy_parallel
 
 
 def main() -> None:
@@ -65,27 +63,14 @@ def main() -> None:
     print(format_table(["ranks"] + kernels, rows,
                        title="Per-kernel simulated time (Figure 5 analogue)"))
 
-    # -- real threaded backend -----------------------------------------------
-    print("\nReal shared-memory speedup (thread pool over Sternheimer systems):")
-    rng = np.random.default_rng(0)
-    V = rng.standard_normal((grid.n_points, 16))
-    base_kwargs = dict(tol=1e-2, dynamic_block_size=True)
-    serial = Chi0Operator(dft.hamiltonian, dft.occupied_orbitals,
-                          dft.occupied_energies, coulomb, **base_kwargs)
-    t0 = time.perf_counter()
-    ref = serial.apply_chi0(V, 0.69)
-    t_serial = time.perf_counter() - t0
+    # -- real SPMD backend ---------------------------------------------------
     workers = min(4, os.cpu_count() or 1)
-    threaded = ThreadedChi0Operator(dft.hamiltonian, dft.occupied_orbitals,
-                                    dft.occupied_energies, coulomb,
-                                    n_workers=workers, **base_kwargs)
-    t0 = time.perf_counter()
-    out = threaded.apply_chi0(V, 0.69)
-    t_threaded = time.perf_counter() - t0
-    assert np.allclose(ref, out, atol=1e-8)
-    print(f"  chi0 apply (16 vectors): serial {t_serial:.2f} s, "
-          f"{workers} threads {t_threaded:.2f} s "
-          f"-> speedup {t_serial / t_threaded:.2f}x")
+    print("\nReal shared-memory SPMD workers (measured, not modeled):")
+    for p in sorted({1, workers}):
+        res = compute_rpa_energy_parallel(dft, config, coulomb=coulomb,
+                                          backend="spmd", n_workers=p)
+        print(f"  {p} worker(s): wall {res.elapsed_seconds:.2f} s, "
+              f"comm {res.comm_seconds:.2f} s, E_RPA = {res.energy:.6e} Ha")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ import sys
 import numpy as np
 
 from repro.config import KNOWN_ESCALATION_STAGES, ResilienceConfig, RPAConfig
-from repro.core import compute_rpa_energy
 from repro.dft import GaussianPseudopotential, run_scf, scaled_silicon_crystal, silicon_crystal
 from repro.dft.atoms import Crystal
 from repro.grid import CoulombOperator
@@ -45,6 +44,7 @@ from repro.obs import (
     write_manifest,
     write_metrics,
 )
+from repro.parallel import compute_rpa_energy_parallel
 
 
 def build_system(name: str):
@@ -330,37 +330,13 @@ def _run(args, tracer, recorder) -> int:
         print("error: --workers requires --backend process or spmd",
               file=sys.stderr)
         return 2
-    if backend != "serial":
-        from repro.parallel import compute_rpa_energy_parallel
-
-        par = compute_rpa_energy_parallel(dft, config, n_ranks=args.ranks,
-                                          coulomb=coulomb, backend=backend,
-                                          n_workers=args.workers)
-        if backend == "simulated":
-            print(f"simulated walltime on {args.ranks} ranks: "
-                  f"{par.simulated_walltime:.2f} s "
-                  f"(comm {par.comm_seconds * 1e3:.1f} ms)", file=sys.stderr)
-        else:
-            n_proc = args.workers if args.workers is not None else args.ranks
-            print(f"{backend} backend on {n_proc} worker process(es): "
-                  f"wall {par.wall_seconds:.2f} s "
-                  f"(comm {par.comm_seconds * 1e3:.1f} ms)", file=sys.stderr)
-        print(f"Total RPA correlation energy: {par.energy:.5E} (Ha), "
-              f"{par.energy_per_atom:.5E} (Ha/atom)")
-        _print_resilience_summary(par.stats)
-        _export_observability(
-            args, tracer, config, crystal.label, telemetry=par.telemetry,
-            energy=par.energy, energy_per_atom=par.energy_per_atom,
-            converged=par.converged, simulated_walltime=par.simulated_walltime,
-            comm_seconds=par.comm_seconds,
-            imbalance_seconds=par.imbalance_seconds,
-            breakdown=par.breakdown, wall_seconds=par.wall_seconds,
-            n_rank_failures=par.n_rank_failures,
-            degraded_error_bound=par.degraded_error_bound,
-        )
-        return _verify_exit_code(par.verify)
-
-    result = compute_rpa_energy(dft, config, coulomb=coulomb)
+    if backend == "serial" and args.ranks != 1:
+        print("error: --backend serial runs on one rank; drop --ranks or pick "
+              "--backend simulated/spmd", file=sys.stderr)
+        return 2
+    result = compute_rpa_energy_parallel(dft, config, n_ranks=args.ranks,
+                                         coulomb=coulomb, backend=backend,
+                                         n_workers=args.workers)
     _print_resilience_summary(result.stats)
     if result.recycle is not None:
         r = result.recycle
@@ -370,7 +346,7 @@ def _run(args, tracer, recorder) -> int:
               file=sys.stderr)
     log = format_output_log(
         result,
-        n_ranks=args.ranks,
+        n_ranks=result.n_ranks,
         memory_mb=estimate_memory_mb(grid.n_points, config.n_eig, dft.n_occupied),
     )
     if args.output:
@@ -379,6 +355,14 @@ def _run(args, tracer, recorder) -> int:
         print(f"wrote {args.output}", file=sys.stderr)
     else:
         print(log)
+    if backend == "simulated":
+        print(f"simulated walltime on {result.n_ranks} ranks: "
+              f"{result.simulated_walltime:.2f} s "
+              f"(comm {result.comm_seconds * 1e3:.1f} ms)", file=sys.stderr)
+    elif backend != "serial":
+        print(f"{backend} backend on {result.n_ranks} worker process(es): "
+              f"wall {result.elapsed_seconds:.2f} s "
+              f"(comm {result.comm_seconds * 1e3:.1f} ms)", file=sys.stderr)
     _export_observability(
         args, tracer, config, crystal.label, telemetry=result.telemetry,
         energy=result.energy, energy_per_atom=result.energy_per_atom,
@@ -386,6 +370,10 @@ def _run(args, tracer, recorder) -> int:
         scf_iterations=dft.n_iterations, scf_converged=dft.converged,
         degraded_error_bound=result.degraded_error_bound,
         skipped_solve_error_bound=result.skipped_solve_error_bound,
+        backend=backend, simulated_walltime=result.simulated_walltime,
+        comm_seconds=result.comm_seconds,
+        imbalance_seconds=result.imbalance_seconds,
+        n_rank_failures=result.n_rank_failures,
     )
     return _verify_exit_code(result.verify)
 

@@ -32,10 +32,10 @@ from repro.core.quadrature import (
 )
 from repro.core.rpa_energy import (
     FrequencyPointStats,
-    OmegaPointResult,
     RPAEnergyResult,
     compute_rpa_energy,
 )
+from repro.core.scheduler import Scheduler, SerialScheduler
 from repro.core.ssa import (
     SUBSPACE_MODES,
     exterior_eigenvalue_estimate,
@@ -75,12 +75,13 @@ __all__ = [
     "block_lanczos_trace",
     "hutchinson_trace",
     "FrequencyPointStats",
-    "OmegaPointResult",
     "SUBSPACE_MODES",
     "exterior_eigenvalue_estimate",
     "frozen_subspace_point",
     "RPAEnergyResult",
     "compute_rpa_energy",
+    "Scheduler",
+    "SerialScheduler",
     "DirectRPAResult",
     "compute_rpa_energy_direct",
 ]

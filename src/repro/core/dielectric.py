@@ -119,9 +119,8 @@ def dielectric_spectra_ssa(
     Fig. 1 diagnostic: the filtered subspace is computed once at the
     reference frequency — the largest omega, where the spectrum is most
     compressed — and every other frequency only Rayleigh-Ritzes in that
-    frozen basis (one ``chi0 . V`` apply each, via
-    :meth:`Chi0Operator.apply_projected`'s work pattern), refreshing with
-    a single Chebyshev pass when the frozen-basis Eq. 7 residual exceeds
+    frozen basis (one ``chi0 . V`` apply each), refreshing with a single
+    Chebyshev pass when the frozen-basis Eq. 7 residual exceeds
     ``refresh_tol``. Results are returned in the input ``omegas`` order.
     """
     from repro.core.ssa import frozen_subspace_point

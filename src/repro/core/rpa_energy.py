@@ -6,6 +6,12 @@ Sequential sweep over the transformed Gauss-Legendre frequency points
 systems solved by block COCG + dynamic block sizing. Produces per-point
 energy terms, eigenvalue snapshots, kernel timings and solver statistics —
 everything the paper's output log reports.
+
+This is the only sweep loop: *where* each chi0 application, Gram product
+and Eq. 7 norm runs is the :class:`repro.core.scheduler.Scheduler`'s
+business (in process by default; ``repro.parallel`` supplies the
+simulated-MPI and shared-memory SPMD schedulers), so every backend returns
+the same :class:`RPAEnergyResult`.
 """
 
 from __future__ import annotations
@@ -13,11 +19,13 @@ from __future__ import annotations
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from repro.config import RPAConfig
 from repro.core.quadrature import FrequencyQuadrature, transformed_gauss_legendre
+from repro.core.scheduler import Scheduler, SerialScheduler
 from repro.core.ssa import frozen_subspace_point
 from repro.core.sternheimer import Chi0Operator, SternheimerStats
 from repro.core.subspace import SubspaceResult, filtered_subspace_iteration
@@ -59,15 +67,14 @@ class FrequencyPointStats:
     #: First-order bound on the energy-term error of an accepted SSA point
     #: (zero on the exact filtered path).
     ssa_error_bound: float = 0.0
+    #: The point's share of the scheduler's timeline: virtual seconds on the
+    #: simulated backend, measured kernel busy time on the real ones.
+    simulated_seconds: float = 0.0
 
     @property
     def energy_contribution(self) -> float:
         """Weighted contribution ``w_k E_k / (2 pi)``."""
         return self.weight * self.energy_term / (2.0 * np.pi)
-
-
-#: Historical name, kept as an alias for downstream consumers.
-OmegaPointResult = FrequencyPointStats
 
 
 @dataclass
@@ -87,10 +94,26 @@ class RPAEnergyResult:
     recycle: "RecycleStats | None" = None  # solve-cache accounting (None = cold run)
     verify: dict | None = None  # Verifier.summary() (None = verification off)
     telemetry: dict | None = None  # ConvergenceRecorder.payload() (None = off)
+    # Where the sweep ran (Scheduler.report()); one-rank defaults.
+    backend: str = "serial"
+    n_ranks: int = 1
+    block_size_cap: int = 1  # the operator's s_max (Section III-D: <= n_eig / p)
+    simulated_walltime: float = 0.0
+    comm_seconds: float = 0.0
+    imbalance_seconds: float = 0.0
+    per_rank_chi0_seconds: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    n_rank_failures: int = 0
+    machine: object | None = None  # MachineProfile behind a simulated run
 
     @property
     def converged(self) -> bool:
         return all(p.converged for p in self.points)
+
+    @property
+    def breakdown(self):
+        """Read-only view of the Fig. 5 kernel buckets in ``timers``
+        (modeled seconds on the simulated backend, measured elsewhere)."""
+        return MappingProxyType(self.timers.buckets)
 
     @property
     def degraded_error_bound(self) -> float:
@@ -162,6 +185,41 @@ def _escalation_from(config: RPAConfig):
     return EscalationPolicy.from_config(config.resilience)
 
 
+def chi0_operator_from_config(
+    dft: DFTResult,
+    config: RPAConfig,
+    coulomb: CoulombOperator,
+    max_block_size: int | None = None,
+    operator_class: type[Chi0Operator] = Chi0Operator,
+    **extra,
+) -> Chi0Operator:
+    """The Sternheimer operator ``config`` asks for (solver policy,
+    resilience, recycler). ``max_block_size`` overrides the config's cap —
+    the distributed backends pass Section III-D's ``n_eig / p``."""
+    return operator_class(
+        dft.hamiltonian,
+        dft.occupied_orbitals,
+        dft.occupied_energies,
+        coulomb,
+        tol=config.tol_sternheimer,
+        max_iterations=config.max_cocg_iterations,
+        use_galerkin_guess=config.use_galerkin_guess,
+        dynamic_block_size=config.dynamic_block_size,
+        fixed_block_size=config.fixed_block_size,
+        max_block_size=(config.max_block_size if max_block_size is None
+                        else max_block_size),
+        escalation=_escalation_from(config),
+        on_failure=(config.resilience.on_failure
+                    if config.resilience is not None else "degrade"),
+        use_preconditioner=config.use_preconditioner,
+        use_batched=config.batched_sternheimer,
+        solve_dtype=config.solve_dtype,
+        recycler=(SolveRecycler(width=config.n_eig)
+                  if config.use_recycling else None),
+        **extra,
+    )
+
+
 def compute_rpa_energy(
     dft: DFTResult,
     config: RPAConfig,
@@ -169,6 +227,7 @@ def compute_rpa_energy(
     chi0_operator: Chi0Operator | None = None,
     initial_vectors: np.ndarray | None = None,
     keep_vectors: bool = False,
+    scheduler: Scheduler | None = None,
 ) -> RPAEnergyResult:
     """Compute ``E_RPA`` for a converged DFT ground state (Algorithm 6).
 
@@ -191,6 +250,11 @@ def compute_rpa_energy(
     keep_vectors:
         Retain the final converged eigenvector block in the result (useful
         for warm-starting subsequent calls or Fig. 2-style diagnostics).
+    scheduler:
+        Execution backend already wrapping its operator (``scheduler.op``
+        replaces ``chi0_operator``); the caller owns and closes it. Default:
+        an in-process :class:`~repro.core.scheduler.SerialScheduler`.
+        ``repro.parallel.compute_rpa_energy_parallel`` builds the others.
     """
     n_d = dft.grid.n_points
     if config.n_eig > n_d:
@@ -199,35 +263,18 @@ def compute_rpa_energy(
         raise ValueError("DFT result has no occupied orbitals")
 
     start = time.perf_counter()
-    if coulomb is None:
-        coulomb = CoulombOperator(dft.grid, radius=dft.hamiltonian.radius)
     tracer = get_tracer()
-    # A tracer satisfies the KernelTimers add/region protocol; charging the
-    # kernels through it turns every region into a span as well. The result
-    # still carries a plain KernelTimers (a live view over the tracer's
-    # buckets) so downstream consumers are unchanged.
-    timers = tracer if tracer.enabled else KernelTimers()
-    if chi0_operator is None:
-        chi0_operator = Chi0Operator(
-            dft.hamiltonian,
-            dft.occupied_orbitals,
-            dft.occupied_energies,
-            coulomb,
-            tol=config.tol_sternheimer,
-            max_iterations=config.max_cocg_iterations,
-            use_galerkin_guess=config.use_galerkin_guess,
-            dynamic_block_size=config.dynamic_block_size,
-            fixed_block_size=config.fixed_block_size,
-            max_block_size=config.max_block_size,
-            escalation=_escalation_from(config),
-            on_failure=(config.resilience.on_failure
-                        if config.resilience is not None else "degrade"),
-            use_preconditioner=config.use_preconditioner,
-            use_batched=config.batched_sternheimer,
-            solve_dtype=config.solve_dtype,
-        )
-    if config.use_recycling and chi0_operator.recycler is None:
-        chi0_operator.recycler = SolveRecycler(width=config.n_eig)
+    if scheduler is None:
+        if chi0_operator is None:
+            if coulomb is None:
+                coulomb = CoulombOperator(dft.grid, radius=dft.hamiltonian.radius)
+            chi0_operator = chi0_operator_from_config(dft, config, coulomb)
+        elif config.use_recycling and chi0_operator.recycler is None:
+            chi0_operator.recycler = SolveRecycler(width=config.n_eig)
+        scheduler = SerialScheduler(chi0_operator)
+    sched, chi0_operator = scheduler, scheduler.op
+    # Resolved after the scheduler exists: a backend may have replaced the
+    # operator's recycler with a shared implementation.
     recycler = chi0_operator.recycler
 
     quad = transformed_gauss_legendre(config.n_quadrature)
@@ -246,7 +293,9 @@ def compute_rpa_energy(
     with ExitStack() as stack:
         # Install the invariant checker for the duration of the sweep.
         # An already-active verifier (e.g. installed by the differential
-        # harness or a test) takes precedence over the config level.
+        # harness or a test) takes precedence over the config level. The
+        # SPMD backend forks its workers at first use, i.e. after this and
+        # the recorder below are installed, so workers inherit them.
         verifier = get_verifier()
         if config.verify_level != "off" and not verifier.enabled:
             verifier = stack.enter_context(
@@ -265,16 +314,20 @@ def compute_rpa_energy(
             recorder.sweep_started(len(quad))
         stack.enter_context(
             tracer.span("rpa_energy", system=dft.crystal.label,
-                        n_eig=config.n_eig, n_quadrature=config.n_quadrature)
+                        n_eig=config.n_eig, n_quadrature=config.n_quadrature,
+                        backend=sched.backend, n_ranks=sched.n_ranks,
+                        block_size_cap=chi0_operator.max_block_size)
         )
         for k in range(1, len(quad) + 1):
+            sched.start_point(k)
             omega = float(quad.points[k - 1])
             weight = float(quad.weights[k - 1])
             t0 = time.perf_counter()
+            t_sched0 = sched.elapsed
             bound_before = chi0_operator.stats.degraded_error_bound
 
             def apply_op(block: np.ndarray) -> np.ndarray:
-                return chi0_operator.apply_symmetrized(block, omega, timers=timers)
+                return sched.apply(block, omega)
 
             if recorder.enabled:
                 recorder.point_started(k, omega)
@@ -292,11 +345,11 @@ def compute_rpa_energy(
                         refresh_tol=config.ssa_refresh_tol_for(k),
                         degree=config.filter_degree,
                         max_refresh_passes=config.ssa_refresh_passes,
-                        timers=timers,
                         on_rotation=(recycler.rotate_frozen
                                      if recycler is not None else None),
                         bounds_seed=prev_bounds,
                         recycler=recycler,
+                        scheduler=sched,
                     )
                     if sub.guard_triggered or not sub.converged:
                         # SSA acceptance rejected — the refresh budget ran
@@ -327,10 +380,10 @@ def compute_rpa_energy(
                             tol=config.tol_subspace_for(k),
                             degree=config.filter_degree,
                             max_iterations=config.max_filter_iterations,
-                            timers=timers,
                             on_rotation=(recycler.rotate
                                          if recycler is not None else None),
                             bounds_seed=prev_bounds,
+                            scheduler=sched,
                         )
                 else:
                     sub = filtered_subspace_iteration(
@@ -339,9 +392,9 @@ def compute_rpa_energy(
                         tol=config.tol_subspace_for(k),
                         degree=config.filter_degree,
                         max_iterations=config.max_filter_iterations,
-                        timers=timers,
                         on_rotation=recycler.rotate if recycler is not None else None,
                         bounds_seed=prev_bounds if config.use_ssa else None,
+                        scheduler=sched,
                     )
                 if config.use_ssa:
                     prev_bounds = sub.filter_bounds or prev_bounds
@@ -377,15 +430,25 @@ def compute_rpa_energy(
                        subspace_mode=sub.subspace_mode)
                 if point_bound > 0.0:
                     sp.set(solve_error_bound=point_bound)
+            simulated = sched.elapsed - t_sched0
             if recorder.enabled:
                 recorder.point_finished(
                     k, omega=omega, seconds=time.perf_counter() - t0,
                     energy_term=e_k, converged=sub.converged,
                     iterations=sub.iterations, error=sub.error,
                     error_history=sub.error_history,
+                    simulated_seconds=simulated,
                     subspace_mode=sub.subspace_mode,
                 )
             if tracer.enabled:
+                if sched.time_domain == "virtual":
+                    # The same point on the simulated timeline: one top-row
+                    # span above the per-rank kernel spans.
+                    tracer.record("omega_point", t_sched0, end=sched.elapsed,
+                                  domain="virtual", index=k, omega=omega,
+                                  filter_iterations=sub.iterations,
+                                  converged=sub.converged,
+                                  subspace_mode=sub.subspace_mode)
                 tracer.incr("omega_points")
                 if sub.iterations == 0:
                     tracer.incr("omega_points_skipped_filtering")
@@ -407,16 +470,20 @@ def compute_rpa_energy(
                     solve_error_bound=point_bound,
                     subspace_mode=sub.subspace_mode,
                     ssa_error_bound=sub.ssa_error_bound,
+                    simulated_seconds=simulated,
                 )
             )
 
+    timers = sched.timers
     return RPAEnergyResult(
         energy=energy,
         energy_per_atom=energy / dft.crystal.n_atoms,
         points=points,
         quadrature=quad,
         stats=chi0_operator.stats,
-        timers=tracer.kernel_timers() if tracer.enabled else timers,
+        # Under tracing the buckets live in the tracer; hand out a plain
+        # KernelTimers that is a live view over them.
+        timers=timers.kernel_timers() if timers is tracer else timers,
         config=config,
         n_atoms=dft.crystal.n_atoms,
         elapsed_seconds=time.perf_counter() - start,
@@ -424,6 +491,11 @@ def compute_rpa_energy(
         recycle=recycler.stats if recycler is not None else None,
         verify=verifier.summary() if verifier.enabled else None,
         telemetry=recorder.payload() if recorder.enabled else None,
+        backend=sched.backend,
+        n_ranks=sched.n_ranks,
+        block_size_cap=chi0_operator.max_block_size,
+        machine=sched.machine,
+        **sched.report(),
     )
 
 

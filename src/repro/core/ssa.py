@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.scheduler import Scheduler, SerialScheduler
 from repro.core.subspace import (
     SubspaceResult,
     _eq7_error,
@@ -44,7 +45,6 @@ from repro.core.subspace import (
 from repro.dft.eigensolvers import chebyshev_filter
 from repro.obs.tracer import get_tracer
 from repro.utils.rng import default_rng
-from repro.utils.timing import KernelTimers
 from repro.verify.invariants import get_verifier
 
 #: The per-point subspace modes, in decreasing order of per-point cost.
@@ -145,7 +145,7 @@ def exterior_eigenvalue_estimate(
 
 
 def _frozen_rayleigh_ritz(
-    V: np.ndarray, W: np.ndarray, timers: KernelTimers
+    V: np.ndarray, W: np.ndarray, sched: Scheduler
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Generalized Rayleigh-Ritz of the frozen block pair ``(V, W = A V)``.
 
@@ -153,9 +153,10 @@ def _frozen_rayleigh_ritz(
     can plant a stale-basis fault here (a Rayleigh-Ritz that reuses the
     basis without re-orthonormalization, i.e. skips ``M_s``) without
     touching the production call sites; mirrors the
-    ``Chi0Operator._make_batched_operator`` fault hook.
+    ``Chi0Operator._make_batched_operator`` fault hook. Every backend's SSA
+    points come through here, so one planted fault covers them all.
     """
-    return _rayleigh_ritz(V, W, timers)
+    return _rayleigh_ritz(V, W, sched)
 
 
 def ssa_error_gauge(vals: np.ndarray, residual_norms: np.ndarray) -> float:
@@ -178,11 +179,11 @@ def frozen_subspace_point(
     refresh_tol: float,
     degree: int = 2,
     max_refresh_passes: int = 1,
-    timers: KernelTimers | None = None,
     on_rotation: Callable[[np.ndarray], None] | None = None,
     bounds_seed: tuple[float, float, float] | None = None,
     guard_probes: int = 8,
     recycler=None,
+    scheduler: Scheduler | None = None,
 ) -> SubspaceResult:
     """One SSA quadrature point: Rayleigh-Ritz in the frozen basis ``v0``.
 
@@ -203,7 +204,7 @@ def frozen_subspace_point(
     max_refresh_passes:
         How many refresh passes may run before the point is accepted with
         ``converged=False`` (0 disables refreshing entirely).
-    timers, on_rotation, bounds_seed:
+    on_rotation, bounds_seed, scheduler:
         As in :func:`repro.core.subspace.filtered_subspace_iteration`.
     guard_probes:
         Lanczos steps for the exterior-eigenvalue guard run on the accepted
@@ -233,7 +234,7 @@ def frozen_subspace_point(
     V = np.array(v0, dtype=v0_dtype, copy=True)
     if V.ndim != 2:
         raise ValueError(f"v0 must be a block (n_d, n_eig), got shape {V.shape}")
-    timers = timers if timers is not None else KernelTimers()
+    sched = scheduler if scheduler is not None else SerialScheduler()
     tracer = get_tracer()
     verifier = get_verifier()
 
@@ -272,12 +273,12 @@ def frozen_subspace_point(
     while True:
         W = apply_op(V)
         V_raw, W_raw = V, W  # pre-rotation operands for the independent check
-        vals, V, W, Q = _frozen_rayleigh_ritz(V_raw, W_raw, timers)
+        vals, V, W, Q = _frozen_rayleigh_ritz(V_raw, W_raw, sched)
         if on_rotation is not None:
             on_rotation(Q)
             if verifier.enabled:
                 verifier.note_recycler_rotation(Q)
-        err = _eq7_error(V, W, vals, timers)
+        err = _eq7_error(V, W, vals, sched)
         history.append(err)
         if verifier.enabled:
             verifier.check_rotation(Q, iteration=passes, subspace_mode=mode)

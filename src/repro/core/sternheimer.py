@@ -326,26 +326,6 @@ class Chi0Operator:
                 x = self.apply_chi0(w, omega)
         return self.coulomb.apply_nu_sqrt(x)
 
-    def apply_projected(
-        self, V: np.ndarray, omega: float, timers: KernelTimers | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Projected-apply path for a frozen basis (repro.core.ssa).
-
-        Returns ``(W, H_s, M_s)`` — the symmetrized image ``W = A V`` and
-        the sesquilinear Gram matrices of the pair. This is *all* the
-        per-frequency work an SSA frozen point needs: the generalized
-        eigensolve of ``(H_s, M_s)`` is an ``n_eig x n_eig`` problem, so
-        the chi0 applies behind ``W`` (Sternheimer solves, batched kernel,
-        recycler seeds included) dominate the cost.
-        """
-        from repro.core.subspace import _rayleigh_ritz_grams
-
-        W = self.apply_symmetrized(V, omega, timers=timers)
-        hs, ms = _rayleigh_ritz_grams(
-            np.asarray(V, dtype=W.dtype), W,
-            timers if timers is not None else KernelTimers())
-        return W, hs, ms
-
     # -- internals ---------------------------------------------------------------
 
     def _initial_guess(self, j: int, lam_j: float, omega: float,

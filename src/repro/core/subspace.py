@@ -16,15 +16,16 @@ optimization for the small-omega points.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
+from repro.core.scheduler import Scheduler, SerialScheduler
 from repro.dft.eigensolvers import chebyshev_filter
 from repro.obs.tracer import get_tracer
-from repro.utils.timing import KernelTimers
 from repro.verify.invariants import get_verifier
 
 
@@ -72,10 +73,10 @@ def filtered_subspace_iteration(
     tol: float,
     degree: int = 2,
     max_iterations: int = 10,
-    timers: KernelTimers | None = None,
     on_iteration: Callable[[int, float, np.ndarray], None] | None = None,
     on_rotation: Callable[[np.ndarray], None] | None = None,
     bounds_seed: tuple[float, float, float] | None = None,
+    scheduler: Scheduler | None = None,
 ) -> SubspaceResult:
     """Run Algorithm 5 on operator ``apply_op`` starting from block ``v0``.
 
@@ -94,12 +95,6 @@ def filtered_subspace_iteration(
     max_iterations:
         Maximum *filtered* iterations (Table I: 10); exceeding it returns
         ``converged=False`` (the paper treats this as failure).
-    timers:
-        Optional kernel timer buckets: ``matmult``, ``eigensolve``,
-        ``eval_error`` are charged here (``chi0_apply`` is charged inside
-        the operator). Anything satisfying the ``add``/``region`` protocol
-        works — a :class:`repro.utils.timing.KernelTimers` or a
-        :class:`repro.obs.Tracer` (the latter additionally emits spans).
     on_iteration:
         Diagnostic hook called as ``(iteration, error, eigenvalues)`` after
         every convergence check.
@@ -114,6 +109,13 @@ def filtered_subspace_iteration(
         seeded bounds widen the fresh per-iteration estimates conservatively
         (see :func:`_filter_bounds`); ``None`` reproduces the historical
         from-scratch estimates bit-for-bit.
+    scheduler:
+        Where the Gram products and the Eq. 7 norm run, and whose ``timers``
+        book the ``matmult`` / ``eigensolve`` / ``eval_error`` buckets
+        (:class:`repro.core.scheduler.Scheduler`). The RPA sweep passes its
+        backend here, with ``apply_op`` bound to that scheduler's ``apply``;
+        the default runs everything in process on private buckets (the
+        active tracer's, when tracing).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -126,17 +128,17 @@ def filtered_subspace_iteration(
     V = np.array(v0, dtype=v0_dtype, copy=True)
     if V.ndim != 2:
         raise ValueError(f"v0 must be a block (n_d, n_eig), got shape {V.shape}")
-    timers = timers if timers is not None else KernelTimers()
+    sched = scheduler if scheduler is not None else SerialScheduler()
     tracer = get_tracer()
     verifier = get_verifier()
 
     W = apply_op(V)
-    vals, V, W, Q = _rayleigh_ritz(V, W, timers)
+    vals, V, W, Q = _rayleigh_ritz(V, W, sched)
     if on_rotation is not None:
         on_rotation(Q)
         if verifier.enabled:
             verifier.note_recycler_rotation(Q)
-    err = _eq7_error(V, W, vals, timers)
+    err = _eq7_error(V, W, vals, sched)
     if verifier.enabled:
         verifier.check_rotation(Q, iteration=0)
         verifier.check_ritz_values(vals, err, iteration=0)
@@ -163,12 +165,12 @@ def filtered_subspace_iteration(
                 last_bounds = used_bounds
             V = chebyshev_filter(apply_op, V, degree, low, cut, high)
             W = apply_op(V)
-            vals, V, W, Q = _rayleigh_ritz(V, W, timers)
+            vals, V, W, Q = _rayleigh_ritz(V, W, sched)
             if on_rotation is not None:
                 on_rotation(Q)
                 if verifier.enabled:
                     verifier.note_recycler_rotation(Q)
-            err = _eq7_error(V, W, vals, timers)
+            err = _eq7_error(V, W, vals, sched)
             if verifier.enabled:
                 verifier.check_rotation(Q, iteration=it)
                 verifier.check_ritz_values(vals, err, iteration=it)
@@ -227,7 +229,7 @@ def _filter_bounds(
 
 
 def _rayleigh_ritz(
-    V: np.ndarray, W: np.ndarray, timers: KernelTimers
+    V: np.ndarray, W: np.ndarray, sched: Scheduler
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Generalized Rayleigh-Ritz ``H_s Q = M_s Q D``; rotates V and W.
 
@@ -235,35 +237,22 @@ def _rayleigh_ritz(
     rotation-covariant caches (the ``on_rotation`` hook).
 
     The Gram matrices are the *sesquilinear* projections ``V^H W`` / ``V^H V``
-    — conjugation is required for complex blocks (``V.T @ V`` is complex
-    symmetric, not Hermitian, and ``eigh`` would silently operate on just
-    its lower triangle). For real blocks ``conj()`` is the identity, so the
-    historical float path is bit-for-bit unchanged.
+    from ``sched.grams``, symmetrized here. The measured phases are reported
+    to the scheduler, which books them in its own time domain.
     """
-    hs, ms = _rayleigh_ritz_grams(V, W, timers)
-    with timers.region("eigensolve"):
-        vals, Q = _generalized_eigh(hs, ms)
-    with timers.region("matmult"):
-        V = V @ Q
-        W = W @ Q
+    n_d, m = V.shape
+    t0 = time.perf_counter()
+    hs, ms = sched.grams(V, W)
+    hs = 0.5 * (hs + hs.conj().T)
+    ms = 0.5 * (ms + ms.conj().T)
+    t1 = time.perf_counter()
+    vals, Q = _generalized_eigh(hs, ms)
+    t2 = time.perf_counter()
+    V = V @ Q
+    W = W @ Q
+    t3 = time.perf_counter()
+    sched.charge_rayleigh_ritz(n_d, m, (t1 - t0) + (t3 - t2), t2 - t1)
     return vals, V, W, Q
-
-
-def _rayleigh_ritz_grams(
-    V: np.ndarray, W: np.ndarray, timers: KernelTimers
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized sesquilinear Gram matrices ``(H_s, M_s)`` of a block pair.
-
-    Shared by the filtered iteration, the SSA frozen-basis Rayleigh-Ritz
-    (repro.core.ssa) and ``Chi0Operator.apply_projected``.
-    """
-    with timers.region("matmult"):
-        vh = V.conj().T
-        hs = vh @ W
-        ms = vh @ V
-        hs = 0.5 * (hs + hs.conj().T)
-        ms = 0.5 * (ms + ms.conj().T)
-    return hs, ms
 
 
 def _generalized_eigh(hs: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,17 +274,20 @@ def _generalized_eigh(hs: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.nd
         )
 
 
-def _eq7_error(V: np.ndarray, W: np.ndarray, vals: np.ndarray, timers: KernelTimers) -> float:
+def _eq7_error(V: np.ndarray, W: np.ndarray, vals: np.ndarray,
+               sched: Scheduler) -> float:
     """The paper's Eq. 7 convergence functional.
 
     Uses the already-available ``W = A V`` (post-rotation), so the check
     costs only norms — the expensive recomputation the paper performs is
-    modelled separately by the parallel runtime's ``eval_error`` kernel.
+    modelled separately by the simulated backend's ``eval_error`` charge.
     """
-    with timers.region("eval_error"):
-        R = W - V * vals
-        num = np.linalg.norm(R, axis=0).sum()
-        den = len(vals) * np.sqrt(np.sum(vals**2))
-        if den == 0.0:
-            return float(np.inf) if num > 0 else 0.0
-        return float(num / den)
+    t0 = time.perf_counter()
+    num = sched.error_norm(V, W, vals)
+    den = len(vals) * np.sqrt(np.sum(vals**2))
+    if den == 0.0:
+        err = float(np.inf) if num > 0 else 0.0
+    else:
+        err = float(num / den)
+    sched.charge_error_eval(time.perf_counter() - t0)
+    return err

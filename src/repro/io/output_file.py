@@ -43,13 +43,13 @@ def format_output_log(result: RPAEnergyResult, n_ranks: int = 1,
         )
         lines.append(
             "ncheb | ErpaTerm (Ha/atom) | First 2 eigs & Last 2 eigs of nu chi0 "
-            "| eig Error | Timing (s)"
+            "| eig Error | Timing (s) | mode"
         )
         mu = p.eigenvalues
         lines.append(
             f" {p.filter_iterations:d}\t{p.energy_term / result.n_atoms: .3E}"
             f"\t{mu[0]: .5f} {mu[1]: .5f} ; {mu[-2]: .5f} {mu[-1]: .5f}"
-            f"  {p.error:.3E}  {p.elapsed_seconds:.2f}"
+            f"  {p.error:.3E}  {p.elapsed_seconds:.2f}  {p.subspace_mode}"
         )
 
     lines.append(_RULE)

@@ -1,9 +1,11 @@
-"""Simulated-MPI runtime and real threaded backend.
+"""Execution backends for the RPA sweep: simulated MPI and real workers.
 
 Reproduces the paper's parallelization structure (Section III-D) without an
 MPI installation: per-rank work is executed for real and timed on virtual
 clocks; communication and ScaLAPACK kernels are charged from calibrated
-cost models. Figures 4-6 regenerate from these simulated walltimes.
+cost models. Figures 4-6 regenerate from these simulated walltimes. The
+``process`` and ``spmd`` backends run the same sweep on real worker
+processes.
 """
 
 from repro.parallel.costmodel import (
@@ -20,12 +22,10 @@ from repro.parallel.distribution import (
     BlockColumnDistribution,
     block_cyclic_redistribution_bytes,
 )
+from repro.core.scheduler import Scheduler, SerialScheduler
 from repro.parallel.executor import (
     ProcessPoolScheduler,
-    Scheduler,
-    SerialScheduler,
     SimulatedScheduler,
-    ThreadedChi0Operator,
     make_scheduler,
 )
 from repro.parallel.process_executor import ProcessChi0Operator, WorkerRecoveryError
@@ -42,8 +42,6 @@ from repro.parallel.manager_worker import (
 )
 from repro.parallel.rpa_parallel import (
     PARALLEL_BACKENDS,
-    ParallelPointRecord,
-    ParallelRPAResult,
     compute_rpa_energy_parallel,
 )
 from repro.parallel.virtual_clock import VirtualClocks
@@ -60,7 +58,6 @@ __all__ = [
     "VirtualClocks",
     "BlockColumnDistribution",
     "block_cyclic_redistribution_bytes",
-    "ThreadedChi0Operator",
     "Scheduler",
     "SerialScheduler",
     "SimulatedScheduler",
@@ -78,7 +75,5 @@ __all__ = [
     "replay_schedule_with_recovery",
     "static_block_column_makespan",
     "Chi0WorkloadProfiler",
-    "ParallelRPAResult",
-    "ParallelPointRecord",
     "compute_rpa_energy_parallel",
 ]

@@ -1,30 +1,32 @@
-"""Execution backends and the ``Scheduler`` seam for the distributed driver.
+"""The execution backends behind the ``Scheduler`` seam.
 
-Two things live here:
+``repro.core.scheduler`` defines the seam and the in-process single-rank
+``SerialScheduler`` every serial call uses; this module adds the backends
+that need ``repro.parallel``:
 
-* :class:`ThreadedChi0Operator` — a drop-in operator fanning orbital solves
-  over a thread pool (numpy's BLAS releases the GIL in the dense kernels
-  that dominate block COCG).
-* The :class:`Scheduler` interface behind which
-  ``rpa_parallel.compute_rpa_energy_parallel`` runs *all* of its execution
-  backends — serial, simulated-MPI, process-pool and shared-memory SPMD —
-  without special-casing any of them. A scheduler owns exactly the two
-  distributed kernels of Algorithm 6 (the chi0 application and the
-  subspace Gram products), the per-rank work assignment (including rank
-  failure recovery), and the time accounting for its execution domain
-  (virtual clocks for the simulated backend, measured wall time for the
-  real ones). Everything else — Rayleigh-Ritz rotations, the Eq. 7
-  residual, SSA policy, recycler rotations — stays in the driver, shared
-  verbatim across backends.
+* :class:`SimulatedScheduler` — the paper's simulated-MPI layer: every
+  rank's column slice is actually executed and its measured wall time
+  charged to that rank's virtual clock; ScaLAPACK phases and collectives
+  are charged from the Fig. 5-calibrated cost models.
+* :class:`ProcessPoolScheduler` — orbital fan-out over a worker pool inside
+  one full-width apply.
+* ``repro.parallel.spmd.SpmdScheduler`` — real column-distributed workers
+  on shared memory (built by :func:`make_scheduler`).
+
+A scheduler owns the distributed kernels of Algorithm 6 (the chi0
+application, the subspace Gram products, the Eq. 7 norm), the per-rank work
+assignment (including rank failure recovery), and the time accounting for
+its execution domain. Everything else — Rayleigh-Ritz rotations, SSA
+policy, recycler rotations — is the one sweep in ``repro.core``.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.core.scheduler import Scheduler, SerialScheduler
 from repro.core.sternheimer import Chi0Operator
 from repro.obs.telemetry import get_recorder
 from repro.obs.tracer import get_tracer
@@ -40,209 +42,6 @@ from repro.parallel.distribution import (
     block_cyclic_redistribution_bytes,
 )
 from repro.parallel.virtual_clock import VirtualClocks
-
-
-class ThreadedChi0Operator(Chi0Operator):
-    """Drop-in ``Chi0Operator`` parallelizing over occupied orbitals.
-
-    Parameters
-    ----------
-    n_workers:
-        Thread count (defaults to ``min(n_s, os.cpu_count())``).
-
-    All other parameters follow :class:`repro.core.sternheimer.Chi0Operator`.
-    Statistics are aggregated with a lock-free per-task pattern: each task
-    records into its own ``SternheimerStats`` which are merged afterwards,
-    so totals are deterministic even under concurrency. Convergence
-    telemetry needs no such merging here: all worker threads share the one
-    active ``ConvergenceRecorder``, whose ring/counter updates are
-    lock-guarded and whose (orbital, ω) scopes are thread-local, so
-    concurrent orbitals cannot cross-label each other's records.
-    """
-
-    def __init__(self, *args, n_workers: int | None = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        import os
-
-        if n_workers is None:
-            n_workers = min(self.n_occupied, os.cpu_count() or 1)
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = int(n_workers)
-
-    def apply_chi0(self, v: np.ndarray, omega: float) -> np.ndarray:
-        if omega <= 0:
-            raise ValueError(f"omega must be positive (got {omega})")
-        squeeze = False
-        V = np.asarray(v, dtype=float)
-        if V.ndim == 1:
-            V = V[:, None]
-            squeeze = True
-        if V.shape[0] != self.n_points:
-            raise ValueError(f"operand rows {V.shape[0]} != n_d {self.n_points}")
-
-        from repro.core.sternheimer import SternheimerStats
-
-        if self.use_batched:
-            return self._apply_chi0_batched(V, omega, squeeze)
-
-        def task(j: int):
-            # Give each task an isolated stats sink by temporarily swapping;
-            # the base class records into self.stats, so run on a clone.
-            worker = Chi0Operator.__new__(Chi0Operator)
-            worker.__dict__.update(self.__dict__)
-            worker.stats = SternheimerStats()
-            y = worker._solve_orbital(j, V, omega)
-            return j, y, worker.stats
-
-        acc = np.zeros((self.n_points, V.shape[1]), dtype=complex)
-        if self.n_workers == 1:
-            results = [task(j) for j in range(self.n_occupied)]
-        else:
-            with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                results = list(pool.map(task, range(self.n_occupied)))
-        for j, y, stats in sorted(results, key=lambda r: r[0]):
-            acc += self.psi[:, j : j + 1] * y
-            self.stats.merge(stats)
-        out = 4.0 * acc.real
-        return out[:, 0] if squeeze else out
-
-    def _apply_chi0_batched(self, V: np.ndarray, omega: float,
-                            squeeze: bool) -> np.ndarray:
-        """Batched route: contiguous orbital groups, one fused solve each.
-
-        With fewer workers than orbitals each group fuses several orbitals
-        into one wide solve, keeping the shared-H-apply advantage inside a
-        group while groups run concurrently.
-        """
-        from repro.core.sternheimer import SternheimerStats
-
-        n_groups = max(1, min(self.n_workers, self.n_occupied))
-        groups = [g for g in np.array_split(np.arange(self.n_occupied), n_groups)
-                  if g.size]
-
-        def task(group: np.ndarray):
-            worker = Chi0Operator.__new__(Chi0Operator)
-            worker.__dict__.update(self.__dict__)
-            worker.stats = SternheimerStats()
-            solved = worker._solve_orbitals_batched([int(j) for j in group],
-                                                    V, omega)
-            return group, solved, worker.stats
-
-        acc = np.zeros((self.n_points, V.shape[1]), dtype=complex)
-        if len(groups) == 1 or self.n_workers == 1:
-            results = [task(g) for g in groups]
-        else:
-            with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                results = list(pool.map(task, groups))
-        for group, solved, stats in sorted(results, key=lambda r: int(r[0][0])):
-            for j in group:
-                y, _converged = solved[int(j)]
-                acc += self.psi[:, int(j) : int(j) + 1] * y
-            self.stats.merge(stats)
-        out = 4.0 * acc.real
-        return out[:, 0] if squeeze else out
-
-
-# -- the Scheduler seam ----------------------------------------------------------
-
-
-class Scheduler:
-    """Execution backend seam for ``compute_rpa_energy_parallel``.
-
-    A scheduler hides *where* the two distributed kernels run; the driver
-    never branches on the backend. Contract:
-
-    * :meth:`apply` — one symmetrized chi0 application of the full block.
-    * :meth:`grams` — the raw Rayleigh-Ritz products ``V^H W`` / ``V^H V``
-      (the driver symmetrizes, eigensolves and rotates).
-    * :meth:`start_point` — called at the top of each quadrature point;
-      processes any planted rank faults for that point.
-    * ``charge_*`` hooks — time-accounting callbacks; only the simulated
-      backend charges its virtual clocks there, real backends measure.
-    * :meth:`report` — the accounting block folded into
-      ``ParallelRPAResult`` (breakdown, comm/imbalance, per-rank seconds,
-      rank failures, simulated walltime).
-    """
-
-    backend = "abstract"
-    #: tracer domain for the driver's per-point spans
-    time_domain = "real"
-
-    def __init__(self, chi0op: Chi0Operator, n_ranks: int) -> None:
-        if n_ranks < 1:
-            raise ValueError("n_ranks must be >= 1")
-        self.op = chi0op
-        self.n_ranks = int(n_ranks)
-        self.n_rank_failures = 0
-        self.per_rank_chi0 = np.zeros(self.n_ranks)
-        self.breakdown = {
-            "chi0_apply": 0.0,
-            "matmult": 0.0,
-            "eigensolve": 0.0,
-            "eval_error": 0.0,
-        }
-        self._elapsed = 0.0
-
-    # -- the two distributed kernels -------------------------------------------
-
-    def apply(self, V: np.ndarray, omega: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def grams(self, V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Raw sesquilinear products ``(V^H W, V^H V)`` (unsymmetrized)."""
-        vh = V.conj().T
-        return vh @ W, vh @ V
-
-    def error_norm(self, V: np.ndarray, W: np.ndarray,
-                   vals: np.ndarray) -> float:
-        """Eq. 7 trace numerator ``sum_c ||W_c - vals_c V_c||``.
-
-        In-process backends compute it on the driver's arrays; the SPMD
-        backend distributes the per-column norms and tree-reduces them.
-        """
-        R = W - V * vals
-        return float(np.linalg.norm(R, axis=0).sum())
-
-    # -- per-point lifecycle ---------------------------------------------------
-
-    def start_point(self, k: int) -> None:
-        """Hook at the top of quadrature point ``k`` (1-based)."""
-
-    # -- time accounting -------------------------------------------------------
-
-    @property
-    def elapsed(self) -> float:
-        """Backend time consumed so far (virtual or measured busy time)."""
-        return self._elapsed
-
-    def charge_rayleigh_ritz(self, n_d: int, m: int, t_mm_rot: float,
-                             t_eig: float) -> None:
-        self.breakdown["matmult"] += t_mm_rot
-        self.breakdown["eigensolve"] += t_eig
-        self._elapsed += t_mm_rot + t_eig
-
-    def charge_error_eval(self) -> None:
-        """Eq. 7 accounting (real backends reuse ``W``: nothing to charge)."""
-
-    def report(self) -> dict:
-        return {
-            "simulated_walltime": 0.0,
-            "breakdown": dict(self.breakdown),
-            "comm_seconds": 0.0,
-            "imbalance_seconds": 0.0,
-            "per_rank_chi0_seconds": self.per_rank_chi0.copy(),
-            "n_rank_failures": self.n_rank_failures,
-        }
-
-    def close(self) -> None:
-        """Release backend resources (worker processes, shared memory)."""
-
-    def __enter__(self) -> "Scheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class _SliceAssignment:
@@ -274,45 +73,19 @@ class _SliceAssignment:
                              columns=(sl.start, sl.stop), from_rank=r)
 
 
-class SerialScheduler(Scheduler):
-    """Single-rank execution in the driver process (reference backend)."""
-
-    backend = "serial"
-
-    def __init__(self, chi0op: Chi0Operator) -> None:
-        super().__init__(chi0op, 1)
-
-    def apply(self, V: np.ndarray, omega: float) -> np.ndarray:
-        t0 = time.perf_counter()
-        W = self.op.apply_symmetrized(V, omega)
-        dur = time.perf_counter() - t0
-        self.per_rank_chi0[0] += dur
-        self.breakdown["chi0_apply"] += dur
-        self._elapsed += dur
-        return W
-
-
-class ProcessPoolScheduler(Scheduler):
+class ProcessPoolScheduler(SerialScheduler):
     """Process-pool execution: orbital fan-out inside one full-width apply.
 
     Wraps a :class:`repro.parallel.process_executor.ProcessChi0Operator`;
     its own pool-rebuild recovery applies. Work splits by *orbital*, not by
-    column slice, so per-rank attribution is unavailable — only aggregate
-    wall time is reported.
+    column slice, so there is no per-rank attribution: the aggregate apply
+    time lands on entry 0 of ``per_rank_chi0``.
     """
 
     backend = "process"
 
     def __init__(self, chi0op) -> None:
         super().__init__(chi0op, int(chi0op.n_workers))
-
-    def apply(self, V: np.ndarray, omega: float) -> np.ndarray:
-        t0 = time.perf_counter()
-        W = self.op.apply_symmetrized(V, omega)
-        dur = time.perf_counter() - t0
-        self.breakdown["chi0_apply"] += dur
-        self._elapsed += dur
-        return W
 
     def close(self) -> None:
         self.op.close()
@@ -321,10 +94,10 @@ class ProcessPoolScheduler(Scheduler):
 class SimulatedScheduler(Scheduler, _SliceAssignment):
     """Simulated-MPI execution: real per-rank work, virtual-clock charges.
 
-    Behaviourally identical to the pre-seam driver: each rank's column
-    slice is *actually executed* sequentially and its measured wall time
-    charged to that rank's virtual clock; ScaLAPACK phases and collectives
-    are charged from the Fig. 5-calibrated cost models.
+    Each rank's column slice is *actually executed* sequentially and its
+    measured wall time charged to that rank's virtual clock; ScaLAPACK
+    phases and collectives are charged from the Fig. 5-calibrated cost
+    models.
     """
 
     backend = "simulated"
@@ -374,7 +147,7 @@ class SimulatedScheduler(Scheduler, _SliceAssignment):
             self.clocks.advance(r, durations[r], label="chi0_apply")
         self.last_apply_per_rank = durations
         self.per_rank_chi0 += durations
-        self.breakdown["chi0_apply"] += float(durations.max())
+        self.timers.add("chi0_apply", float(durations.max()))
         return W
 
     @property
@@ -391,35 +164,35 @@ class SimulatedScheduler(Scheduler, _SliceAssignment):
         )
         mm = matmult_parallel_time(self.machine, t_mm_rot, p)
         eig = eigensolve_parallel_time(self.machine, t_eig, p)
-        self.breakdown["matmult"] += mm + redist
-        self.breakdown["eigensolve"] += eig
+        self.timers.add("matmult", mm + redist)
+        self.timers.add("eigensolve", eig)
         self.clocks.synchronize(redist, label="redistribute")
         self.clocks.advance_all(mm, label="matmult")
         self.clocks.advance_all(eig, label="eigensolve")
 
-    def charge_error_eval(self) -> None:
+    def charge_error_eval(self, seconds: float) -> None:
         """Eq. 7: one more operator application plus a scalar allreduce.
 
-        The multiplication's cost is charged from the per-rank durations
-        just measured for the identical product (post-rotation ``W`` *is*
-        that product), so no redundant execution is needed.
+        The paper recomputes the product; its cost is charged from the
+        per-rank durations just measured for the identical one
+        (post-rotation ``W`` *is* that product), so no redundant execution
+        is needed and the measured norm time ``seconds`` is not what the
+        model charges.
         """
         durations = self.last_apply_per_rank
         if durations is not None:
             for r in range(self.n_ranks):
                 self.clocks.advance(r, float(durations[r]), label="eval_error")
-            self.breakdown["eval_error"] += float(durations.max())
+            self.timers.add("eval_error", float(durations.max()))
         comm = allreduce_time(self.machine, 8.0, self.n_ranks)
         self.clocks.synchronize(comm, label="allreduce")
 
     def report(self) -> dict:
         return {
+            **super().report(),
             "simulated_walltime": self.clocks.elapsed,
-            "breakdown": dict(self.breakdown),
             "comm_seconds": self.clocks.comm_seconds,
             "imbalance_seconds": self.clocks.imbalance_seconds,
-            "per_rank_chi0_seconds": self.per_rank_chi0.copy(),
-            "n_rank_failures": self.n_rank_failures,
         }
 
 

@@ -1,17 +1,18 @@
-"""Distributed RPA driver over the ``Scheduler`` backend seam.
+"""Distributed entry point of the RPA sweep.
 
-Runs Algorithm 6's parallel structure — block-column distribution of the
-subspace operand, distributed ``nu^{1/2} chi0 nu^{1/2}`` applications,
-Rayleigh-Ritz with distributed Gram products, the Eq. 7 convergence check
-and the SSA frozen-basis policy — against any execution backend exposing
-the :class:`repro.parallel.executor.Scheduler` interface:
+There is one Algorithm 6 — :func:`repro.core.rpa_energy.compute_rpa_energy`.
+This module validates the parallel arguments, builds the Sternheimer
+operator with Section III-D's block-size cap ``s <= n_eig / p``, builds the
+execution backend (:func:`repro.parallel.executor.make_scheduler`) and
+hands both to that sweep:
 
 * ``simulated`` (default) — the paper's simulated-MPI layer: every rank's
   column slice is *actually executed* sequentially and its measured wall
   time charged to that rank's virtual clock; ScaLAPACK phases and
   collectives are charged through the Fig. 5-calibrated cost models.
   Figures 4, 5 and 6 are regenerated from these simulated walltimes.
-* ``serial`` — single-rank reference execution in the driver process.
+* ``serial`` — single-rank execution in the driver process; identical to
+  calling ``compute_rpa_energy`` directly.
 * ``process`` — orbital fan-out over a persistent process pool
   (:class:`repro.parallel.process_executor.ProcessChi0Operator`).
 * ``spmd`` — real shared-memory SPMD workers operating on
@@ -19,90 +20,28 @@ the :class:`repro.parallel.executor.Scheduler` interface:
   (:class:`repro.parallel.spmd.SpmdScheduler`), producing measured —
   not modeled — strong-scaling wall clock.
 
-The math is identical across backends (the scheduler owns only *where*
-the two distributed kernels execute and how time is accounted); energies
-agree with the serial driver to solver tolerance, bitwise between the
-simulated and single-worker SPMD backends.
+The scheduler owns only *where* the distributed kernels execute and how
+time is accounted, so energies are bitwise equal across backends at equal
+rank count (the rank count moves the block-size cap, hence the solver
+path).
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import ExitStack, nullcontext
-from dataclasses import dataclass
-
-import numpy as np
-import scipy.linalg
-
 from repro.config import RPAConfig
-from repro.core.quadrature import FrequencyQuadrature, transformed_gauss_legendre
-from repro.core.sternheimer import Chi0Operator, SternheimerStats
-from repro.core.trace import trace_from_eigenvalues
-from repro.dft.eigensolvers import chebyshev_filter
+from repro.core.rpa_energy import (
+    RPAEnergyResult,
+    chi0_operator_from_config,
+    compute_rpa_energy,
+)
 from repro.dft.scf import DFTResult
 from repro.grid.coulomb import CoulombOperator
 from repro.parallel.costmodel import PACE_PHOENIX, MachineProfile
 from repro.parallel.distribution import BlockColumnDistribution
-from repro.parallel.executor import Scheduler, make_scheduler
-from repro.obs.telemetry import get_recorder, recorder_for_level, use_recorder
-from repro.obs.tracer import get_tracer
-from repro.utils.rng import default_rng
-from repro.verify.invariants import get_verifier, use_verifier, verifier_for_level
+from repro.parallel.executor import make_scheduler
 
 #: Backends accepted by :func:`compute_rpa_energy_parallel`.
 PARALLEL_BACKENDS = ("serial", "simulated", "process", "spmd")
-
-
-@dataclass
-class ParallelPointRecord:
-    """Per-quadrature-point timings (virtual or measured, by backend)."""
-
-    index: int
-    omega: float
-    weight: float
-    energy_term: float
-    filter_iterations: int
-    converged: bool
-    simulated_seconds: float
-    #: "filtered" / "warm" / "frozen" / "refreshed" — matches the serial
-    #: driver's FrequencyPointStats.subspace_mode taxonomy.
-    subspace_mode: str = "filtered"
-    ssa_error_bound: float = 0.0
-
-
-@dataclass
-class ParallelRPAResult:
-    """Outcome of a distributed RPA run."""
-
-    energy: float
-    energy_per_atom: float
-    points: list[ParallelPointRecord]
-    quadrature: FrequencyQuadrature
-    n_ranks: int
-    machine: MachineProfile
-    simulated_walltime: float
-    breakdown: dict[str, float]
-    comm_seconds: float
-    imbalance_seconds: float
-    per_rank_chi0_seconds: np.ndarray
-    stats: SternheimerStats
-    config: RPAConfig
-    wall_seconds: float = 0.0
-    block_size_cap: int = 1
-    n_rank_failures: int = 0
-    recycle: object | None = None  # RecycleStats when config.use_recycling
-    verify: dict | None = None  # Verifier.summary() (None = verification off)
-    telemetry: dict | None = None  # ConvergenceRecorder.payload() (None = off)
-    backend: str = "simulated"
-
-    @property
-    def converged(self) -> bool:
-        return all(p.converged for p in self.points)
-
-    @property
-    def degraded_error_bound(self) -> float:
-        """Operator-level error bound from degraded Sternheimer solves."""
-        return self.stats.degraded_error_bound
 
 
 def compute_rpa_energy_parallel(
@@ -115,7 +54,9 @@ def compute_rpa_energy_parallel(
     backend: str = "simulated",
     n_workers: int | None = None,
     fault_hook=None,
-) -> ParallelRPAResult:
+    initial_vectors=None,
+    keep_vectors: bool = False,
+) -> RPAEnergyResult:
     """Run Algorithm 6 on ``n_ranks`` processors of the chosen backend.
 
     Parameters
@@ -124,9 +65,7 @@ def compute_rpa_energy_parallel(
         Converged ground state.
     config:
         RPA configuration; ``config.max_block_size`` is additionally capped
-        at ``n_eig / n_ranks`` per Section III-D. ``config.resilience``
-        additionally routes every Sternheimer solve through the escalation
-        chain, exactly as in the serial driver.
+        at ``n_eig / n_ranks`` per Section III-D.
     n_ranks:
         Processor count; must satisfy ``n_ranks <= n_eig`` for the
         column-distributing backends (``simulated``/``spmd``). ``serial``
@@ -151,6 +90,8 @@ def compute_rpa_energy_parallel(
     fault_hook:
         Test-only per-orbital callable run in ``process``/``spmd`` workers
         before each solve (fault injection).
+    initial_vectors, keep_vectors:
+        As in :func:`repro.core.rpa_energy.compute_rpa_energy`.
     """
     if backend not in PARALLEL_BACKENDS:
         raise ValueError(
@@ -167,12 +108,11 @@ def compute_rpa_energy_parallel(
         )
     if fault_hook is not None and backend not in ("process", "spmd"):
         raise ValueError("fault_hook requires the process or spmd backend")
+    workers = None
     if backend in ("process", "spmd"):
         workers = int(n_workers) if n_workers is not None else int(n_ranks)
         if workers < 1:
             raise ValueError("n_workers must be >= 1")
-    else:
-        workers = None
     if backend == "spmd":
         n_ranks = workers  # SPMD workers are the ranks
     elif backend == "process":
@@ -182,13 +122,6 @@ def compute_rpa_energy_parallel(
             f"the paper's distribution requires p <= n_eig (got p={n_ranks}, "
             f"n_eig={config.n_eig})"
         )
-    start_wall = time.perf_counter()
-    n_d = dft.grid.n_points
-    if config.n_eig > n_d:
-        raise ValueError(f"n_eig = {config.n_eig} exceeds n_d = {n_d}")
-    if coulomb is None:
-        coulomb = CoulombOperator(dft.grid, radius=dft.hamiltonian.radius)
-
     rank_faults = dict(rank_faults or {})
     for r, k_fail in rank_faults.items():
         if not 0 <= r < n_ranks:
@@ -198,397 +131,30 @@ def compute_rpa_energy_parallel(
     if len([r for r, k in rank_faults.items() if k <= config.n_quadrature]) >= n_ranks:
         raise ValueError("rank_faults would kill every rank; one must survive")
 
-    dist = BlockColumnDistribution(config.n_eig, n_ranks)
-    block_cap = min(config.max_block_size, dist.max_block_size())
-    from repro.core.rpa_energy import _escalation_from
-    from repro.solvers.recycle import SolveRecycler
-
-    op_kwargs = dict(
-        tol=config.tol_sternheimer,
-        max_iterations=config.max_cocg_iterations,
-        use_galerkin_guess=config.use_galerkin_guess,
-        dynamic_block_size=config.dynamic_block_size,
-        fixed_block_size=config.fixed_block_size,
-        max_block_size=block_cap,
-        escalation=_escalation_from(config),
-        on_failure=(config.resilience.on_failure
-                    if config.resilience is not None else "degrade"),
-        use_preconditioner=config.use_preconditioner,
-        use_batched=config.batched_sternheimer,
-        solve_dtype=config.solve_dtype,
-        recycler=(SolveRecycler(width=config.n_eig)
-                  if config.use_recycling else None),
-    )
+    if coulomb is None:
+        coulomb = CoulombOperator(dft.grid, radius=dft.hamiltonian.radius)
+    block_cap = min(config.max_block_size,
+                    BlockColumnDistribution(config.n_eig, n_ranks).max_block_size())
     if backend == "process":
         from repro.parallel.process_executor import ProcessChi0Operator
 
-        chi0op = ProcessChi0Operator(
-            dft.hamiltonian, dft.occupied_orbitals, dft.occupied_energies,
-            coulomb, n_workers=workers, fault_hook=fault_hook, **op_kwargs,
+        chi0op = chi0_operator_from_config(
+            dft, config, coulomb, max_block_size=block_cap,
+            operator_class=ProcessChi0Operator,
+            n_workers=workers, fault_hook=fault_hook,
         )
     else:
-        chi0op = Chi0Operator(
-            dft.hamiltonian, dft.occupied_orbitals, dft.occupied_energies,
-            coulomb, **op_kwargs,
+        chi0op = chi0_operator_from_config(dft, config, coulomb,
+                                           max_block_size=block_cap)
+    # The scheduler owns backend resources (worker processes, shared
+    # memory); it is torn down on every exit path. The SPMD backend forks
+    # its workers lazily at first use, i.e. inside the sweep, after the
+    # verifier and recorder are installed, so workers inherit them.
+    with make_scheduler(
+        backend, chi0op, n_ranks=n_ranks, width=config.n_eig,
+        machine=machine, rank_faults=rank_faults, fault_hook=fault_hook,
+    ) as sched:
+        return compute_rpa_energy(
+            dft, config, scheduler=sched,
+            initial_vectors=initial_vectors, keep_vectors=keep_vectors,
         )
-
-    tracer = get_tracer()
-    quad = transformed_gauss_legendre(config.n_quadrature)
-    rng = default_rng(config.seed)
-    V = rng.standard_normal((n_d, config.n_eig))
-
-    energy = 0.0
-    points: list[ParallelPointRecord] = []
-    prev_bounds: tuple[float, float, float] | None = None
-    prev_converged = False
-    with ExitStack() as stack:
-        # The scheduler owns backend resources (worker processes, shared
-        # memory); it is torn down on every exit path. The SPMD backend
-        # forks its workers lazily at first use, *after* the verifier and
-        # recorder below are installed, so workers inherit them.
-        sched = make_scheduler(
-            backend, chi0op, n_ranks=n_ranks, width=config.n_eig,
-            machine=machine, rank_faults=rank_faults, fault_hook=fault_hook,
-        )
-        stack.callback(sched.close)
-        # A scheduler may replace the operator's recycler with a
-        # backend-shared implementation; resolve it after construction.
-        recycler = chi0op.recycler
-        # Invariant checking mirrors the serial driver: the config level
-        # installs a scoped verifier unless one is already active (e.g. the
-        # differential harness drives all backends under one verifier).
-        verifier = get_verifier()
-        if config.verify_level != "off" and not verifier.enabled:
-            verifier = stack.enter_context(
-                use_verifier(verifier_for_level(config.verify_level))
-            )
-        if verifier.enabled:
-            verifier.check_quadrature(quad)
-        # Telemetry mirrors the serial driver's install-unless-active rule.
-        recorder = get_recorder()
-        if config.telemetry_level != "off" and not recorder.enabled:
-            recorder = stack.enter_context(
-                use_recorder(recorder_for_level(config.telemetry_level))
-            )
-        if recorder.enabled:
-            recorder.sweep_started(len(quad))
-        stack.enter_context(
-            tracer.span("rpa_energy_parallel", system=dft.crystal.label,
-                        n_ranks=n_ranks, n_eig=config.n_eig,
-                        block_size_cap=block_cap, backend=backend)
-        )
-        for k in range(1, len(quad) + 1):
-            sched.start_point(k)
-            omega = float(quad.points[k - 1])
-            weight = float(quad.weights[k - 1])
-            t_point0 = sched.elapsed
-            t_wall0 = time.perf_counter()
-            if recorder.enabled:
-                recorder.point_started(k, omega)
-            # SSA: after a converged reference point the frozen basis is
-            # only Rayleigh-Ritzed — same policy as the serial driver.
-            ssa_point = config.use_ssa and k > 1 and prev_converged
-            if ssa_point:
-                (vals, V, converged, iters, err_history, mode,
-                 bounds, ssa_bound, guard_triggered,
-                 guard_vector) = _parallel_frozen_point(
-                    sched,
-                    V,
-                    omega,
-                    refresh_tol=config.ssa_refresh_tol_for(k),
-                    degree=config.filter_degree,
-                    max_refresh_passes=config.ssa_refresh_passes,
-                    on_rotation=(recycler.rotate_frozen
-                                 if recycler is not None else None),
-                    bounds_seed=prev_bounds,
-                    recycler=recycler,
-                )
-                if guard_triggered or not converged:
-                    # SSA acceptance rejected (refresh budget exhausted or
-                    # the guard found a missed channel): redo the point with
-                    # full filtering, as in the serial driver.
-                    if tracer.enabled:
-                        tracer.incr("ssa_fallback_points")
-                    if guard_vector is not None:
-                        # Inject the guard probe's recovery direction (see
-                        # the serial driver): the missed channel enters the
-                        # fallback warm start with O(1) overlap.
-                        V = V.copy()
-                        V[:, -1] = guard_vector
-                        if recycler is not None:
-                            recycler.clear()
-                    (vals, V, converged, iters, err_history, mode,
-                     bounds) = _parallel_subspace(
-                        sched,
-                        V,
-                        omega,
-                        tol=config.tol_subspace_for(k),
-                        degree=config.filter_degree,
-                        max_iterations=config.max_filter_iterations,
-                        on_rotation=(recycler.rotate
-                                     if recycler is not None else None),
-                        bounds_seed=prev_bounds,
-                    )
-                    ssa_bound = 0.0
-            else:
-                (vals, V, converged, iters, err_history, mode,
-                 bounds) = _parallel_subspace(
-                    sched,
-                    V,
-                    omega,
-                    tol=config.tol_subspace_for(k),
-                    degree=config.filter_degree,
-                    max_iterations=config.max_filter_iterations,
-                    on_rotation=recycler.rotate if recycler is not None else None,
-                    bounds_seed=prev_bounds if config.use_ssa else None,
-                )
-                ssa_bound = 0.0
-            if config.use_ssa:
-                prev_bounds = bounds or prev_bounds
-                prev_converged = converged
-            e_k = trace_from_eigenvalues(vals)
-            if verifier.enabled:
-                verifier.check_trace_identity(vals, e_k, index=k, omega=omega)
-            energy += weight * e_k / (2.0 * np.pi)
-            simulated = sched.elapsed - t_point0
-            if recorder.enabled:
-                recorder.point_finished(
-                    k, omega=omega, seconds=time.perf_counter() - t_wall0,
-                    energy_term=e_k, converged=converged, iterations=iters,
-                    error=err_history[-1] if err_history else None,
-                    error_history=err_history,
-                    simulated_seconds=simulated,
-                    subspace_mode=mode,
-                )
-            if tracer.enabled:
-                # One top-row span per quadrature point on the backend's
-                # timeline (virtual or measured busy time), all ranks.
-                tracer.record("omega_point", t_point0, end=sched.elapsed,
-                              domain=sched.time_domain, index=k, omega=omega,
-                              filter_iterations=iters, converged=converged,
-                              subspace_mode=mode)
-                if mode in ("frozen", "refreshed"):
-                    tracer.incr(f"omega_points_{mode}")
-            points.append(
-                ParallelPointRecord(
-                    index=k,
-                    omega=omega,
-                    weight=weight,
-                    energy_term=e_k,
-                    filter_iterations=iters,
-                    converged=converged,
-                    simulated_seconds=simulated,
-                    subspace_mode=mode,
-                    ssa_error_bound=ssa_bound,
-                )
-            )
-        accounting = sched.report()
-
-    return ParallelRPAResult(
-        energy=energy,
-        energy_per_atom=energy / dft.crystal.n_atoms,
-        points=points,
-        quadrature=quad,
-        n_ranks=sched.n_ranks,
-        machine=machine,
-        simulated_walltime=accounting["simulated_walltime"],
-        breakdown=accounting["breakdown"],
-        comm_seconds=accounting["comm_seconds"],
-        imbalance_seconds=accounting["imbalance_seconds"],
-        per_rank_chi0_seconds=accounting["per_rank_chi0_seconds"],
-        stats=chi0op.stats,
-        config=config,
-        wall_seconds=time.perf_counter() - start_wall,
-        block_size_cap=block_cap,
-        n_rank_failures=accounting["n_rank_failures"],
-        recycle=recycler.stats if recycler is not None else None,
-        verify=verifier.summary() if verifier.enabled else None,
-        telemetry=recorder.payload() if recorder.enabled else None,
-        backend=backend,
-    )
-
-
-# -- the distributed Algorithm 5 ------------------------------------------------
-
-
-def _parallel_subspace(
-    sched: Scheduler,
-    V: np.ndarray,
-    omega: float,
-    tol: float,
-    degree: int,
-    max_iterations: int,
-    on_rotation=None,
-    bounds_seed=None,
-):
-    verifier = get_verifier()
-    errors: list[float] = []
-    W = sched.apply(V, omega)
-    vals, V, W = _parallel_rayleigh_ritz(sched, V, W, on_rotation=on_rotation)
-    err = _parallel_eq7(sched, V, W, vals)
-    errors.append(err)
-    if verifier.enabled:
-        verifier.check_ritz_values(vals, err, driver="parallel", iteration=0)
-    if err <= tol:
-        return vals, V, True, 0, errors, "warm", bounds_seed
-
-    last_bounds = bounds_seed
-    used_bounds = None
-    for it in range(1, max_iterations + 1):
-        low, cut, high = _filter_bounds(vals, seed=last_bounds)
-        used_bounds = (low, cut, high)
-        if bounds_seed is not None:
-            last_bounds = used_bounds
-        V = chebyshev_filter(lambda B: sched.apply(B, omega), V, degree, low, cut, high)
-        W = sched.apply(V, omega)
-        vals, V, W = _parallel_rayleigh_ritz(sched, V, W, on_rotation=on_rotation)
-        err = _parallel_eq7(sched, V, W, vals)
-        errors.append(err)
-        if verifier.enabled:
-            verifier.check_ritz_values(vals, err, driver="parallel", iteration=it)
-        if err <= tol:
-            return vals, V, True, it, errors, "filtered", used_bounds
-    return vals, V, False, max_iterations, errors, "filtered", used_bounds
-
-
-def _parallel_frozen_point(
-    sched: Scheduler,
-    V: np.ndarray,
-    omega: float,
-    refresh_tol: float,
-    degree: int,
-    max_refresh_passes: int,
-    on_rotation=None,
-    bounds_seed=None,
-    recycler=None,
-):
-    """One SSA point on the distributed backend (repro.core.ssa policy).
-
-    Rayleigh-Ritz in the frozen basis — one distributed apply for the
-    projected Grams — with the same cheap-refresh trigger and
-    exterior-eigenvalue guard as the serial ``frozen_subspace_point``; the
-    energies match the serial SSA path, only the time accounting differs.
-    """
-    from repro.core.ssa import (
-        GUARD_REL_MARGIN,
-        exterior_eigenvalue_estimate,
-        ssa_error_gauge,
-    )
-
-    verifier = get_verifier()
-
-    def run_guard(V_now, vals_now) -> bool:
-        # Same guard as the serial SSA path: probe for a deeper eigenvalue
-        # the span missed (Eq. 7 is blind to emergent screening channels).
-        nonlocal guard_vector
-        # Pause the recycler for the probe applies (unrelated single
-        # vectors at the block's omega must not touch the solve cache).
-        pause = recycler.paused() if recycler is not None else nullcontext()
-        with pause:
-            probe = exterior_eigenvalue_estimate(
-                lambda B: sched.apply(B, omega), V_now
-            )
-        if probe is None:
-            return False
-        exterior, exterior_vec = probe
-        margin = GUARD_REL_MARGIN * max(abs(float(vals_now[0])), 1e-300)
-        triggered = exterior < float(vals_now[-1]) - margin
-        if triggered:
-            guard_vector = exterior_vec
-        return triggered
-
-    errors: list[float] = []
-    mode = "frozen"
-    last_bounds = bounds_seed
-    used_bounds = None
-    passes = 0
-    guard_triggered = False
-    guard_vector = None
-    while True:
-        W = sched.apply(V, omega)
-        V_raw, W_raw = V, W  # pre-rotation operands for the independent check
-        vals, V, W = _parallel_rayleigh_ritz(sched, V, W, on_rotation=on_rotation)
-        err = _parallel_eq7(sched, V, W, vals)
-        errors.append(err)
-        if verifier.enabled:
-            verifier.check_ritz_values(vals, err, driver="parallel",
-                                       subspace_mode=mode, iteration=passes)
-            verifier.check_frozen_trace_identity(V_raw, W_raw, vals,
-                                                 driver="parallel",
-                                                 subspace_mode=mode,
-                                                 iteration=passes)
-        if err <= refresh_tol or passes >= max_refresh_passes:
-            # Guard at acceptance only (serial policy): pre-refresh drift
-            # is indistinguishable from a missed channel.
-            guard_triggered = run_guard(V, vals)
-            break
-        mode = "refreshed"
-        passes += 1
-        low, cut, high = _filter_bounds(vals, seed=last_bounds)
-        used_bounds = (low, cut, high)
-        last_bounds = used_bounds
-        V = chebyshev_filter(lambda B: sched.apply(B, omega), V, degree,
-                             low, cut, high)
-    residual_norms = np.linalg.norm(W - V * vals, axis=0)
-    bound = ssa_error_gauge(vals, residual_norms)
-    return (vals, V, bool(err <= refresh_tol), passes, errors, mode,
-            used_bounds, bound, guard_triggered, guard_vector)
-
-
-def _filter_bounds(vals: np.ndarray, seed=None) -> tuple[float, float, float]:
-    from repro.core.subspace import _filter_bounds as bounds
-
-    return bounds(vals, seed=seed)
-
-
-def _parallel_rayleigh_ritz(sched: Scheduler, V, W, on_rotation=None):
-    """Rayleigh-Ritz phase: distributed Grams + eigensolve + rotation."""
-    n_d, m = V.shape
-    t0 = time.perf_counter()
-    # Sesquilinear Grams (V^H W / V^H V), matching the serial _rayleigh_ritz:
-    # conjugation is a no-op for the real blocks this driver produces, but
-    # keeps the two implementations from diverging if complex blocks appear.
-    hs, ms = sched.grams(V, W)
-    hs = 0.5 * (hs + hs.conj().T)
-    ms = 0.5 * (ms + ms.conj().T)
-    t_mm = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        vals, Q = scipy.linalg.eigh(hs, ms)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-        reg = 1e-12 * max(float(np.trace(ms)) / m, 1.0)
-        vals, Q = scipy.linalg.eigh(hs, ms + reg * np.eye(m))
-    t_eig = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    V = V @ Q
-    W = W @ Q
-    t_rot = time.perf_counter() - t0
-    verifier = get_verifier()
-    if on_rotation is not None:
-        on_rotation(Q)
-        if verifier.enabled:
-            verifier.note_recycler_rotation(Q)
-    if verifier.enabled:
-        verifier.check_rotation(Q, driver="parallel")
-        if verifier.full:
-            verifier.check_basis_orthonormal(V, driver="parallel")
-
-    sched.charge_rayleigh_ritz(n_d, m, t_mm + t_rot, t_eig)
-    return vals, V, W
-
-
-def _parallel_eq7(sched: Scheduler, V, W, vals) -> float:
-    """Eq. 7 check: reuses the post-rotation ``W`` (no extra apply).
-
-    The scheduler charges whatever its execution domain pays for this
-    phase (the simulated backend re-charges the measured per-rank apply
-    durations plus an allreduce; real backends reuse ``W`` for free).
-    """
-    sched.charge_error_eval()
-    num = sched.error_norm(V, W, vals)
-    den = len(vals) * np.sqrt(np.sum(vals**2))
-    if den == 0.0:
-        return float(np.inf) if num > 0 else 0.0
-    return float(num / den)

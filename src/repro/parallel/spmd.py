@@ -1,4 +1,4 @@
-"""Real shared-memory SPMD backend for the distributed RPA driver.
+"""Real shared-memory SPMD backend for the RPA sweep.
 
 Persistent worker processes (``fork`` start method) execute the paper's
 block-column work decomposition on ``multiprocessing.shared_memory`` views
@@ -15,8 +15,8 @@ meaningful):
   simulated-MPI backend uses, and each slice's Sternheimer solves are the
   identical computation regardless of *which* worker executes them — so a
   run with planted worker deaths is bit-identical to an undisturbed run,
-  and ``n_workers=1`` is bit-identical to the simulated driver at ``p=1``
-  (which matches the serial driver to ~1e-12).
+  and ``n_workers=1`` is bit-identical to the simulated backend at
+  ``p=1`` and to the serial sweep.
 * The trace/Gram contractions tree-reduce over ``p0`` *fixed* per-slice
   slots (``p0`` = worker count at construction) in a fixed pairwise
   order. Each rank scatters its column block's contribution —
@@ -55,11 +55,12 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.core.scheduler import Scheduler
 from repro.core.sternheimer import Chi0Operator, SternheimerStats
 from repro.obs.telemetry import ConvergenceRecorder, get_recorder, use_recorder
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.parallel.distribution import BlockColumnDistribution
-from repro.parallel.executor import Scheduler, _SliceAssignment
+from repro.parallel.executor import _SliceAssignment
 from repro.parallel.process_executor import WorkerRecoveryError
 from repro.solvers.recycle import RecycleStats, SolveRecycler
 from repro.verify.invariants import (
@@ -576,8 +577,7 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
         live = max(len(self._live), 1)
         self._imbalance += (dmax * live - float(durations.sum())) / live
         self._comm += max(round_wall - dmax, 0.0)
-        self.breakdown["chi0_apply"] += dmax
-        self._elapsed += dmax
+        self._charge("chi0_apply", dmax)
         return self._w[:, :w].copy()
 
     def _slot_owner(self, slot: int) -> int:
@@ -677,10 +677,13 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
         busy = self._round_busy(self._run_round(tasks))
         busy += self._reduce_rounds("nreduce", w, sig)
         round_wall = time.perf_counter() - t_round
-        self.breakdown["eval_error"] += busy
-        self._elapsed += busy
+        self._charge("eval_error", busy)
         self._comm += max(round_wall - busy, 0.0)
         return float(self._nrm[0, :w].sum())
+
+    def charge_error_eval(self, seconds: float) -> None:
+        """Nothing to add: :meth:`error_norm` booked the workers' busy time
+        (``seconds``, measured around it in the parent, includes IPC)."""
 
     @staticmethod
     def _round_busy(results: dict) -> float:
@@ -837,10 +840,7 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
 
     def report(self) -> dict:
         return {
-            "simulated_walltime": 0.0,
-            "breakdown": dict(self.breakdown),
+            **super().report(),
             "comm_seconds": self._comm,
             "imbalance_seconds": self._imbalance,
-            "per_rank_chi0_seconds": self.per_rank_chi0.copy(),
-            "n_rank_failures": self.n_rank_failures,
         }

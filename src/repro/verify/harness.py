@@ -14,7 +14,8 @@ The harness also validates the *checker*: it injects one deliberate fault
 per invariant class — an asymmetric Sternheimer operator, a solver that
 lies about convergence, a recycler whose rotation is corrupted, a batched
 operator that drops an orbital's shift, and an SSA Rayleigh-Ritz that
-reuses a stale basis without re-orthonormalization — and asserts that the
+reuses a stale basis without re-orthonormalization (planted once, run on
+the serial, simulated-MPI and SPMD columns) — and asserts that the
 corresponding ``verify_*`` failure counter fires. A verification layer
 that cannot catch a planted bug is worse than none.
 
@@ -166,6 +167,24 @@ def configuration_matrix(quick: bool = False):
     return matrix
 
 
+def _run_backend(dft, coulomb, backend: str, config: RPAConfig):
+    """One sweep of ``config`` on a harness backend column."""
+    if backend == "serial":
+        return compute_rpa_energy(dft, config, coulomb=coulomb)
+    from repro.parallel import compute_rpa_energy_parallel
+
+    if backend == "mpi":
+        return compute_rpa_energy_parallel(dft, config, n_ranks=2,
+                                           coulomb=coulomb)
+    if backend in ("spmd", "process"):
+        # "spmd": the same column distribution as the "mpi" cell, executed
+        # by real worker processes over shared memory; the two cells must
+        # agree bitwise, and both sit under the oracle pin.
+        return compute_rpa_energy_parallel(dft, config, coulomb=coulomb,
+                                           backend=backend, n_workers=2)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
 def run_one(dft, coulomb, backend: str, recycling: bool, preconditioner: bool,
             resilience: bool, batched: bool = False, dtype: str = "float64",
             ssa: bool = False, level: str = "cheap") -> dict:
@@ -175,50 +194,7 @@ def run_one(dft, coulomb, backend: str, recycling: bool, preconditioner: bool,
     verifier = Verifier(level=level)
     t0 = time.perf_counter()
     with use_verifier(verifier):
-        if backend == "serial":
-            result = compute_rpa_energy(dft, config, coulomb=coulomb)
-            energy, converged = result.energy, result.converged
-            n_matvec = result.stats.n_matvec
-        elif backend == "mpi":
-            from repro.parallel import compute_rpa_energy_parallel
-
-            par = compute_rpa_energy_parallel(dft, config, n_ranks=2,
-                                              coulomb=coulomb)
-            energy, converged = par.energy, par.converged
-            n_matvec = par.stats.n_matvec
-        elif backend == "spmd":
-            from repro.parallel import compute_rpa_energy_parallel
-
-            # Same column distribution as the "mpi" cell, executed by real
-            # worker processes over shared memory; the two cells must agree
-            # bitwise, and both sit under the oracle pin.
-            par = compute_rpa_energy_parallel(dft, config, coulomb=coulomb,
-                                              backend="spmd", n_workers=2)
-            energy, converged = par.energy, par.converged
-            n_matvec = par.stats.n_matvec
-        elif backend == "process":
-            from repro.parallel.process_executor import ProcessChi0Operator
-            from repro.core.rpa_energy import _escalation_from
-
-            with ProcessChi0Operator(
-                dft.hamiltonian, dft.occupied_orbitals, dft.occupied_energies,
-                coulomb,
-                tol=config.tol_sternheimer,
-                max_iterations=config.max_cocg_iterations,
-                escalation=_escalation_from(config),
-                use_preconditioner=config.use_preconditioner,
-                use_batched=config.batched_sternheimer,
-                solve_dtype=config.solve_dtype,
-                recycler=(SolveRecycler(width=config.n_eig)
-                          if config.use_recycling else None),
-                n_workers=2,
-            ) as chi0op:
-                result = compute_rpa_energy(dft, config, coulomb=coulomb,
-                                            chi0_operator=chi0op)
-            energy, converged = result.energy, result.converged
-            n_matvec = result.stats.n_matvec
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+        result = _run_backend(dft, coulomb, backend, config)
     return {
         "backend": backend,
         "recycling": recycling,
@@ -227,9 +203,9 @@ def run_one(dft, coulomb, backend: str, recycling: bool, preconditioner: bool,
         "batched": batched,
         "solve_dtype": dtype,
         "ssa": ssa,
-        "energy": float(energy),
-        "converged": bool(converged),
-        "n_matvec": int(n_matvec),
+        "energy": float(result.energy),
+        "converged": bool(result.converged),
+        "n_matvec": int(result.stats.n_matvec),
         "elapsed_seconds": time.perf_counter() - t0,
         "verify": verifier.summary(),
     }
@@ -377,7 +353,7 @@ def _inject_dropped_shift(dft, coulomb, level: str) -> dict:
                          verifier, tracer)
 
 
-def _stale_ssa_rayleigh_ritz(v, w, timers):
+def _stale_ssa_rayleigh_ritz(v, w, sched):
     """A frozen-basis Rayleigh-Ritz that reuses the basis without
     re-orthonormalizing: it rescales the block columns (the shape of a
     stale reference basis carried across omega without renormalization)
@@ -386,35 +362,40 @@ def _stale_ssa_rayleigh_ritz(v, w, timers):
     residual-based Eq. 7 check stays quiet — only the independent
     frozen-basis trace identity can see the mismatch.
     """
-    from repro.core.subspace import _rayleigh_ritz_grams
-
     scale = np.linspace(1.0, 1.8, v.shape[1])
     vs, ws = v * scale, w * scale
-    hs, ms = _rayleigh_ritz_grams(vs, ws, timers)
-    del ms  # the planted bug: M_s != I is ignored
-    vals, q = np.linalg.eigh(hs)
+    hs, _ms = sched.grams(vs, ws)  # the planted bug: M_s != I is ignored
+    vals, q = np.linalg.eigh(0.5 * (hs + hs.conj().T))
     return vals, vs @ q, ws @ q, q
 
 
 def _inject_stale_ssa_basis(dft, coulomb, level: str) -> dict:
+    """Planted once; must be caught on every backend column with an SSA
+    cell — they all run the one ``repro.core.ssa._frozen_rayleigh_ritz``."""
     import repro.core.ssa as ssa_mod
 
-    verifier = Verifier(level=level)
-    tracer = Tracer()
     config = harness_config(recycling=True, preconditioner=False,
                             resilience=False, batched=True, ssa=True)
+    per_backend = {}
     original = ssa_mod._frozen_rayleigh_ritz
     ssa_mod._frozen_rayleigh_ritz = _stale_ssa_rayleigh_ritz
     try:
-        with use_tracer(tracer), use_verifier(verifier):
-            try:
-                compute_rpa_energy(dft, config, coulomb=coulomb)
-            except Exception:
-                pass  # downstream blow-ups are fine; the check must fire
+        for backend in ("serial", "mpi", "spmd"):
+            verifier = Verifier(level=level)
+            tracer = Tracer()
+            with use_tracer(tracer), use_verifier(verifier):
+                try:
+                    _run_backend(dft, coulomb, backend, config)
+                except Exception:
+                    pass  # downstream blow-ups are fine; the check must fire
+            per_backend[backend] = _fault_record(
+                "stale_ssa_basis", "trace_identity", verifier, tracer)
     finally:
         ssa_mod._frozen_rayleigh_ritz = original
-    return _fault_record("stale_ssa_basis", "trace_identity",
-                         verifier, tracer)
+    record = dict(per_backend["serial"])
+    record["caught"] = all(r["caught"] for r in per_backend.values())
+    record["caught_on"] = {b: r["caught"] for b, r in per_backend.items()}
+    return record
 
 
 def _fault_record(fault: str, check: str, verifier: Verifier,

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import filtered_subspace_iteration
-from repro.utils.timing import KernelTimers
+from repro.core import SerialScheduler, filtered_subspace_iteration
 
 
 def _decaying_operator(n=200, n_big=12, seed=0):
@@ -82,9 +81,10 @@ class TestFilteredSubspace:
         A, _ = _decaying_operator()
         rng = np.random.default_rng(7)
         v0 = rng.standard_normal((A.shape[0], 6))
-        timers = KernelTimers()
+        sched = SerialScheduler()
         filtered_subspace_iteration(lambda V: A @ V, v0, tol=1e-6, degree=2,
-                                    max_iterations=30, timers=timers)
+                                    max_iterations=30, scheduler=sched)
+        timers = sched.timers
         for bucket in ("matmult", "eigensolve", "eval_error"):
             assert timers.get(bucket) >= 0.0
             assert timers.counts[bucket] > 0

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.rpa_energy import OmegaPointResult
+from repro.core.rpa_energy import FrequencyPointStats
+from repro.core.scheduler import SerialScheduler
 from repro.core.subspace import (
     _eq7_error,
     _filter_bounds,
     _rayleigh_ritz,
     filtered_subspace_iteration,
 )
-from repro.utils.timing import KernelTimers
 
 
 class TestFilterBounds:
@@ -47,7 +47,7 @@ class TestEq7Error:
         mu = -np.geomspace(2.0, 0.1, 6)
         V = q[:, :6]
         W = V * mu
-        err = _eq7_error(V, W, mu, KernelTimers())
+        err = _eq7_error(V, W, mu, SerialScheduler())
         assert err < 1e-14
 
     def test_matches_formula(self):
@@ -55,7 +55,7 @@ class TestEq7Error:
         V = rng.standard_normal((30, 4))
         W = rng.standard_normal((30, 4))
         vals = np.array([-2.0, -1.0, -0.5, -0.1])
-        err = _eq7_error(V, W, vals, KernelTimers())
+        err = _eq7_error(V, W, vals, SerialScheduler())
         R = W - V * vals
         expected = np.linalg.norm(R, axis=0).sum() / (4 * np.sqrt(np.sum(vals**2)))
         assert err == pytest.approx(expected, rel=1e-12)
@@ -63,8 +63,8 @@ class TestEq7Error:
     def test_zero_spectrum_edge(self):
         V = np.zeros((10, 2))
         vals = np.zeros(2)
-        assert _eq7_error(V, np.zeros((10, 2)), vals, KernelTimers()) == 0.0
-        assert _eq7_error(V, np.ones((10, 2)), vals, KernelTimers()) == np.inf
+        assert _eq7_error(V, np.zeros((10, 2)), vals, SerialScheduler()) == 0.0
+        assert _eq7_error(V, np.ones((10, 2)), vals, SerialScheduler()) == np.inf
 
 
 class TestRayleighRitzComplex:
@@ -86,7 +86,7 @@ class TestRayleighRitzComplex:
         import scipy.linalg
 
         a, v = self._hermitian_problem()
-        vals, vq, wq, q = _rayleigh_ritz(v, a @ v, KernelTimers())
+        vals, vq, wq, q = _rayleigh_ritz(v, a @ v, SerialScheduler())
         ref = scipy.linalg.eigh(v.conj().T @ (a @ v), v.conj().T @ v,
                                 eigvals_only=True)
         assert np.allclose(vals, ref, rtol=1e-10, atol=1e-12)
@@ -106,7 +106,7 @@ class TestRayleighRitzComplex:
         v = vecs[:, :4] @ np.linalg.qr(
             np.random.default_rng(0).standard_normal((4, 4))
         )[0]  # mix, still spans the lowest-4 eigenspace
-        vals, _, _, _ = _rayleigh_ritz(v.astype(complex), a @ v, KernelTimers())
+        vals, _, _, _ = _rayleigh_ritz(v.astype(complex), a @ v, SerialScheduler())
         assert np.allclose(vals, w[:4], rtol=1e-10, atol=1e-11)
 
     def test_real_path_unchanged(self):
@@ -115,7 +115,7 @@ class TestRayleighRitzComplex:
         rng = np.random.default_rng(3)
         v = rng.standard_normal((30, 4))
         w = rng.standard_normal((30, 4))
-        vals, vq, _, q = _rayleigh_ritz(v.copy(), w.copy(), KernelTimers())
+        vals, vq, _, q = _rayleigh_ritz(v.copy(), w.copy(), SerialScheduler())
         assert not np.iscomplexobj(vals) or np.all(vals.imag == 0)
         assert vq.dtype == np.float64 or np.all(np.asarray(vq).imag == 0)
 
@@ -136,10 +136,10 @@ class TestRayleighRitzComplex:
         assert np.allclose(np.sort(res.eigenvalues), ref, rtol=1e-6, atol=1e-8)
 
 
-class TestOmegaPointResult:
+class TestFrequencyPointStats:
     def test_energy_contribution(self):
-        p = OmegaPointResult(index=1, omega=0.69, weight=0.518, energy_term=-2.0,
-                             eigenvalues=np.array([-1.0]), filter_iterations=1,
-                             error=1e-4, converged=True, elapsed_seconds=0.1,
-                             skipped_filtering=False)
+        p = FrequencyPointStats(index=1, omega=0.69, weight=0.518,
+                                energy_term=-2.0, eigenvalues=np.array([-1.0]),
+                                filter_iterations=1, error=1e-4, converged=True,
+                                elapsed_seconds=0.1, skipped_filtering=False)
         assert p.energy_contribution == pytest.approx(0.518 * -2.0 / (2 * np.pi))

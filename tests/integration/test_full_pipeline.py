@@ -71,6 +71,10 @@ class TestEndToEnd:
         cfg = RPAConfig(n_eig=24, n_quadrature=3, seed=2,
                         dynamic_block_size=False, fixed_block_size=1)
         ser = compute_rpa_energy(dft, cfg, coulomb=coulomb)
+        # One sweep: on one rank the distributed entry point is the serial
+        # driver bit for bit; more ranks only re-slice the applies.
+        one = compute_rpa_energy_parallel(dft, cfg, n_ranks=1, coulomb=coulomb)
+        assert one.energy == ser.energy
         par = compute_rpa_energy_parallel(dft, cfg, n_ranks=6, coulomb=coulomb)
         assert par.energy == pytest.approx(ser.energy, abs=1e-12)
 

@@ -54,3 +54,22 @@ class TestMain:
         captured = capsys.readouterr()
         assert "Total RPA correlation energy" in captured.out
         assert "simulated walltime" in captured.err
+
+    def test_ranks_run_prints_point_table(self, capsys):
+        # One branch after the solve: a --ranks run prints the same
+        # per-point log a serial run does, then its walltime/comm line.
+        rc = main(["--system", "toy", "--n-eig", "16", "--ranks", "3"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "NP_NUCHI_EIGS_PARAL_RPA: 3" in captured.out
+        n_points = captured.out.count("0~1 value")
+        assert n_points > 0
+        assert captured.out.count("| eig Error | Timing (s) | mode") == n_points
+        assert (captured.out.count("  filtered\n")
+                + captured.out.count("  warm\n")) == n_points
+        assert "simulated walltime on 3 ranks" in captured.err
+
+    def test_serial_backend_refuses_ranks(self, capsys):
+        rc = main(["--system", "toy", "--backend", "serial", "--ranks", "2"])
+        assert rc == 2
+        assert "--backend serial runs on one rank" in capsys.readouterr().err

@@ -1,14 +1,17 @@
-"""Tests for the simulated distributed RPA driver and the threaded backend."""
+"""Tests for the distributed entry point of the (single) RPA sweep."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.config import RPAConfig
-from repro.core import Chi0Operator, compute_rpa_energy
+from repro.config import ResilienceConfig, RPAConfig
+from repro.core import compute_rpa_energy
 from repro.dft import GaussianPseudopotential, run_scf
 from repro.dft.atoms import Crystal
 from repro.grid import CoulombOperator
-from repro.parallel import ThreadedChi0Operator, compute_rpa_energy_parallel
+from repro.parallel import compute_rpa_energy_parallel
+from tests.parallel.test_spmd import FEATURE_MATRIX
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +47,10 @@ class TestParallelCorrectness:
         ser = compute_rpa_energy(toy_dft, base_config, coulomb=toy_coulomb)
         par = compute_rpa_energy_parallel(toy_dft, base_config, n_ranks=p,
                                           coulomb=toy_coulomb)
-        assert par.energy == pytest.approx(ser.energy, abs=1e-12)
+        if p == 1:
+            assert par.energy == ser.energy
+        else:
+            assert par.energy == pytest.approx(ser.energy, abs=1e-12)
         assert par.converged
 
     def test_block_size_cap_follows_distribution(self, toy_dft, toy_coulomb):
@@ -102,43 +108,78 @@ class TestSimulatedScaling:
         )
 
 
-class TestThreadedBackend:
-    def test_matches_serial_operator(self, toy_dft, toy_coulomb):
-        kwargs = dict(tol=1e-8, max_iterations=2000, dynamic_block_size=False)
-        serial = Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                              toy_dft.occupied_energies, toy_coulomb, **kwargs)
-        threaded = ThreadedChi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                                        toy_dft.occupied_energies, toy_coulomb,
-                                        n_workers=2, **kwargs)
-        rng = np.random.default_rng(0)
-        V = rng.standard_normal((toy_dft.grid.n_points, 4))
-        a = serial.apply_chi0(V, 0.5)
-        b = threaded.apply_chi0(V, 0.5)
-        assert np.allclose(a, b, atol=1e-10)
+class TestOneSweep:
+    """The serial driver *is* the scheduler sweep on one rank."""
 
-    def test_stats_deterministic_under_threads(self, toy_dft, toy_coulomb):
-        kwargs = dict(tol=1e-6, max_iterations=2000, dynamic_block_size=False)
-        counts = []
-        for workers in (1, 2):
-            op = ThreadedChi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                                      toy_dft.occupied_energies, toy_coulomb,
-                                      n_workers=workers, **kwargs)
-            rng = np.random.default_rng(1)
-            V = rng.standard_normal((toy_dft.grid.n_points, 3))
-            op.apply_chi0(V, 0.7)
-            counts.append((op.stats.n_systems, op.stats.total_iterations))
-        assert counts[0] == counts[1]
+    @pytest.mark.parametrize("feature", sorted(FEATURE_MATRIX))
+    def test_one_rank_backends_equal_serial(self, toy_dft, toy_coulomb, feature):
+        cfg = RPAConfig(n_eig=8, n_quadrature=2, seed=1, **FEATURE_MATRIX[feature])
+        ser = compute_rpa_energy(toy_dft, cfg, coulomb=toy_coulomb)
+        for backend in ("serial", "simulated"):
+            par = compute_rpa_energy_parallel(toy_dft, cfg, n_ranks=1,
+                                              coulomb=toy_coulomb, backend=backend)
+            assert par.backend == backend
+            assert par.energy == ser.energy
+            assert par.stats.n_matvec == ser.stats.n_matvec
+            for a, b in zip(par.points, ser.points):
+                assert a.energy_term == b.energy_term
+                assert a.filter_iterations == b.filter_iterations
+                assert a.subspace_mode == b.subspace_mode
 
-    def test_validation(self, toy_dft, toy_coulomb):
-        with pytest.raises(ValueError):
-            ThreadedChi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                                 toy_dft.occupied_energies, toy_coulomb, n_workers=0)
+    @pytest.mark.parametrize("field, value", [
+        ("use_warm_start", False),
+        ("trace_method", "lanczos"),
+        ("trace_method", "block_lanczos"),
+        ("trace_method", "hutchinson"),
+    ])
+    def test_config_fields_reach_the_simulated_backend(self, toy_dft, toy_coulomb,
+                                                       field, value):
+        # Fixed s = 1: one and two ranks share the solver path, so the
+        # serial driver is an exact reference.
+        base = RPAConfig(n_eig=16, n_quadrature=2, seed=3, max_filter_iterations=25,
+                         dynamic_block_size=False, fixed_block_size=1)
+        cfg = dataclasses.replace(base, **{field: value})
+        ser = compute_rpa_energy(toy_dft, cfg, coulomb=toy_coulomb)
+        par = compute_rpa_energy_parallel(toy_dft, cfg, n_ranks=2,
+                                          coulomb=toy_coulomb)
+        default = compute_rpa_energy_parallel(toy_dft, base, n_ranks=2,
+                                              coulomb=toy_coulomb)
+        assert par.energy == pytest.approx(ser.energy, abs=1e-10)
+        assert abs(par.energy - default.energy) > 1e-8
+
+    def test_initial_and_kept_vectors(self, toy_dft, toy_coulomb):
+        cfg = RPAConfig(n_eig=8, n_quadrature=2, seed=1)
+        first = compute_rpa_energy_parallel(toy_dft, cfg, n_ranks=2,
+                                            coulomb=toy_coulomb, keep_vectors=True)
+        assert first.final_vectors.shape == (toy_dft.grid.n_points, 8)
+        again = compute_rpa_energy_parallel(toy_dft, cfg, n_ranks=2,
+                                            coulomb=toy_coulomb,
+                                            initial_vectors=first.final_vectors)
+        # Warm-started from converged vectors: less filtering at point 1.
+        assert again.points[0].filter_iterations < first.points[0].filter_iterations
+
+    def test_point_records_complete_on_degraded_run(self, toy_dft, toy_coulomb):
+        # Two COCG iterations cannot converge; the one-stage chain degrades
+        # every solve, and the per-point record must say so on any backend.
+        cfg = RPAConfig(n_eig=8, n_quadrature=2, seed=1, max_cocg_iterations=2,
+                        max_filter_iterations=1,
+                        resilience=ResilienceConfig(escalation_chain=("block_cocg",),
+                                                    max_solve_attempts=1))
+        par = compute_rpa_energy_parallel(toy_dft, cfg, n_ranks=2,
+                                          coulomb=toy_coulomb)
+        assert par.stats.n_degraded_solves > 0
+        for p in par.points:
+            assert p.eigenvalues.shape == (8,)
+            assert np.isfinite(p.error)
+            assert p.elapsed_seconds > 0 and p.simulated_seconds > 0
+            assert p.solve_error_bound > 0
+        assert par.skipped_solve_error_bound > 0
+        assert sum(p.solve_error_bound for p in par.points) == pytest.approx(
+            par.degraded_error_bound)
 
 
 class TestParallelRecycling:
     def test_recycled_energy_matches_cold(self, toy_dft, toy_coulomb):
-        import dataclasses
-
         cfg = RPAConfig(n_eig=24, n_quadrature=3, seed=1, tol_sternheimer=1e-6)
         cold = compute_rpa_energy_parallel(toy_dft, cfg, n_ranks=3,
                                            coulomb=toy_coulomb)

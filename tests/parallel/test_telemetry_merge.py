@@ -1,10 +1,9 @@
 """Telemetry/trace merge across execution backends (exactly-once contract).
 
-The threaded backend shares one lock-guarded recorder; the process-pool
-backend ships per-task payloads home and folds them in keyed by orbital;
-the simulated-MPI driver tags records with ranks. In every case the
-parent-side counters must equal a serial run's — no events lost, none
-double-counted — including across worker death and resubmission.
+The process-pool backend ships per-task payloads home and folds them in
+keyed by orbital; the simulated-MPI scheduler tags records with ranks. In
+every case the parent-side counters must equal a serial run's — no events
+lost, none double-counted — including across worker death and resubmission.
 """
 
 import sys
@@ -14,7 +13,7 @@ import pytest
 
 from repro.core import Chi0Operator
 from repro.obs import ConvergenceRecorder, Tracer, use_recorder, use_tracer
-from repro.parallel import ProcessChi0Operator, ThreadedChi0Operator
+from repro.parallel import ProcessChi0Operator
 from repro.resilience import DieOnceFile
 
 needs_fork = pytest.mark.skipif(
@@ -46,18 +45,6 @@ def serial_reference(toy_dft, toy_coulomb):
     V = _operand(toy_dft)
     recorder, tracer = _apply_with_obs(op, V)
     return V, recorder, tracer
-
-
-class TestThreadedBackend:
-    def test_shared_recorder_lossless(self, toy_dft, toy_coulomb,
-                                      serial_reference):
-        V, serial_rec, _ = serial_reference
-        op = ThreadedChi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                                  toy_dft.occupied_energies, toy_coulomb,
-                                  n_workers=3, **OP_KWARGS)
-        recorder, _ = _apply_with_obs(op, V)
-        assert recorder.counters == serial_rec.counters
-        assert recorder.aggregates == serial_rec.aggregates
 
 
 @needs_fork

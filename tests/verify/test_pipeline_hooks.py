@@ -1,5 +1,7 @@
 """Integration tests: verifier hooks wired through the RPA pipeline."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,16 @@ class TestParallelDriverHooks:
         assert res.verify is not None
         assert res.verify["checks_run"] > 0
         assert res.verify["failures"] == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="spmd backend requires the fork start method")
+def test_stale_ssa_fault_planted_once_is_caught_on_every_backend(toy_dft,
+                                                                 toy_coulomb):
+    # Only possible because every backend's SSA points run the one
+    # repro.core.ssa._frozen_rayleigh_ritz.
+    from repro.verify.harness import _inject_stale_ssa_basis
+
+    rec = _inject_stale_ssa_basis(toy_dft, toy_coulomb, "cheap")
+    assert rec["caught_on"] == {"serial": True, "mpi": True, "spmd": True}
+    assert rec["caught"]
