@@ -18,7 +18,8 @@ deflating guess (Eq. 13) and per-system dynamic block-size selection
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +40,25 @@ from repro.solvers.recycle import SolveRecycler
 from repro.solvers.stats import SolveResult, SolveSummary
 from repro.utils.timing import KernelTimers
 from repro.verify.invariants import get_verifier
+
+
+@dataclass
+class _PreparedSolve:
+    """One orbital's Sternheimer system as *prepare* hands it to a kernel.
+
+    ``guess`` names where ``x0`` came from (``recycled`` / ``galerkin`` /
+    ``none``); ``exact_hit`` marks a recycled guess served from an entry
+    solved at this very ``omega`` — the only kind the recycled-guess
+    bound applies to (cross-frequency seeds are merely warm starts).
+    """
+
+    orbital: int
+    apply_a: Callable[[np.ndarray], np.ndarray]  # the raw shifted operator
+    B: np.ndarray  # -(V . Psi_j)
+    x0: np.ndarray | None
+    guess: str
+    exact_hit: bool
+    preconditioner: object | None
 
 
 @dataclass
@@ -87,30 +107,14 @@ class SternheimerStats:
     n_preconditioner_evictions: int = 0
 
     def merge(self, other: "SternheimerStats") -> None:
-        self.n_block_solves += other.n_block_solves
-        self.n_systems += other.n_systems
-        self.total_iterations += other.total_iterations
-        self.n_matvec += other.n_matvec
-        self.n_breakdowns += other.n_breakdowns
-        self.n_unconverged += other.n_unconverged
-        for k, v in other.block_size_counts.items():
-            self.block_size_counts[k] = self.block_size_counts.get(k, 0) + v
-        for k, v in other.iterations_per_orbital.items():
-            self.iterations_per_orbital[k] = self.iterations_per_orbital.get(k, 0) + v
-        self.n_retries += other.n_retries
-        self.n_escalations += other.n_escalations
-        for k, v in other.stage_counts.items():
-            self.stage_counts[k] = self.stage_counts.get(k, 0) + v
-        self.n_degraded_solves += other.n_degraded_solves
-        self.degraded_error_bound += other.degraded_error_bound
-        self.n_preconditioned_solves += other.n_preconditioned_solves
-        self.n_guess_singular_skips += other.n_guess_singular_skips
-        self.n_batched_solves += other.n_batched_solves
-        self.n_batched_applies += other.n_batched_applies
-        self.n_ir_refinements += other.n_ir_refinements
-        self.n_ir_fallbacks += other.n_ir_fallbacks
-        self.n_batched_fallback_orbitals += other.n_batched_fallback_orbitals
-        self.n_preconditioner_evictions += other.n_preconditioner_evictions
+        """Add every field of ``other`` (a worker task's statistics) in."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, dict):
+                for k, v in theirs.items():
+                    mine[k] = mine.get(k, 0) + v
+            else:
+                setattr(self, f.name, mine + theirs)
 
     def absorb(self, orbital: int, summary: SolveSummary) -> None:
         """Accumulate one orbital's solve totals (a :class:`SolveSummary`)."""
@@ -180,20 +184,19 @@ class Chi0Operator:
         ``should_precondition`` heuristic: indefinite spectrum at small
         imaginary shift); easy systems keep the unpreconditioned fast path.
     use_batched:
-        Fuse all orbitals' Sternheimer systems at a quadrature point into
-        one wide batch sharing a single Hamiltonian application per Krylov
+        Kernel choice. Off (default): block COCG per orbital. On: all
+        orbitals' systems at a quadrature point are fused into one wide
+        batch sharing a single Hamiltonian application per Krylov
         iteration (``repro.solvers.batched``), with per-orbital shifts as
-        a diagonal correction and per-column convergence masks. Orbitals
-        the batched recurrence cannot converge fall back to the cold
-        per-orbital path (escalation chain and degradation accounting
-        intact). Off by default — the cold path is bit-identical to the
-        historical per-orbital loop.
+        a diagonal correction and per-column convergence masks; orbitals
+        the batched recurrence cannot converge are handed to the block
+        kernel. Both kernels sit inside the same prepare/finish protocol.
     solve_dtype:
         Working precision of batched solves: ``"float64"`` (default) or
         ``"float32_ir"`` (complex64 COCG iterations polished by float64
         iterative refinement until the true residual meets ``tol``; a
         float64 fallback finishes any column the refinement budget cannot).
-        Ignored on the per-orbital path.
+        Ignored by the block kernel.
     max_cached_preconditioners:
         Bound on the ``(lambda_j, omega)`` preconditioner cache (LRU
         eviction, counted in ``stats.n_preconditioner_evictions``). A full
@@ -301,16 +304,9 @@ class Chi0Operator:
             squeeze = True
         if V.shape[0] != self.n_points:
             raise ValueError(f"operand rows {V.shape[0]} != n_d {self.n_points}")
-        n_v = V.shape[1]
-        acc = np.zeros((self.n_points, n_v), dtype=complex)
-        if self.use_batched:
-            solved = self._solve_orbitals_batched(range(self.n_occupied), V, omega)
-            for j, (y, _converged) in solved.items():
-                acc += self.psi[:, j : j + 1] * y
-        else:
-            for j in range(self.n_occupied):
-                y = self._solve_orbital(j, V, omega)
-                acc += self.psi[:, j : j + 1] * y
+        acc = np.zeros((self.n_points, V.shape[1]), dtype=complex)
+        for j, y, _converged in self._solve_orbitals(range(self.n_occupied), V, omega):
+            acc += self.psi[:, j : j + 1] * y
         out = 4.0 * acc.real
         return out[:, 0] if squeeze else out
 
@@ -328,30 +324,86 @@ class Chi0Operator:
 
     # -- internals ---------------------------------------------------------------
 
-    def _initial_guess(self, j: int, lam_j: float, omega: float,
-                       B: np.ndarray) -> tuple[np.ndarray | None, str]:
-        """Best available initial guess for orbital ``j``'s block solve.
+    def _solve_orbitals(self, orbitals, V: np.ndarray, omega: float):
+        """The one Sternheimer solve protocol; yields ``(j, Y_j, converged)``.
 
-        Priority: recycled solution (rotated/cross-frequency cache) ->
-        Eq. 13 Galerkin projection -> None. A degenerate ``lambda_j``
-        at tiny ``omega`` makes the projected operator singular; that is
-        survivable — skip the guess instead of killing the run.
+        Every orbital goes :meth:`_prepare` -> kernel -> :meth:`_finish`, in
+        orbital order. The block kernel runs the three steps orbital by
+        orbital (one ``Y_j`` live at a time; preconditioner-cache touches
+        and recycler stores interleave with the solves); the batched kernel
+        prepares every orbital first and solves them as one fused batch.
+        Backends relocate this call (a process worker runs it on an orbital
+        group, an SPMD worker on a column slice, fault hooks wrap it); none
+        re-implements a step.
         """
-        if self.recycler is not None:
-            guess = self.recycler.guess(j, omega, B.shape[1])
-            if guess is not None:
-                return guess, "recycled"
-        if self.use_galerkin_guess:
+        if self.use_batched:
+            yield from self._batched_kernel(
+                [self._prepare(int(j), V, omega) for j in orbitals], omega)
+            return
+        for j in orbitals:
+            yield self._block_kernel(self._prepare(int(j), V, omega), omega)
+
+    # -- prepare -----------------------------------------------------------------
+
+    def _prepare(self, j: int, V: np.ndarray, omega: float) -> _PreparedSolve:
+        """Orbital ``j``'s system: RHS, best available guess (recycled
+        solution -> Eq. 13 Galerkin projection -> none) with its provenance,
+        selective preconditioner, operator-symmetry probe."""
+        lam_j = float(self.eps[j])
+        apply_a = self.h.shifted(lam_j, omega)
+        B = -(V * self.psi[:, j : j + 1])
+        x0, guess, exact_hit = None, "none", False
+        served = self._recycled_guess(j, omega, B.shape[1])
+        if served is not None:
+            (x0, exact_hit), guess = served, "recycled"
+        elif self.use_galerkin_guess:
             try:
-                return galerkin_initial_guess(self.psi, self.eps, lam_j, omega, B), "galerkin"
+                x0 = galerkin_initial_guess(self.psi, self.eps, lam_j, omega, B)
+                guess = "galerkin"
             except ValueError:
+                # A degenerate lambda_j at tiny omega makes the projected
+                # operator singular; that is survivable — skip the guess
+                # instead of killing the run.
                 self.stats.n_guess_singular_skips += 1
                 tracer = get_tracer()
                 if tracer.enabled:
                     tracer.incr("galerkin_guess_singular_skips")
                     tracer.event("galerkin_guess_skipped", orbital=j, omega=omega,
                                  reason="singular_projected_operator")
-        return None, "none"
+        preconditioner = self._preconditioner_for(lam_j, omega)
+        verifier = get_verifier()
+        if verifier.enabled:
+            # The COCG recurrences assume A = A^T (unconjugated); probe it on
+            # the *raw* shifted operator so solver matvec counters are
+            # untouched. Cached per (orbital, omega) at the cheap level.
+            verifier.check_operator_symmetry(
+                apply_a, self.n_points, key=(j, float(omega)),
+                orbital=j, omega=float(omega),
+            )
+        return _PreparedSolve(j, apply_a, B, x0, guess, exact_hit, preconditioner)
+
+    def _recycled_guess(self, j: int, omega: float,
+                        n_cols: int) -> tuple[np.ndarray, bool] | None:
+        """The recycler's guess for orbital ``j`` and whether it is an exact
+        ``(orbital, omega)`` hit (a cross-frequency seed otherwise).
+
+        The provenance is read next to the lookup and travels with the
+        guess, so no later lookup can overwrite it; an exact hit is compared
+        to its rotation-tracked shadow *before* a solve touches it.
+        """
+        if self.recycler is None:
+            return None
+        x0 = self.recycler.guess(j, omega, n_cols)
+        if x0 is None:
+            return None
+        exact_hit = self.recycler.last_guess_kind == "hit"
+        verifier = get_verifier()
+        if verifier.enabled and exact_hit:
+            verifier.check_recycled_shadow(
+                j, float(omega), x0, self.recycler.last_guess_slice[0],
+                self.recycler.width,
+            )
+        return x0, exact_hit
 
     def _preconditioner_for(self, lam_j: float, omega: float):
         """Selective preconditioning: shifted inverse Laplacian, hard pairs only."""
@@ -376,6 +428,58 @@ class Chi0Operator:
             self._preconditioners.move_to_end(key)
         return M
 
+    # -- the two kernels ---------------------------------------------------------
+
+    def _block_kernel(self, p: _PreparedSolve, omega: float):
+        """Block COCG on one prepared orbital (Algorithm 4 or fixed chunks);
+        returns ``(j, Y_j, converged)``."""
+        j, n_v = p.orbital, p.B.shape[1]
+        tracer = get_tracer()
+        with get_recorder().solve_scope(orbital=j, omega=float(omega),
+                                        guess=p.guess), \
+             tracer.span("sternheimer_solve", orbital=j, omega=omega,
+                         n_rhs=n_v, guess=p.guess,
+                         preconditioned=p.preconditioner is not None) as sp:
+            if self.dynamic_block_size and n_v > 1:
+                res = solve_with_dynamic_block_size(
+                    p.apply_a,
+                    p.B,
+                    tol=self.tol,
+                    max_iterations=self.max_iterations,
+                    x0=p.x0,
+                    max_block_size=min(self.max_block_size, n_v),
+                    solver=self.solver,
+                    cost_fn=self.cost_fn,
+                    n=self.n_points,
+                    preconditioner=p.preconditioner,
+                )
+                Y, results = res.solution, res.chunk_results
+            else:
+                # Fixed block size: slice the RHS into chunks.
+                s = min(self.fixed_block_size, n_v)
+                Y = np.empty((self.n_points, n_v), dtype=complex)
+                results = []
+                extra = ({} if p.preconditioner is None
+                         else {"preconditioner": p.preconditioner})
+                for start in range(0, n_v, s):
+                    sl = slice(start, min(start + s, n_v))
+                    r = self.solver(
+                        p.apply_a,
+                        p.B[:, sl],
+                        x0=p.x0[:, sl] if p.x0 is not None else None,
+                        tol=self.tol,
+                        max_iterations=self.max_iterations,
+                        n=self.n_points,
+                        **extra,
+                    )
+                    Y[:, sl] = r.solution if r.solution.ndim == 2 else r.solution[:, None]
+                    results.append(r)
+            if p.preconditioner is not None:
+                self.stats.n_preconditioned_solves += 1
+                if tracer.enabled:
+                    tracer.incr("preconditioned_solves")
+            return j, Y, self._finish(p, omega, Y, results, sp)
+
     def _make_batched_operator(self, shifts: np.ndarray) -> BatchedShiftedOperator:
         """The fused multi-shift operator for one batched solve.
 
@@ -385,28 +489,17 @@ class Chi0Operator:
         """
         return BatchedShiftedOperator(self.h, shifts, n=self.n_points)
 
-    def _solve_orbitals_batched(
-        self, orbitals, V: np.ndarray, omega: float,
-        guesses: dict[int, np.ndarray | None] | None = None,
-    ) -> dict[int, tuple[np.ndarray, bool]]:
-        """Solve the given orbitals' Sternheimer systems as one fused batch.
+    def _batched_kernel(self, prepared: list[_PreparedSolve], omega: float):
+        """Lockstep batched COCG (or float32+IR) over all prepared orbitals.
 
-        Returns ``{orbital: (Y_j, converged)}``. Per-orbital plumbing is
-        preserved: recycled/Galerkin initial guesses, selective
-        preconditioners (as per-orbital column groups), recycler stores,
-        telemetry solve scopes and verifier checks all key off the orbital
-        exactly as on the cold path. Orbitals whose columns the batched
-        recurrence could not converge are re-solved by the per-orbital
-        path, which carries the full recovery stack (escalation chain,
+        Yields ``(j, Y_j, converged)``. Orbitals whose columns the batched
+        recurrence could not converge are re-solved by the block kernel
+        from the system already prepared — same guess, no second lookup —
+        which carries the full recovery stack (escalation chain,
         degradation accounting).
-
-        ``guesses`` overrides the guess lookup (process workers receive
-        parent-side recycler guesses this way; the recycler itself never
-        lives in the worker).
         """
-        orbitals = [int(j) for j in orbitals]
-        n_v = V.shape[1]
-        n_cols = len(orbitals) * n_v
+        n_v = prepared[0].B.shape[1]
+        n_cols = len(prepared) * n_v
         tracer = get_tracer()
         verifier = get_verifier()
         recorder = get_recorder()
@@ -414,62 +507,41 @@ class Chi0Operator:
         B = np.empty((self.n_points, n_cols), dtype=float)
         shifts = np.empty(n_cols, dtype=complex)
         X0: np.ndarray | None = None
-        sources: dict[int, str] = {}
         groups: list[tuple[np.ndarray, object]] = []
-        n_preconditioned = 0
-        for g, j in enumerate(orbitals):
-            lam_j = float(self.eps[j])
+        for g, p in enumerate(prepared):
             sl = slice(g * n_v, (g + 1) * n_v)
-            B[:, sl] = -(V * self.psi[:, j : j + 1])
-            shifts[sl] = -lam_j + 1j * omega
-            if guesses is not None and guesses.get(j) is not None:
-                x0j, sources[j] = guesses[j], "explicit"
-            else:
-                # A shipped miss (None) falls through to the local guess
-                # machinery — Galerkin still applies in recycler-less workers.
-                x0j, sources[j] = self._initial_guess(j, lam_j, omega, B[:, sl])
-            if x0j is not None:
+            B[:, sl] = p.B
+            p.B = B[:, sl]  # the wide blocks own the data from here on
+            shifts[sl] = -float(self.eps[p.orbital]) + 1j * omega
+            if p.x0 is not None:
                 if X0 is None:
                     X0 = np.zeros((self.n_points, n_cols), dtype=complex)
-                X0[:, sl] = x0j
-            M = self._preconditioner_for(lam_j, omega)
-            if M is not None:
-                groups.append((np.arange(sl.start, sl.stop), M))
-                n_preconditioned += 1
+                X0[:, sl] = p.x0
+                p.x0 = X0[:, sl]
+            if p.preconditioner is not None:
+                groups.append((np.arange(sl.start, sl.stop), p.preconditioner))
 
         op = self._make_batched_operator(shifts)
         if verifier.enabled:
-            for g, j in enumerate(orbitals):
-                lam_j = float(self.eps[j])
-                reference = self.h.shifted(lam_j, omega)
-                verifier.check_operator_symmetry(
-                    reference, self.n_points, key=(j, float(omega)),
-                    orbital=j, omega=float(omega),
-                )
+            for g, p in enumerate(prepared):
                 # The fused operator's column must agree with the orbital's
                 # true shifted operator — the check that catches a batched
                 # apply mis-routing (or dropping) a shift.
                 verifier.check_batched_shift(
-                    op.apply, reference, self.n_points, column=g * n_v,
-                    key=(j, float(omega)), orbital=j, omega=float(omega),
+                    op.apply, p.apply_a, self.n_points, column=g * n_v,
+                    key=(p.orbital, float(omega)), orbital=p.orbital,
+                    omega=float(omega),
                 )
 
+        solve = (batched_cocg_ir_solve if self.solve_dtype == "float32_ir"
+                 else batched_cocg_solve)
         with tracer.span("sternheimer_batched_solve", omega=omega,
-                         n_orbitals=len(orbitals), n_columns=n_cols,
+                         n_orbitals=len(prepared), n_columns=n_cols,
                          dtype=self.solve_dtype,
-                         preconditioned=n_preconditioned) as sp:
-            if self.solve_dtype == "float32_ir":
-                res = batched_cocg_ir_solve(
-                    op, B, x0=X0, tol=self.tol,
-                    max_iterations=self.max_iterations,
-                    preconditioner_groups=groups,
-                )
-            else:
-                res = batched_cocg_solve(
-                    op, B, x0=X0, tol=self.tol,
-                    max_iterations=self.max_iterations,
-                    preconditioner_groups=groups,
-                )
+                         preconditioned=len(groups)) as sp:
+            res = solve(op, B, x0=X0, tol=self.tol,
+                        max_iterations=self.max_iterations,
+                        preconditioner_groups=groups)
             if sp is not None:
                 sp.set(iterations=res.iterations,
                        batched_applies=res.n_batched_applies,
@@ -481,186 +553,104 @@ class Chi0Operator:
         self.stats.n_ir_refinements += res.n_refinements
         if res.n_fallback_columns:
             self.stats.n_ir_fallbacks += 1
-        if n_preconditioned:
-            self.stats.n_preconditioned_solves += n_preconditioned
+        self.stats.n_preconditioned_solves += len(groups)
         if tracer.enabled:
             tracer.incr("batched_solves")
             tracer.incr("batched_applies", res.n_batched_applies)
             tracer.incr("batched_columns", n_cols)
-            if n_preconditioned:
-                tracer.incr("preconditioned_solves", n_preconditioned)
+            if groups:
+                tracer.incr("preconditioned_solves", len(groups))
             if res.n_refinements:
                 tracer.incr("batched_ir_refinements", res.n_refinements)
             if res.n_fallback_columns:
                 tracer.incr("batched_ir_fallback_columns", res.n_fallback_columns)
 
-        out: dict[int, tuple[np.ndarray, bool]] = {}
-        for g, j in enumerate(orbitals):
+        for g, p in enumerate(prepared):
             sl = slice(g * n_v, (g + 1) * n_v)
-            lam_j = float(self.eps[j])
             if not bool(res.converged[sl].all()):
-                # Cold per-orbital re-solve: escalation, retries and
-                # degradation accounting apply exactly as without batching.
                 self.stats.n_batched_fallback_orbitals += 1
                 if tracer.enabled:
                     tracer.incr("batched_fallback_orbitals")
-                    tracer.event("batched_orbital_fallback", orbital=j,
+                    tracer.event("batched_orbital_fallback", orbital=p.orbital,
                                  omega=omega)
-                unconverged_before = self.stats.n_unconverged
-                y = self._solve_orbital(j, V, omega)
-                out[j] = (y, self.stats.n_unconverged == unconverged_before)
+                yield self._block_kernel(p, omega)
                 continue
             Y_j = res.solution[:, sl]
-            iterations_j = int(max(res.col_iterations[sl].max(), 0))
+            final = float(res.residual_norms[sl].max())
+            # Iteration 0 is the orbital's first column, the quantity the
+            # block kernel's size-1 probe chunk (Algorithm 4) reports first:
+            # what the recycled-guess bound and gauge are calibrated on. (The
+            # worst column of a legitimate warm start can exceed it several-fold.)
+            initial = float(res.initial_residual_norms[sl.start])
             r = SolveResult(
                 solution=Y_j,
                 converged=True,
-                iterations=iterations_j,
-                residual_norm=float(res.residual_norms[sl].max()),
-                residual_history=[float(res.residual_norms[sl].max())],
+                iterations=int(max(res.col_iterations[sl].max(), 0)),
+                residual_norm=final,
+                residual_history=[initial, final],
                 n_matvec=int(res.col_applies[sl].sum()),
                 block_size=n_v,
                 dtype=self.solve_dtype,
             )
-            with recorder.solve_scope(orbital=j, omega=float(omega),
-                                      guess=sources[j]):
+            with recorder.solve_scope(orbital=p.orbital, omega=float(omega),
+                                      guess=p.guess):
                 if recorder.enabled:
                     recorder.record_solve("batched_cocg", r)
-            self._record(j, SolveSummary.of([r]))
-            if verifier.enabled:
-                # True-residual gate against the orbital's real operator —
-                # a batched apply that solved the wrong system fails here.
-                verifier.check_solve_residual(
-                    self.h.shifted(lam_j, omega), B[:, sl], Y_j, self.tol,
-                    r.residual_norm, True, orbital=j, omega=float(omega),
-                )
-            if self.recycler is not None and sources[j] != "explicit":
-                stored = self.recycler.store(j, omega, Y_j, converged=True)
-                if (stored and verifier.enabled
-                        and self.recycler.last_store_slice is not None):
-                    verifier.note_recycle_store(
-                        j, float(omega), Y_j,
-                        self.recycler.last_store_slice[0],
-                        self.recycler.width,
-                    )
-            out[j] = (Y_j, True)
-        return out
+            yield p.orbital, Y_j, self._finish(p, omega, Y_j, [r])
 
-    def _solve_orbital(self, j: int, V: np.ndarray, omega: float,
-                       x0: np.ndarray | None = None) -> np.ndarray:
-        lam_j = float(self.eps[j])
-        apply_a = self.h.shifted(lam_j, omega)
-        B = -(V * self.psi[:, j : j + 1])
-        if x0 is not None:
-            guess_source = "explicit"
-        else:
-            x0, guess_source = self._initial_guess(j, lam_j, omega, B)
-        preconditioner = self._preconditioner_for(lam_j, omega)
-        n_v = V.shape[1]
-        tracer = get_tracer()
+    # -- finish ------------------------------------------------------------------
+
+    def _finish(self, p: _PreparedSolve, omega: float, Y: np.ndarray,
+                results: list[SolveResult], span=None) -> bool:
+        """Close orbital ``p.orbital``'s solve; returns whether it converged.
+
+        Stats/tracer record, true-residual check against the orbital's real
+        operator (a kernel that solved the wrong system fails here),
+        recycled-guess check and gauge, recycler store, degradation
+        accounting — identical whichever kernel produced ``results``.
+        """
+        j = p.orbital
+        self._record(j, SolveSummary.of(results), span)
+        converged = all(r.converged for r in results)
         verifier = get_verifier()
         if verifier.enabled:
-            # The COCG recurrences assume A = A^T (unconjugated); probe it on
-            # the *raw* shifted operator so solver matvec counters are
-            # untouched. Cached per (orbital, omega) at the cheap level.
-            verifier.check_operator_symmetry(
-                apply_a, self.n_points, key=(j, float(omega)),
+            claimed = max((r.residual_norm for r in results),
+                          default=float("nan"))
+            verifier.check_solve_residual(
+                p.apply_a, p.B, Y, self.tol, claimed, converged,
                 orbital=j, omega=float(omega),
             )
-            if (guess_source == "recycled" and x0 is not None
-                    and self.recycler is not None
-                    and self.recycler.last_guess_kind == "hit"
-                    and self.recycler.last_guess_slice is not None):
-                # Compare the served guess to its rotation-tracked shadow
-                # projection *before* the solve touches it.
-                verifier.check_recycled_shadow(
-                    j, float(omega), x0, self.recycler.last_guess_slice[0],
-                    self.recycler.width,
-                )
-        recorder = get_recorder()
-        with recorder.solve_scope(orbital=j, omega=float(omega),
-                                  guess=guess_source), \
-             tracer.span("sternheimer_solve", orbital=j, omega=omega,
-                         n_rhs=n_v, guess=guess_source,
-                         preconditioned=preconditioner is not None) as sp:
-            if self.dynamic_block_size and n_v > 1:
-                res = solve_with_dynamic_block_size(
-                    apply_a,
-                    B,
-                    tol=self.tol,
-                    max_iterations=self.max_iterations,
-                    x0=x0,
-                    max_block_size=min(self.max_block_size, n_v),
-                    solver=self.solver,
-                    cost_fn=self.cost_fn,
-                    n=self.n_points,
-                    preconditioner=preconditioner,
-                )
-                results = res.chunk_results
-                Y = res.solution
-                self._record(j, res.summary(), sp)
-            else:
-                # Fixed block size: slice the RHS into chunks.
-                s = min(self.fixed_block_size, n_v)
-                Y = np.empty((self.n_points, n_v), dtype=complex)
-                results = []
-                extra = {} if preconditioner is None else {"preconditioner": preconditioner}
-                for start in range(0, n_v, s):
-                    sl = slice(start, min(start + s, n_v))
-                    guess = x0[:, sl] if x0 is not None else None
-                    r = self.solver(
-                        apply_a,
-                        B[:, sl],
-                        x0=guess,
-                        tol=self.tol,
-                        max_iterations=self.max_iterations,
-                        n=self.n_points,
-                        **extra,
-                    )
-                    sol = r.solution if r.solution.ndim == 2 else r.solution[:, None]
-                    Y[:, sl] = sol
-                    results.append(r)
-                self._record(j, SolveSummary.of(results), sp)
-            if preconditioner is not None:
-                self.stats.n_preconditioned_solves += 1
-                if tracer.enabled:
-                    tracer.incr("preconditioned_solves")
-            converged = all(r.converged for r in results)
-            if verifier.enabled:
-                claimed = max((r.residual_norm for r in results),
-                              default=float("nan"))
-                verifier.check_solve_residual(
-                    apply_a, B, Y, self.tol, claimed, converged,
-                    orbital=j, omega=float(omega),
-                )
-                if (guess_source == "recycled"
-                        and self.recycler is not None
-                        and self.recycler.last_guess_kind == "hit"
-                        and results and results[0].residual_history):
-                    # Exact (orbital, omega) hits are exact solutions by
-                    # linearity of the rotated cache; cross-omega seeds are
-                    # only approximate and are not held to this bound.
-                    verifier.check_recycled_guess(
-                        float(results[0].residual_history[0]), self.tol,
-                        orbital=j, omega=float(omega),
-                    )
-            if guess_source == "recycled" and results and results[0].residual_history:
-                # residual_history[0] is the relative residual of the served
-                # guess — the solver measured it anyway, so the gauge is free.
-                if tracer.enabled:
-                    tracer.gauge("recycle_guess_residual",
-                                 results[0].residual_history[0],
-                                 orbital=j, omega=omega)
-            if self.recycler is not None and guess_source != "explicit":
-                stored = self.recycler.store(j, omega, Y, converged=converged)
-                if (stored and verifier.enabled
-                        and self.recycler.last_store_slice is not None):
-                    verifier.note_recycle_store(
-                        j, float(omega), Y, self.recycler.last_store_slice[0],
-                        self.recycler.width,
-                    )
-            self._account_failures(j, omega, B, results)
-            return Y
+        if p.guess == "recycled" and results and results[0].residual_history:
+            # residual_history[0] is the relative residual of the served
+            # guess — the solver measured it anyway, so the gauge is free.
+            residual0 = float(results[0].residual_history[0])
+            if verifier.enabled and p.exact_hit:
+                # Exact (orbital, omega) hits are exact solutions by
+                # linearity of the rotated cache; cross-omega seeds are
+                # only approximate and are not held to this bound.
+                verifier.check_recycled_guess(residual0, self.tol, orbital=j,
+                                              omega=float(omega))
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.gauge("recycle_guess_residual", residual0,
+                             orbital=j, omega=omega)
+        self._store_solution(j, omega, Y, converged)
+        self._account_failures(j, omega, p.B, results)
+        return converged
+
+    def _store_solution(self, j: int, omega: float, Y: np.ndarray,
+                        converged: bool) -> None:
+        """Offer ``Y`` to the recycler; a stored block gets its verifier
+        shadow noted right here, wherever the store runs."""
+        if self.recycler is None:
+            return
+        stored = self.recycler.store(j, omega, Y, converged=converged)
+        verifier = get_verifier()
+        if stored and verifier.enabled:
+            verifier.note_recycle_store(
+                j, float(omega), Y, self.recycler.last_store_slice[0],
+                self.recycler.width,
+            )
 
     def _account_failures(self, j: int, omega: float, B: np.ndarray,
                           chunk_results) -> None:

@@ -144,9 +144,9 @@ class ConvergenceRecorder:
         """Key subsequent :meth:`record_solve` calls by ``(orbital, omega)``.
 
         ``guess`` names the initial-guess source (``recycled`` / ``galerkin``
-        / ``none`` / ``explicit``) so recycle-seed initial residuals are
-        attributable. Scopes nest; the innermost wins. Thread-local, so the
-        threaded backend's concurrent orbitals cannot cross-label.
+        / ``none``) so recycle-seed initial residuals are attributable.
+        Scopes nest; the innermost wins. Thread-local, so concurrent solves
+        cannot cross-label.
         """
         frame = {
             "orbital": orbital,

@@ -26,9 +26,10 @@ from repro.core.scheduler import Scheduler, SerialScheduler
 from repro.parallel.executor import (
     ProcessPoolScheduler,
     SimulatedScheduler,
+    WorkerRecoveryError,
     make_scheduler,
 )
-from repro.parallel.process_executor import ProcessChi0Operator, WorkerRecoveryError
+from repro.parallel.process_executor import ProcessChi0Operator
 from repro.parallel.manager_worker import (
     Chi0WorkloadProfiler,
     RecoveryReplay,

@@ -23,13 +23,14 @@ policy, recycler rotations — is the one sweep in ``repro.core``.
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
 from repro.core.scheduler import Scheduler, SerialScheduler
-from repro.core.sternheimer import Chi0Operator
-from repro.obs.telemetry import get_recorder
-from repro.obs.tracer import get_tracer
+from repro.core.sternheimer import Chi0Operator, SternheimerStats
+from repro.obs.telemetry import ConvergenceRecorder, get_recorder, use_recorder
+from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.parallel.costmodel import (
     MachineProfile,
     allreduce_time,
@@ -42,6 +43,76 @@ from repro.parallel.distribution import (
     block_cyclic_redistribution_bytes,
 )
 from repro.parallel.virtual_clock import VirtualClocks
+from repro.verify.invariants import (
+    Verifier,
+    VerifyFailure,
+    get_verifier,
+    use_verifier,
+)
+
+
+class WorkerRecoveryError(RuntimeError):
+    """Worker recovery gave up: restart budget spent, or no worker left."""
+
+
+@contextmanager
+def task_capsule(op: Chi0Operator, rank: int | None = None):
+    """Worker side of the per-task observability capsule.
+
+    A forked worker's recorder, tracer and verifier are dead snapshots of
+    the parent's. For the duration of one task this installs fresh ones
+    mirroring the snapshots' levels, gives ``op`` fresh statistics, and on
+    a clean exit fills the yielded payload dict with everything observed;
+    the parent folds it in with :func:`fold_task_payload`. Fresh per task,
+    so a task re-executed after a worker death reports exactly what the
+    lost attempt would have.
+    """
+    recorder, tracer, verifier = get_recorder(), get_tracer(), get_verifier()
+    op.stats = SternheimerStats()
+    payload: dict = {}
+    with ExitStack() as stack:
+        if recorder.enabled:
+            recorder = stack.enter_context(
+                use_recorder(ConvergenceRecorder(level=recorder.level)))
+            stack.enter_context(recorder.rank_scope(rank))
+        if tracer.enabled:
+            tracer = stack.enter_context(use_tracer(Tracer()))
+        if verifier.enabled:
+            verifier = stack.enter_context(use_verifier(Verifier(
+                level=verifier.level, strict=verifier.strict,
+                slack=verifier.slack)))
+        yield payload
+        payload["stats"] = op.stats
+        if recorder.enabled:
+            payload["telemetry"] = recorder.payload()
+        if tracer.enabled:
+            payload["trace"] = tracer.export_state()
+        if verifier.enabled:
+            payload["verify"] = verifier.summary()
+
+
+def fold_task_payload(op: Chi0Operator, payload: dict) -> None:
+    """Parent side of the capsule: fold one task's payload into ``op.stats``
+    and the active recorder, tracer and verifier.
+
+    The caller guarantees exactly-once (a pending set keyed by task), so
+    nothing is double-counted across resubmissions.
+    """
+    op.stats.merge(payload["stats"])
+    recorder = get_recorder()
+    if recorder.enabled and payload.get("telemetry"):
+        recorder.merge(payload["telemetry"])
+    tracer = get_tracer()
+    if tracer.enabled and payload.get("trace"):
+        tracer.absorb(payload["trace"])
+    verifier = get_verifier()
+    if verifier.enabled and payload.get("verify"):
+        # Direct fold: the worker's tracer already counted these checks, so
+        # going through _passed/_failed here would double the verify_* counters.
+        verifier.checks_run += int(payload["verify"]["checks_run"])
+        verifier.failures.extend(
+            VerifyFailure(f["check"], f["message"], dict(f["context"]))
+            for f in payload["verify"]["failures"])
 
 
 class _SliceAssignment:

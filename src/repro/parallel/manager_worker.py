@@ -299,7 +299,7 @@ class Chi0WorkloadProfiler:
                 stop = min(start + self.chunk, n_v)
                 with tracer.span("work_item", orbital=j, columns=(start, stop)):
                     t0 = time.perf_counter()
-                    self.op._solve_orbital(j, V[:, start:stop], omega)
+                    list(self.op._solve_orbitals([j], V[:, start:stop], omega))
                 items.append(WorkItem(j, (start, stop), time.perf_counter() - t0))
         return items
 

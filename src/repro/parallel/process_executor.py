@@ -1,14 +1,21 @@
-"""Process-pool backend for Sternheimer solves (true multi-core execution).
+"""Process-pool backend for Sternheimer solves (orbital fan-out).
 
-The threaded backend (`repro.parallel.executor`) relies on numpy's BLAS
-releasing the GIL; for the many small single-column solves the paper's
-loose tolerances produce, Python-level overhead keeps threads partially
-serialized. This backend fans the ``n_s`` independent orbital solves out
-over *processes* instead (fork start method: the operator state is
-inherited copy-on-write, the per-apply operands — the V block and the
-warm-start guesses — travel through ``multiprocessing.shared_memory``
-segments, and only per-orbital solutions cross process boundaries; task
-arguments are O(metadata), never O(grid)).
+:class:`ProcessChi0Operator` relocates where the one solve protocol
+(``Chi0Operator._solve_orbitals``) runs: the ``n_s`` independent orbital
+systems of one chi0 application are split into work units — single orbitals
+on the block kernel, ``n_workers`` contiguous groups on the batched one —
+and each unit runs the unchanged prepare -> kernel -> finish path in a pool
+worker (fork start method: the operator state is inherited copy-on-write).
+
+What crosses the process boundary: the recycler lives in the parent, so the
+parent looks every orbital's guess up once (through the operator's own
+lookup helper, shadow check included) and stores the returned solutions
+(through its own store helper); the V block and the served guesses travel
+through per-apply ``multiprocessing.shared_memory`` segments; task
+arguments are O(metadata) — segment names, the unit, and each served
+guess's hit/seed provenance; each task returns its orbitals' solutions and
+one observability capsule (``repro.parallel.executor.task_capsule``:
+stats, telemetry, trace, verifier outcome).
 
 Results are bit-identical to the serial operator: each orbital's solve is
 the same deterministic computation, merely executed elsewhere.
@@ -16,10 +23,10 @@ the same deterministic computation, merely executed elsewhere.
 Fault tolerance: a worker process that dies mid-sweep (OOM kill, segfault
 in a native kernel, induced fault) breaks the whole ``ProcessPoolExecutor``.
 Instead of surfacing ``BrokenProcessPool`` to the caller, the orchestration
-layer rebuilds the pool and resubmits exactly the orbitals whose results
-were lost, at most ``max_pool_restarts`` times per application — the
-deterministic per-orbital computation makes the recovered result
-bit-identical to an undisturbed run.
+layer rebuilds the pool and resubmits exactly the units whose results were
+lost, at most ``max_pool_restarts`` times per application — the
+deterministic per-unit computation makes the recovered result bit-identical
+to an undisturbed run, and the fresh per-task capsule makes its counters so.
 """
 
 from __future__ import annotations
@@ -28,33 +35,29 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack
 from multiprocessing import shared_memory
 from typing import Callable
 
 import numpy as np
 
-from repro.core.sternheimer import Chi0Operator, SternheimerStats
-from repro.obs.telemetry import ConvergenceRecorder, get_recorder, use_recorder
-from repro.obs.tracer import Tracer, get_tracer, use_tracer
-
-
-class WorkerRecoveryError(RuntimeError):
-    """Pool recovery exhausted ``max_pool_restarts`` without completing."""
-
+from repro.core.sternheimer import Chi0Operator
+from repro.obs.tracer import get_tracer
+from repro.parallel.executor import (
+    WorkerRecoveryError,
+    fold_task_payload,
+    task_capsule,
+)
 
 # Worker-side state, installed once per worker via the initializer.
-_WORKER_OP: Chi0Operator | None = None
-_WORKER_FAULT: Callable[[int], None] | None = None
+_WORKER_OP: "ProcessChi0Operator | None" = None
 # name -> (SharedMemory, ndarray view): per-worker cache of attached
 # operand segments (pruned when an apply ships fresh segment names).
 _WORKER_SHM: dict[str, tuple] = {}
 
 
-def _init_worker(op: Chi0Operator, fault_hook: Callable[[int], None] | None = None) -> None:
-    global _WORKER_OP, _WORKER_FAULT
+def _init_worker(op: "ProcessChi0Operator") -> None:
+    global _WORKER_OP
     _WORKER_OP = op
-    _WORKER_FAULT = fault_hook
 
 
 class _ShmShipment:
@@ -64,7 +67,8 @@ class _ShmShipment:
     orbital's guess into each task — O(grid) serialization per task, per
     quadrature point. This ships them once through shared memory instead:
     the task arguments carry only ``(segment name, shape, dtype)`` triples
-    and an orbital -> guess-row index, so per-task IPC is O(metadata).
+    and an orbital -> (guess row, exact-hit flag) index, so per-task IPC is
+    O(metadata).
 
     The parent owns the segments and unlinks them when the apply finishes
     (workers keep their mappings until they prune, which is safe on POSIX:
@@ -72,16 +76,17 @@ class _ShmShipment:
     """
 
     def __init__(self, V: np.ndarray,
-                 guesses: dict[int, np.ndarray | None]) -> None:
+                 guesses: dict[int, tuple[np.ndarray, bool] | None]) -> None:
         self._segments: list[shared_memory.SharedMemory] = []
         self.meta: dict = {"v": self._ship(V)}
         present = [j for j in sorted(guesses) if guesses[j] is not None]
         if present:
             stacked = np.stack(
-                [np.ascontiguousarray(guesses[j]) for j in present]
+                [np.ascontiguousarray(guesses[j][0]) for j in present]
             ).astype(np.complex128, copy=False)
             self.meta["guesses"] = self._ship(stacked)
-            self.meta["guess_rows"] = {int(j): i for i, j in enumerate(present)}
+            self.meta["guess_rows"] = {int(j): (i, bool(guesses[j][1]))
+                                       for i, j in enumerate(present)}
         else:
             self.meta["guesses"] = None
             self.meta["guess_rows"] = {}
@@ -142,93 +147,30 @@ def _shm_prune(live: set[str]) -> None:
             pass
 
 
-def _unpack_operands(meta: dict) -> np.ndarray:
-    live = {meta["v"][0]}
-    if meta["guesses"] is not None:
-        live.add(meta["guesses"][0])
+def _solve_unit_task(args: tuple[tuple[int, ...], float, dict]):
+    """One work unit through the one protocol, inside a fresh capsule."""
+    unit, omega, meta = args
+    live = {ref[0] for ref in (meta["v"], meta["guesses"]) if ref is not None}
     _shm_prune(live)
-    return _shm_attach(meta["v"])
-
-
-def _guess_for(meta: dict, j: int) -> np.ndarray | None:
-    row = meta["guess_rows"].get(j)
-    if row is None:
-        return None
-    # Fresh copy: solvers may use the starting iterate as scratch.
-    return np.array(_shm_attach(meta["guesses"])[row], copy=True)
-
-
-def _solve_orbital_task(args: tuple[int, float, dict]):
-    j, omega, meta = args
-    V = _unpack_operands(meta)
-    x0 = _guess_for(meta, j)
-    assert _WORKER_OP is not None, "worker not initialized"
-    if _WORKER_FAULT is not None:
-        _WORKER_FAULT(j)
-    _WORKER_OP.stats = SternheimerStats()  # isolate per-task statistics
-    # The forked worker's recycler is a stale copy-on-write snapshot and its
-    # stores would be lost with the process; guesses are computed parent-side
-    # and shipped in the task args, stores happen parent-side on the results.
-    _WORKER_OP.recycler = None
-    # Same story for the tracer/recorder: the inherited singletons are dead
-    # snapshots. Record into fresh per-task instances and ship their
-    # payloads home with the result; the parent folds each orbital's
-    # payload in exactly once (results are keyed by orbital, so pool
-    # restarts and resubmissions cannot double-count).
-    parent_recorder = get_recorder()
-    parent_tracer = get_tracer()
-    obs: dict | None = None
-    with ExitStack() as stack:
-        recorder = tracer = None
-        if parent_recorder.enabled:
-            recorder = stack.enter_context(
-                use_recorder(ConvergenceRecorder(level=parent_recorder.level))
-            )
-        if parent_tracer.enabled:
-            tracer = stack.enter_context(use_tracer(Tracer()))
-        y = _WORKER_OP._solve_orbital(j, V, omega, x0=x0)
-        if recorder is not None or tracer is not None:
-            obs = {}
-            if recorder is not None:
-                obs["telemetry"] = recorder.payload()
-            if tracer is not None:
-                obs["trace"] = tracer.export_state()
-    return j, y, _WORKER_OP.stats, obs
-
-
-def _solve_orbital_group_task(
-    args: tuple[tuple[int, ...], float, dict],
-):
-    """Batched variant: one fused solve over a contiguous orbital group."""
-    group, omega, meta = args
-    V = _unpack_operands(meta)
-    guesses = {j: _guess_for(meta, j) for j in group}
-    assert _WORKER_OP is not None, "worker not initialized"
-    if _WORKER_FAULT is not None:
-        for j in group:
-            _WORKER_FAULT(j)
-    _WORKER_OP.stats = SternheimerStats()
-    _WORKER_OP.recycler = None  # stores happen parent-side on the results
-    parent_recorder = get_recorder()
-    parent_tracer = get_tracer()
-    obs: dict | None = None
-    with ExitStack() as stack:
-        recorder = tracer = None
-        if parent_recorder.enabled:
-            recorder = stack.enter_context(
-                use_recorder(ConvergenceRecorder(level=parent_recorder.level))
-            )
-        if parent_tracer.enabled:
-            tracer = stack.enter_context(use_tracer(Tracer()))
-        solved = _WORKER_OP._solve_orbitals_batched(list(group), V, omega,
-                                                    guesses=guesses)
-        if recorder is not None or tracer is not None:
-            obs = {}
-            if recorder is not None:
-                obs["telemetry"] = recorder.payload()
-            if tracer is not None:
-                obs["trace"] = tracer.export_state()
-    return group, solved, _WORKER_OP.stats, obs
+    V = _shm_attach(meta["v"])
+    op = _WORKER_OP
+    if op is None:
+        raise RuntimeError("pool worker was not initialized")
+    # The forked recycler is a stale copy-on-write snapshot and its stores
+    # would die with the process: lookups were made parent-side (served
+    # below with their provenance), stores happen parent-side on the results.
+    op.recycler = None
+    op._served = {
+        # Fresh copy: solvers may use the starting iterate as scratch.
+        j: (np.array(_shm_attach(meta["guesses"])[row], copy=True), exact_hit)
+        for j, (row, exact_hit) in meta["guess_rows"].items() if j in unit
+    }
+    if op._fault_hook is not None:
+        for j in unit:
+            op._fault_hook(j)
+    with task_capsule(op) as payload:
+        payload["solved"] = list(Chi0Operator._solve_orbitals(op, unit, V, omega))
+    return unit, payload
 
 
 class ProcessChi0Operator(Chi0Operator):
@@ -270,6 +212,9 @@ class ProcessChi0Operator(Chi0Operator):
         self.n_pool_restarts = 0
         self._fault_hook = fault_hook
         self._pool: ProcessPoolExecutor | None = None
+        # Worker-side only: orbital -> (guess, exact_hit) the parent's lookup
+        # served for the running task. None in the parent.
+        self._served: dict[int, tuple[np.ndarray, bool]] | None = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -280,7 +225,7 @@ class ProcessChi0Operator(Chi0Operator):
                 max_workers=self.n_workers,
                 mp_context=ctx,
                 initializer=_init_worker,
-                initargs=(self, self._fault_hook),
+                initargs=(self,),
             )
         return self._pool
 
@@ -304,96 +249,68 @@ class ProcessChi0Operator(Chi0Operator):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def apply_chi0(self, v: np.ndarray, omega: float) -> np.ndarray:
-        if omega <= 0:
-            raise ValueError(f"omega must be positive (got {omega})")
-        squeeze = False
-        V = np.asarray(v, dtype=float)
-        if V.ndim == 1:
-            V = V[:, None]
-            squeeze = True
-        if V.shape[0] != self.n_points:
-            raise ValueError(f"operand rows {V.shape[0]} != n_d {self.n_points}")
+    def _recycled_guess(self, j: int, omega: float,
+                        n_cols: int) -> tuple[np.ndarray, bool] | None:
+        """Parent: the recycler lookup. Worker: what that lookup served."""
+        if self._served is None:
+            return super()._recycled_guess(j, omega, n_cols)
+        return self._served.get(j)
 
+    def _solve_orbitals(self, orbitals, V: np.ndarray, omega: float):
+        """The protocol's relocation: units fan out, lookups/stores stay here."""
+        orbitals = [int(j) for j in orbitals]
         if self.n_workers == 1:
-            out = super().apply_chi0(V, omega)
-            return out[:, 0] if squeeze else out
-
-        if self.use_batched:
-            results_b = self._solve_all_orbitals_batched(V, omega)
-            acc = np.zeros((self.n_points, V.shape[1]), dtype=complex)
-            for j in sorted(results_b):
-                y, converged = results_b[j]
-                acc += self.psi[:, j : j + 1] * y
-                if self.recycler is not None:
-                    self.recycler.store(j, omega, y, converged=converged)
-            out = 4.0 * acc.real
-            return out[:, 0] if squeeze else out
-
-        results = self._solve_all_orbitals(V, omega)
-        acc = np.zeros((self.n_points, V.shape[1]), dtype=complex)
-        for j in sorted(results):
-            y, stats, obs = results[j]
-            acc += self.psi[:, j : j + 1] * y
-            self.stats.merge(stats)
-            self._merge_child_obs(obs)
-            if self.recycler is not None:
-                # Parent-side store: the worker's recycler copy died with it.
-                self.recycler.store(j, omega, y,
-                                    converged=stats.n_unconverged == 0)
-        out = 4.0 * acc.real
-        return out[:, 0] if squeeze else out
-
-    @staticmethod
-    def _merge_child_obs(obs: dict | None) -> None:
-        """Fold one worker task's observability payload into the parent."""
-        if not obs:
+            yield from super()._solve_orbitals(orbitals, V, omega)
             return
-        recorder = get_recorder()
-        if recorder.enabled and obs.get("telemetry"):
-            recorder.merge(obs["telemetry"])
-        tracer = get_tracer()
-        if tracer.enabled and obs.get("trace"):
-            tracer.absorb(obs["trace"])
+        # One lookup per orbital — not per resubmission, so a pool restart
+        # cannot double-count cache hits; a miss ships nothing and the
+        # worker falls back to its own Galerkin guess.
+        guesses = {j: self._recycled_guess(j, omega, V.shape[1])
+                   for j in orbitals}
+        if self.use_batched:
+            n_units = max(1, min(self.n_workers, len(orbitals)))
+            units = [tuple(int(j) for j in g)
+                     for g in np.array_split(orbitals, n_units) if g.size]
+        else:
+            units = [(j,) for j in orbitals]
+        payloads = self._run_units(units, float(omega), _ShmShipment(V, guesses))
+        for unit in units:  # contiguous and ascending: orbital order
+            # Exactly once: _run_units accepted one payload per unit.
+            fold_task_payload(self, payloads[unit])
+            for j, y, converged in payloads[unit]["solved"]:
+                self._store_solution(j, omega, y, converged)
+                yield j, y, converged
 
-    def _solve_all_orbitals(self, V: np.ndarray, omega: float) -> dict:
-        """Fan the orbital solves out, recovering from dead workers.
+    def _run_units(self, units: list, omega: float,
+                   shipment: _ShmShipment) -> dict:
+        """Run every unit on the pool, recovering from dead workers.
 
-        Lost orbitals (their worker died before returning) are resubmitted
-        on a fresh pool; completed results are never recomputed.
+        Lost units (their worker died before returning) are resubmitted on
+        a fresh pool; completed units are never recomputed. Returns
+        ``{unit: payload}``.
         """
         tracer = get_tracer()
-        pending = set(range(self.n_occupied))
-        results: dict[int, tuple[np.ndarray, SternheimerStats, dict | None]] = {}
-        # Guesses are looked up once per orbital (not per resubmission, so a
-        # pool restart cannot double-count cache hits) and ride along in the
-        # task arguments; a miss ships None and the worker falls back to its
-        # own Galerkin guess.
-        guesses: dict[int, np.ndarray | None] = {
-            j: (self.recycler.guess(j, omega, V.shape[1])
-                if self.recycler is not None else None)
-            for j in sorted(pending)
-        }
+        pending = set(units)
+        payloads: dict[tuple, dict] = {}
         restarts_this_apply = 0
-        shipment = _ShmShipment(V, guesses)
         try:
             while pending:
                 pool = self._ensure_pool()
-                futures = {self._submit(pool, _solve_orbital_task,
-                                        (j, float(omega), shipment.meta)): j
-                           for j in sorted(pending)}
+                futures = [self._submit(pool, _solve_unit_task,
+                                        (unit, omega, shipment.meta))
+                           for unit in sorted(pending)]
                 broken = False
                 futures_wait(futures)
-                for fut, j in futures.items():
+                for fut in futures:
                     try:
                         exc = fut.exception()
                     except BaseException:  # cancelled by a dying pool
                         broken = True
                         continue
                     if exc is None:
-                        jj, y, stats, obs = fut.result()
-                        results[jj] = (y, stats, obs)
-                        pending.discard(jj)
+                        unit, payload = fut.result()
+                        payloads[unit] = payload
+                        pending.discard(unit)
                     elif isinstance(exc, BrokenProcessPool):
                         broken = True
                     else:
@@ -402,13 +319,13 @@ class ProcessChi0Operator(Chi0Operator):
                     break
                 if not broken:  # pragma: no cover - defensive
                     raise WorkerRecoveryError(
-                        f"orbitals {sorted(pending)} returned no result "
+                        f"units {sorted(pending)} returned no result "
                         f"without a pool failure"
                     )
                 if restarts_this_apply >= self.max_pool_restarts:
                     raise WorkerRecoveryError(
                         f"pool died {restarts_this_apply + 1} times; giving "
-                        f"up on orbitals {sorted(pending)}"
+                        f"up on units {sorted(pending)}"
                     )
                 restarts_this_apply += 1
                 self.n_pool_restarts += 1
@@ -424,83 +341,4 @@ class ProcessChi0Operator(Chi0Operator):
             raise
         finally:
             shipment.unlink()
-        return results
-
-    def _solve_all_orbitals_batched(
-        self, V: np.ndarray, omega: float
-    ) -> dict[int, tuple[np.ndarray, bool]]:
-        """Batched fan-out: one fused solve per contiguous orbital group.
-
-        Mirrors :meth:`_solve_all_orbitals` — parent-side guesses, pool
-        recovery keyed by group (a lost group is resubmitted whole; finished
-        groups are never recomputed) — but ships ``n_workers`` wide solves
-        instead of ``n_s`` narrow ones. Worker stats and observability
-        payloads are folded in here; recycler stores happen in the caller
-        on the per-orbital results.
-        """
-        tracer = get_tracer()
-        n_groups = max(1, min(self.n_workers, self.n_occupied))
-        pending: set[tuple[int, ...]] = {
-            tuple(int(j) for j in g)
-            for g in np.array_split(np.arange(self.n_occupied), n_groups)
-            if g.size
-        }
-        guesses: dict[int, np.ndarray | None] = {
-            j: (self.recycler.guess(j, omega, V.shape[1])
-                if self.recycler is not None else None)
-            for j in range(self.n_occupied)
-        }
-        results: dict[int, tuple[np.ndarray, bool]] = {}
-        restarts_this_apply = 0
-        shipment = _ShmShipment(V, guesses)
-        try:
-            while pending:
-                pool = self._ensure_pool()
-                futures = {
-                    self._submit(pool, _solve_orbital_group_task,
-                                 (g, float(omega), shipment.meta)): g
-                    for g in sorted(pending)
-                }
-                broken = False
-                futures_wait(futures)
-                for fut, g in futures.items():
-                    try:
-                        exc = fut.exception()
-                    except BaseException:  # cancelled by a dying pool
-                        broken = True
-                        continue
-                    if exc is None:
-                        group, solved, stats, obs = fut.result()
-                        results.update(solved)
-                        self.stats.merge(stats)
-                        self._merge_child_obs(obs)
-                        pending.discard(tuple(group))
-                    elif isinstance(exc, BrokenProcessPool):
-                        broken = True
-                    else:
-                        raise exc
-                if not pending:
-                    break
-                if not broken:  # pragma: no cover - defensive
-                    raise WorkerRecoveryError(
-                        f"orbital groups {sorted(pending)} returned no result "
-                        f"without a pool failure"
-                    )
-                if restarts_this_apply >= self.max_pool_restarts:
-                    raise WorkerRecoveryError(
-                        f"pool died {restarts_this_apply + 1} times; giving "
-                        f"up on orbital groups {sorted(pending)}"
-                    )
-                restarts_this_apply += 1
-                self.n_pool_restarts += 1
-                if tracer.enabled:
-                    tracer.incr("worker_pool_restarts")
-                    tracer.event("worker_pool_restart", lost=len(pending),
-                                 restart=restarts_this_apply)
-                self.close()
-        except BaseException:
-            self.close()  # no orphaned pool on failure paths
-            raise
-        finally:
-            shipment.unlink()
-        return results
+        return payloads

@@ -50,25 +50,21 @@ import os
 import queue as queue_mod
 import time
 import traceback
-from contextlib import ExitStack
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.core.scheduler import Scheduler
-from repro.core.sternheimer import Chi0Operator, SternheimerStats
-from repro.obs.telemetry import ConvergenceRecorder, get_recorder, use_recorder
-from repro.obs.tracer import Tracer, get_tracer, use_tracer
+from repro.core.sternheimer import Chi0Operator
+from repro.obs.tracer import get_tracer
 from repro.parallel.distribution import BlockColumnDistribution
-from repro.parallel.executor import _SliceAssignment
-from repro.parallel.process_executor import WorkerRecoveryError
-from repro.solvers.recycle import RecycleStats, SolveRecycler
-from repro.verify.invariants import (
-    Verifier,
-    VerifyFailure,
-    get_verifier,
-    use_verifier,
+from repro.parallel.executor import (
+    WorkerRecoveryError,
+    _SliceAssignment,
+    fold_task_payload,
+    task_capsule,
 )
+from repro.solvers.recycle import RecycleStats, SolveRecycler, _Entry
 
 #: Poll interval for result collection (also the death-detection latency).
 _POLL_SECONDS = 0.05
@@ -110,6 +106,25 @@ class SharedSolveRecycler(SolveRecycler):
         self._valid = valid  # (n_s, width) bool
         self._staged: list | None = None
 
+    # -- storage seam: entries are views of the shared arrays --------------------
+
+    def _view(self, j: int) -> _Entry:
+        return _Entry(self._sol[j], self._omegas[j], self._valid[j])
+
+    def _entry(self, j: int) -> _Entry | None:
+        return self._view(j) if self._valid[j].any() else None
+
+    def _new_entry(self, j: int, n_rows: int) -> _Entry:
+        return self._view(j)  # preallocated: nothing to create
+
+    def _write(self, j: int, entry: _Entry, lo: int, hi: int, omega: float,
+               solution: np.ndarray) -> None:
+        if self._staged is not None:
+            self._staged.append((j, lo, hi, omega,
+                                 np.array(solution, dtype=complex, copy=True)))
+        else:
+            super()._write(j, entry, lo, hi, omega, solution)
+
     # -- task transaction ------------------------------------------------------
 
     def begin_task(self) -> None:
@@ -118,69 +133,7 @@ class SharedSolveRecycler(SolveRecycler):
     def commit_task(self) -> None:
         staged, self._staged = self._staged, None
         for j, lo, hi, omega, sol in staged or []:
-            self._write(j, lo, hi, omega, sol)
-
-    def _write(self, j: int, lo: int, hi: int, omega: float,
-               solution: np.ndarray) -> None:
-        self._sol[j, :, lo:hi] = solution
-        self._omegas[j, lo:hi] = omega
-        self._valid[j, lo:hi] = True
-
-    # -- cache protocol (mirrors SolveRecycler semantics on shm storage) -------
-
-    def guess(self, j: int, omega: float, n_cols: int) -> np.ndarray | None:
-        self.last_guess_kind = None
-        self.last_guess_slice = None
-        if not self.enabled:
-            return None
-        lo, hi = self._col0, self._col0 + n_cols
-        tracer = get_tracer()
-        if hi > self.width or not self._valid[j, lo:hi].all():
-            self.stats.misses += 1
-            if tracer.enabled:
-                tracer.incr("recycle_misses")
-            return None
-        tags = self._omegas[j, lo:hi]
-        if np.all(tags == omega):
-            self.stats.hits += 1
-            self.last_guess_kind = "hit"
-            if tracer.enabled:
-                tracer.incr("recycle_hits")
-        else:
-            self.stats.omega_seeds += 1
-            self.last_guess_kind = "seed"
-            if tracer.enabled:
-                tracer.incr("recycle_omega_seeds")
-        self.last_guess_slice = (lo, hi)
-        return np.ascontiguousarray(self._sol[j, :, lo:hi])
-
-    def store(self, j: int, omega: float, solution: np.ndarray,
-              converged: bool = True) -> bool:
-        solution = np.asarray(solution)
-        if solution.ndim == 1:
-            solution = solution[:, None]
-        n_cols = solution.shape[1]
-        lo, hi = self._col0, self._col0 + n_cols
-        self.last_store_slice = None
-        if (not self.enabled or not converged or hi > self.width
-                or solution.shape[0] != self._sol.shape[1]):
-            self.stats.skipped_stores += 1
-            return False
-        if (self.max_orbitals is not None and not self._valid[j].any()
-                and int(self._valid.any(axis=1).sum()) >= self.max_orbitals):
-            self.stats.skipped_stores += 1
-            return False
-        if self._staged is not None:
-            self._staged.append((int(j), lo, hi, float(omega),
-                                 np.array(solution, dtype=complex, copy=True)))
-        else:
-            self._write(int(j), lo, hi, float(omega), solution)
-        self.last_store_slice = (lo, hi)
-        self.stats.stores += 1
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.incr("recycle_stores")
-        return True
+            self._write(j, self._view(j), lo, hi, omega, sol)
 
     def rotate(self, q: np.ndarray) -> None:
         q = np.asarray(q)
@@ -236,23 +189,21 @@ def _install_fault_hook(op: Chi0Operator, hook) -> None:
 
     Mirrors the process-pool backend's per-orbital fault hook so the same
     ``DieOnceFile`` injectors drive real SPMD worker deaths — including
-    mid-task, after earlier orbitals in the slice already solved.
+    mid-task, after earlier orbitals in the slice already solved: the
+    protocol is entered once per kernel call (per orbital on the block
+    kernel, per fused batch on the batched one), the hook firing for the
+    call's orbitals right before it.
     """
-    orig_solve = Chi0Operator._solve_orbital
-    orig_batched = Chi0Operator._solve_orbitals_batched
+    solve = op._solve_orbitals
 
-    def hooked_solve(self, j, V, omega, x0=None):
-        hook(j)
-        return orig_solve(self, j, V, omega, x0=x0)
-
-    def hooked_batched(self, orbitals, V, omega, guesses=None):
+    def hooked(orbitals, V, omega):
         orbitals = [int(j) for j in orbitals]
-        for j in orbitals:
-            hook(j)
-        return orig_batched(self, orbitals, V, omega, guesses=guesses)
+        for unit in [orbitals] if op.use_batched else [[j] for j in orbitals]:
+            for j in unit:
+                hook(j)
+            yield from solve(unit, V, omega)
 
-    op._solve_orbital = hooked_solve.__get__(op, type(op))
-    op._solve_orbitals_batched = hooked_batched.__get__(op, type(op))
+    op._solve_orbitals = hooked
 
 
 def _spmd_worker_main(sched: "SpmdScheduler", rank: int) -> None:
@@ -707,30 +658,8 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
         # solvers with the same memory layout as the serial driver's
         # operand, so the BLAS-level arithmetic is bitwise identical.
         V = np.ascontiguousarray(self._v[:, start:stop])
-        op.stats = SternheimerStats()
         rec = op.recycler
-        parent_recorder = get_recorder()
-        parent_tracer = get_tracer()
-        parent_verifier = get_verifier()
-        payload: dict = {}
-        with ExitStack() as stack:
-            recorder = tracer = verifier = None
-            if parent_recorder.enabled:
-                recorder = stack.enter_context(
-                    use_recorder(ConvergenceRecorder(level=parent_recorder.level))
-                )
-                stack.enter_context(recorder.rank_scope(rank))
-            if parent_tracer.enabled:
-                tracer = stack.enter_context(use_tracer(Tracer()))
-            if parent_verifier.enabled:
-                # Fresh per task (deterministic under re-execution, so a
-                # recovered run's verify/tracer counters equal a clean
-                # run's); its failure list ships home with the result.
-                verifier = stack.enter_context(use_verifier(Verifier(
-                    level=parent_verifier.level,
-                    strict=parent_verifier.strict,
-                    slack=parent_verifier.slack,
-                )))
+        with task_capsule(op, rank) as payload:
             if rec is not None:
                 rec.stats = RecycleStats()
                 rec.begin_task()
@@ -747,20 +676,6 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
             else:
                 W = op.apply_symmetrized(V, omega)
                 self._w[:, start:stop] = W
-            payload["stats"] = op.stats
-            if recorder is not None:
-                payload["telemetry"] = recorder.payload()
-            if tracer is not None:
-                payload["trace"] = tracer.export_state()
-            if verifier is not None:
-                payload["verify"] = {
-                    "checks_run": verifier.checks_run,
-                    "failures": [
-                        {"check": f.check, "message": f.message,
-                         "context": f.context}
-                        for f in verifier.failures
-                    ],
-                }
         return payload
 
     def _worker_gram(self, msg: tuple) -> dict:
@@ -810,33 +725,14 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
         """Fold one accepted apply result into parent-side observability.
 
         Called exactly once per task id (``_run_round`` guards the pending
-        set), so stats, telemetry, trace and recycle counters are never
+        set), so the capsule and the task's recycle-counter deltas are never
         double-counted across resubmissions.
         """
-        stats = payload.get("stats")
-        if stats is not None:
-            self.op.stats.merge(stats)
-        recorder = get_recorder()
-        if recorder.enabled and payload.get("telemetry"):
-            recorder.merge(payload["telemetry"])
-        tracer = get_tracer()
-        if tracer.enabled and payload.get("trace"):
-            tracer.absorb(payload["trace"])
+        fold_task_payload(self.op, payload)
         if self.recycler is not None and payload.get("recycle"):
             st = self.recycler.stats
             for key, delta in payload["recycle"].items():
                 setattr(st, key, getattr(st, key) + int(delta))
-        verifier = get_verifier()
-        if verifier.enabled and payload.get("verify"):
-            dv = payload["verify"]
-            # Direct fold: the worker's tracer already counted these
-            # checks, so going through _passed/_failed here would double
-            # the verify_* counters.
-            verifier.checks_run += int(dv["checks_run"])
-            for f in dv["failures"]:
-                verifier.failures.append(
-                    VerifyFailure(f["check"], f["message"], dict(f["context"]))
-                )
 
     def report(self) -> dict:
         return {

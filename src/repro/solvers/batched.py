@@ -44,11 +44,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# Iterations without any per-column residual improvement before a column is
+# declared stagnated: the block solver's window, not a second copy of it.
+from repro.solvers.block_cocg import _STAGNATION_WINDOW
 from repro.solvers.linear_operator import CountingOperator, as_operator
-
-#: Iterations without any per-column residual improvement before a column
-#: is declared stagnated (mirrors ``block_cocg._STAGNATION_WINDOW``).
-_STAGNATION_WINDOW = 40
 
 #: Default inner tolerance for the float32 correction solves. Single
 #: precision bottoms out near 1e-6 relative residual; stopping well above
@@ -237,6 +236,7 @@ class BatchedSolveResult:
     solution: np.ndarray            # (n, C)
     converged: np.ndarray           # (C,) bool
     residual_norms: np.ndarray      # (C,) final per-column relative residual
+    initial_residual_norms: np.ndarray  # (C,) the same at iteration 0 (of x0)
     col_iterations: np.ndarray      # (C,) first tolerance crossing (-1: never)
     iterations: int                 # lockstep iterations performed
     n_batched_applies: int          # fused operator applications
@@ -350,6 +350,7 @@ def batched_cocg_solve(
     col_iterations = np.full(C, -1, dtype=np.int64)
     col_applies = np.zeros(C, dtype=np.int64)
     residuals = np.full(C, np.inf)
+    initial_residuals = np.zeros(C)
     n_batched_applies = 0
     history: list[float] = []
     b_frob = float(np.linalg.norm(b_norms))
@@ -384,6 +385,7 @@ def batched_cocg_solve(
             solution=X,
             converged=converged,
             residual_norms=np.where(np.isfinite(residuals), residuals, np.inf),
+            initial_residual_norms=initial_residuals,
             col_iterations=col_iterations,
             iterations=iterations,
             n_batched_applies=n_batched_applies,
@@ -406,6 +408,7 @@ def batched_cocg_solve(
     bn = b_norms[idx]
     rel = _column_norms(R) / bn
     residuals[idx] = rel
+    initial_residuals[idx] = rel
     history.append(aggregate(residuals))
 
     nonfin = ~np.isfinite(rel)
@@ -561,6 +564,7 @@ def batched_cocg_ir_solve(
     X[:, zero] = 0.0
 
     rem = np.flatnonzero(~zero)
+    initial_residuals = np.zeros(C)
     prev_worst = np.inf
     fallback_cols = np.zeros(0, dtype=int)
 
@@ -572,6 +576,8 @@ def batched_cocg_ir_solve(
         col_applies[rem] += 1
         rel = _column_norms(R) / b_norms[rem]
         residuals[rem] = rel
+        if n_batched_applies == 1:  # first defect: the residual of x0
+            initial_residuals[rem] = rel
         if b_frob > 0.0:
             history.append(float(np.linalg.norm(residuals * b_norms)) / b_frob)
 
@@ -646,6 +652,7 @@ def batched_cocg_ir_solve(
         solution=X,
         converged=converged,
         residual_norms=np.where(np.isfinite(residuals), residuals, np.inf),
+        initial_residual_norms=initial_residuals,
         col_iterations=col_iterations,
         iterations=total_iterations,
         n_batched_applies=n_batched_applies,

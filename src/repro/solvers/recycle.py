@@ -97,10 +97,11 @@ class SolveRecycler:
     Notes
     -----
     The recycler is attached to a :class:`repro.core.sternheimer.Chi0Operator`
-    (``chi0.recycler = SolveRecycler(width=n_eig)``); the serial and
-    simulated-MPI drivers wire :meth:`rotate` into the subspace iteration's
-    ``on_rotation`` hook. Thread-backend operators share one recycler
-    safely: every task touches only its own orbital's entry.
+    (``chi0.recycler = SolveRecycler(width=n_eig)``); the one sweep wires
+    :meth:`rotate` into the subspace iteration's ``on_rotation`` hook. One
+    process owns it: the process backend looks guesses up and stores
+    solutions parent-side, the SPMD backend swaps in its shared-memory
+    subclass.
     """
 
     def __init__(self, width: int, max_orbitals: int | None = None) -> None:
@@ -117,8 +118,9 @@ class SolveRecycler:
         # How the most recent guess() was served: "hit" (exact
         # (orbital, omega) match — exact by linearity after rotations),
         # "seed" (cross-frequency warm start), or None (miss / disabled).
-        # Consumers (the verifier's recycled-guess linearity check) read it
-        # immediately after guess(); it carries no cross-call state.
+        # Its one consumer (``Chi0Operator._recycled_guess``) reads it right
+        # after guess() and passes it on with the guess; it carries no
+        # cross-call state.
         self.last_guess_kind: str | None = None
         # Global column slices of the most recent guess()/store(), for the
         # verifier's shadow-projection bookkeeping (None on miss/skip).
@@ -167,6 +169,26 @@ class SolveRecycler:
         """Approximate cache footprint (solution blocks only)."""
         return sum(e.solution.nbytes for e in self._entries.values())
 
+    # -- storage seam (the SPMD backend keeps the blocks in shared memory) ------
+
+    def _entry(self, j: int) -> _Entry | None:
+        """Orbital ``j``'s block, or None when nothing is stored for it."""
+        return self._entries.get(j)
+
+    def _new_entry(self, j: int, n_rows: int) -> _Entry:
+        entry = self._entries[j] = _Entry(
+            solution=np.zeros((n_rows, self.width), dtype=complex),
+            omegas=np.full(self.width, np.nan),
+            valid=np.zeros(self.width, dtype=bool),
+        )
+        return entry
+
+    def _write(self, j: int, entry: _Entry, lo: int, hi: int, omega: float,
+               solution: np.ndarray) -> None:
+        entry.solution[:, lo:hi] = solution
+        entry.omegas[lo:hi] = omega
+        entry.valid[lo:hi] = True
+
     # -- the cache proper ------------------------------------------------------
 
     def guess(self, j: int, omega: float, n_cols: int) -> np.ndarray | None:
@@ -181,7 +203,7 @@ class SolveRecycler:
         if not self.enabled:
             return None
         lo, hi = self._col0, self._col0 + n_cols
-        entry = self._entries.get(j)
+        entry = self._entry(j)
         tracer = get_tracer()
         if entry is None or hi > self.width or not entry.valid[lo:hi].all():
             self.stats.misses += 1
@@ -219,23 +241,17 @@ class SolveRecycler:
         if not self.enabled or not converged or hi > self.width:
             self.stats.skipped_stores += 1
             return False
-        entry = self._entries.get(j)
+        entry = self._entry(j)
         if entry is None:
-            if self.max_orbitals is not None and len(self._entries) >= self.max_orbitals:
+            if (self.max_orbitals is not None
+                    and self.n_cached_orbitals >= self.max_orbitals):
                 self.stats.skipped_stores += 1
                 return False
-            entry = _Entry(
-                solution=np.zeros((solution.shape[0], self.width), dtype=complex),
-                omegas=np.full(self.width, np.nan),
-                valid=np.zeros(self.width, dtype=bool),
-            )
-            self._entries[j] = entry
-        elif entry.solution.shape[0] != solution.shape[0]:
+            entry = self._new_entry(j, solution.shape[0])
+        if entry.solution.shape[0] != solution.shape[0]:
             self.stats.skipped_stores += 1
             return False
-        entry.solution[:, lo:hi] = solution
-        entry.omegas[lo:hi] = omega
-        entry.valid[lo:hi] = True
+        self._write(j, entry, lo, hi, omega, solution)
         self.last_store_slice = (lo, hi)
         self.stats.stores += 1
         tracer = get_tracer()

@@ -12,12 +12,14 @@ exercised on every code path at the same time.
 
 The harness also validates the *checker*: it injects one deliberate fault
 per invariant class — an asymmetric Sternheimer operator, a solver that
-lies about convergence, a recycler whose rotation is corrupted, a batched
-operator that drops an orbital's shift, and an SSA Rayleigh-Ritz that
-reuses a stale basis without re-orthonormalization (planted once, run on
-the serial, simulated-MPI and SPMD columns) — and asserts that the
-corresponding ``verify_*`` failure counter fires. A verification layer
-that cannot catch a planted bug is worse than none.
+lies about convergence (run in-process and on the process backend), a
+recycler whose rotation is corrupted (run on the block and the batched
+kernel), a batched operator that drops an orbital's shift, and an SSA
+Rayleigh-Ritz that reuses a stale basis without re-orthonormalization
+(run on the serial, simulated-MPI and SPMD columns) — and asserts that the
+corresponding ``verify_*`` failure counter fires wherever the faulty code
+runs (``caught_on``). A verification layer that cannot catch a planted bug
+is worse than none.
 
 The report is machine-readable JSON; exit status is nonzero when any
 configuration misses the oracle, any invariant check fails on a clean
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import platform
 import time
+from functools import partial
 
 import numpy as np
 
@@ -288,36 +291,55 @@ def _inject_asymmetric_operator(dft, coulomb, level: str) -> dict:
 
 
 def _inject_fake_converged_solve(dft, coulomb, level: str) -> dict:
-    verifier = Verifier(level=level)
-    tracer = Tracer()
-    with use_tracer(tracer), use_verifier(verifier):
-        op = Chi0Operator(
-            dft.hamiltonian, dft.occupied_orbitals, dft.occupied_energies,
-            coulomb, tol=1e-8, solver=_lying_solver,
-            dynamic_block_size=False, fixed_block_size=4,
-            use_galerkin_guess=False,
-        )
-        rng = np.random.default_rng(HARNESS_SEED)
-        op.apply_chi0(rng.standard_normal((dft.grid.n_points, 4)), omega=1.0)
-    return _fault_record("fake_converged_solve", "solve_residual",
-                         verifier, tracer)
+    """The true-residual check runs where the solve runs: in-process, and
+    in a pool worker whose verifier outcome must come home."""
+    from repro.parallel import ProcessChi0Operator
+
+    per_backend = {}
+    for backend, make_op in (
+            ("serial", Chi0Operator),
+            ("process", partial(ProcessChi0Operator, n_workers=2))):
+        verifier = Verifier(level=level)
+        tracer = Tracer()
+        with use_tracer(tracer), use_verifier(verifier):
+            op = make_op(
+                dft.hamiltonian, dft.occupied_orbitals, dft.occupied_energies,
+                coulomb, tol=1e-8, solver=_lying_solver,
+                dynamic_block_size=False, fixed_block_size=4,
+                use_galerkin_guess=False,
+            )
+            rng = np.random.default_rng(HARNESS_SEED)
+            try:
+                op.apply_chi0(rng.standard_normal((dft.grid.n_points, 4)),
+                              omega=1.0)
+            finally:
+                if backend == "process":
+                    op.close()
+        per_backend[backend] = _fault_record(
+            "fake_converged_solve", "solve_residual", verifier, tracer)
+    return _caught_everywhere(per_backend)
 
 
 def _inject_broken_rotation(dft, coulomb, level: str) -> dict:
-    verifier = Verifier(level=level)
-    tracer = Tracer()
-    config = harness_config(recycling=True, preconditioner=False,
-                            resilience=False)
-    with use_tracer(tracer), use_verifier(verifier):
-        op = Chi0Operator(
-            dft.hamiltonian, dft.occupied_orbitals, dft.occupied_energies,
-            coulomb, tol=config.tol_sternheimer,
-            max_iterations=config.max_cocg_iterations,
-            recycler=_BrokenRotationRecycler(width=config.n_eig),
-        )
-        compute_rpa_energy(dft, config, coulomb=coulomb, chi0_operator=op)
-    return _fault_record("broken_rotation", "recycled_guess",
-                         verifier, tracer)
+    """The recycled-guess checks belong to the protocol, not to a kernel."""
+    per_kernel = {}
+    for kernel, batched in (("per_orbital", False), ("batched", True)):
+        verifier = Verifier(level=level)
+        tracer = Tracer()
+        config = harness_config(recycling=True, preconditioner=False,
+                                resilience=False, batched=batched)
+        with use_tracer(tracer), use_verifier(verifier):
+            op = Chi0Operator(
+                dft.hamiltonian, dft.occupied_orbitals, dft.occupied_energies,
+                coulomb, tol=config.tol_sternheimer,
+                max_iterations=config.max_cocg_iterations,
+                recycler=_BrokenRotationRecycler(width=config.n_eig),
+                use_batched=batched,
+            )
+            compute_rpa_energy(dft, config, coulomb=coulomb, chi0_operator=op)
+        per_kernel[kernel] = _fault_record(
+            "broken_rotation", "recycled_guess", verifier, tracer)
+    return _caught_everywhere(per_kernel)
 
 
 class _DroppedShiftChi0(Chi0Operator):
@@ -392,9 +414,15 @@ def _inject_stale_ssa_basis(dft, coulomb, level: str) -> dict:
                 "stale_ssa_basis", "trace_identity", verifier, tracer)
     finally:
         ssa_mod._frozen_rayleigh_ritz = original
-    record = dict(per_backend["serial"])
-    record["caught"] = all(r["caught"] for r in per_backend.values())
-    record["caught_on"] = {b: r["caught"] for b, r in per_backend.items()}
+    return _caught_everywhere(per_backend)
+
+
+def _caught_everywhere(records: dict[str, dict]) -> dict:
+    """One record for a fault planted once and run in several places: the
+    first place's record, ``caught`` the conjunction, ``caught_on`` each."""
+    record = dict(next(iter(records.values())))
+    record["caught"] = all(r["caught"] for r in records.values())
+    record["caught_on"] = {where: r["caught"] for where, r in records.items()}
     return record
 
 

@@ -1,5 +1,8 @@
 """Tests for the command-line driver."""
 
+import functools
+import sys
+
 import pytest
 
 from repro.cli import build_system, main
@@ -68,6 +71,24 @@ class TestMain:
         assert (captured.out.count("  filtered\n")
                 + captured.out.count("  warm\n")) == n_points
         assert "simulated walltime on 3 ranks" in captured.err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="process backend requires the fork start method")
+    def test_process_backend_verify_exit_status_sees_worker_checks(
+            self, capsys, monkeypatch):
+        # A solver that lies about convergence inside the pool workers must
+        # fail the run: their verifier outcome comes home with the results.
+        import repro.parallel.rpa_parallel as rpa_parallel
+        from repro.verify.harness import _lying_solver
+
+        monkeypatch.setattr(
+            rpa_parallel, "chi0_operator_from_config",
+            functools.partial(rpa_parallel.chi0_operator_from_config,
+                              solver=_lying_solver))
+        rc = main(["--system", "toy", "--n-eig", "8", "--backend", "process",
+                   "--workers", "2", "--verify", "cheap"])
+        assert rc != 0
+        assert "verify FAILURE [solve_residual]" in capsys.readouterr().err
 
     def test_serial_backend_refuses_ranks(self, capsys):
         rc = main(["--system", "toy", "--backend", "serial", "--ranks", "2"])

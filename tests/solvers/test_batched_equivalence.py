@@ -240,6 +240,58 @@ class TestChi0Agreement:
         if dtype == "float32_ir":
             assert batched.stats.n_ir_refinements > 0
 
+    def test_straggler_is_prepared_once_and_solved_by_the_block_kernel(
+            self, toy_dft, toy_coulomb, monkeypatch):
+        """An orbital the batched recurrence leaves unconverged is handed to
+        the block kernel *as prepared*: one recycler lookup, one store."""
+        import repro.core.sternheimer as sternheimer
+        from repro.solvers.recycle import SolveRecycler
+
+        n_v, straggler = 3, 1
+        real_solve = sternheimer.batched_cocg_solve
+
+        def one_orbital_unconverged(op, b, **kwargs):
+            res = real_solve(op, b, **kwargs)
+            res.converged[straggler * n_v:(straggler + 1) * n_v] = False
+            return res
+
+        monkeypatch.setattr(sternheimer, "batched_cocg_solve",
+                            one_orbital_unconverged)
+
+        def operator(**kwargs):
+            return Chi0Operator(
+                toy_dft.hamiltonian, toy_dft.occupied_orbitals,
+                toy_dft.occupied_energies, toy_coulomb, tol=1e-10,
+                recycler=SolveRecycler(width=n_v), **kwargs)
+
+        def lookups(op):
+            st = op.recycler.stats
+            return st.hits + st.omega_seeds + st.misses
+
+        batched, block = operator(use_batched=True), operator()
+        n_s = batched.n_occupied
+        V = np.random.default_rng(2).standard_normal(
+            (toy_dft.grid.n_points, n_v))
+
+        out = batched.apply_chi0(V, omega=0.7)  # cold: Galerkin guesses
+        ref = block.apply_chi0(V, omega=0.7)
+        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 5e-8
+        assert batched.stats.n_batched_fallback_orbitals == 1
+        assert lookups(batched) == n_s
+        assert batched.recycler.stats.stores == n_s
+
+        # Warm: every orbital is served its stored solution. The straggler's
+        # came from the block kernel, so the block kernel on its own operator
+        # starts from the same guess and must return the same bits.
+        warm = {j: y for j, y, _ok in
+                batched._solve_orbitals(range(n_s), V, 0.7)}
+        (_j, y_block, _ok), = block._solve_orbitals([straggler], V, 0.7)
+        assert np.array_equal(warm[straggler], y_block)
+        assert batched.stats.n_batched_fallback_orbitals == 2
+        assert lookups(batched) == 2 * n_s
+        assert batched.recycler.stats.hits == n_s
+        assert batched.recycler.stats.stores == 2 * n_s
+
     def test_cold_path_is_untouched_by_the_flag(self, toy_dft, toy_coulomb):
         rng = np.random.default_rng(1)
         V = rng.standard_normal((toy_dft.grid.n_points, 2))

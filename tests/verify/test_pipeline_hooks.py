@@ -7,7 +7,12 @@ import pytest
 
 from repro.config import RPAConfig
 from repro.core import compute_rpa_energy
+from repro.obs import Tracer, use_tracer
 from repro.verify import NULL_VERIFIER, Verifier, get_verifier, use_verifier
+
+needs_fork = pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="process/spmd backends require the fork start method")
 
 
 def _config(**overrides):
@@ -79,8 +84,51 @@ class TestParallelDriverHooks:
         assert res.verify["failures"] == []
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="spmd backend requires the fork start method")
+BACKEND_CELLS = {
+    "serial": dict(backend="serial"),
+    "simulated": dict(backend="simulated", n_ranks=2),
+    "spmd": dict(backend="spmd", n_workers=2),
+    "process": dict(backend="process", n_workers=2),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("batched", [False, True],
+                         ids=["per_orbital", "batched"])
+@pytest.mark.parametrize("backend", sorted(BACKEND_CELLS))
+def test_protocol_checks_run_on_every_backend_and_kernel(toy_dft, toy_coulomb,
+                                                         backend, batched):
+    # The Sternheimer-level checks belong to the one solve protocol, so they
+    # run wherever it runs — and a worker's outcome is folded exactly once.
+    from repro.parallel import compute_rpa_energy_parallel
+
+    cfg = _config(verify_level="cheap", use_recycling=True,
+                  batched_sternheimer=batched)
+    with use_tracer(Tracer()) as tracer:
+        res = compute_rpa_energy_parallel(toy_dft, cfg, coulomb=toy_coulomb,
+                                          **BACKEND_CELLS[backend])
+    assert res.verify["failures"] == []
+    for check in ("operator_symmetry", "solve_residual", "recycled_guess"):
+        assert tracer.counters.get(f"verify_{check}_checks", 0) > 0, check
+    assert res.verify["checks_run"] == tracer.counters["verify_checks"]
+
+
+@needs_fork
+def test_sternheimer_faults_are_caught_wherever_the_protocol_runs(toy_dft,
+                                                                  toy_coulomb):
+    from repro.verify.harness import (
+        _inject_broken_rotation,
+        _inject_fake_converged_solve,
+    )
+
+    rotation = _inject_broken_rotation(toy_dft, toy_coulomb, "cheap")
+    assert rotation["caught_on"] == {"per_orbital": True, "batched": True}
+    fake = _inject_fake_converged_solve(toy_dft, toy_coulomb, "cheap")
+    assert fake["caught_on"] == {"serial": True, "process": True}
+    assert rotation["caught"] and fake["caught"]
+
+
+@needs_fork
 def test_stale_ssa_fault_planted_once_is_caught_on_every_backend(toy_dft,
                                                                  toy_coulomb):
     # Only possible because every backend's SSA points run the one
