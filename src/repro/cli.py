@@ -255,9 +255,8 @@ def _run(args, tracer, recorder) -> int:
     crystal, grid, scf_kwargs, default_n_eig = build_system(args.system)
     n_eig = min(args.n_eig or default_n_eig, grid.n_points)
     if args.input is not None:
-        config = load_rpa_config(path=args.input, seed=args.seed)
-        if args.n_eig is not None:
-            config = load_rpa_config(path=args.input, seed=args.seed, n_eig=args.n_eig)
+        overrides = {} if args.n_eig is None else {"n_eig": args.n_eig}
+        config = load_rpa_config(path=args.input, seed=args.seed, **overrides)
     else:
         config = RPAConfig(n_eig=n_eig, seed=args.seed)
     if args.recycle or args.precondition:

@@ -170,8 +170,8 @@ class RPAConfig:
         Working precision of the batched Sternheimer solves:
         ``"float64"`` (default) or ``"float32_ir"`` (float32 COCG
         iterations polished by float64 iterative refinement until the true
-        residual meets ``tol_sternheimer``). Only consulted when
-        ``batched_sternheimer`` is on.
+        residual meets ``tol_sternheimer``). ``"float32_ir"`` requires
+        ``batched_sternheimer``.
     use_ssa:
         Static subspace approximation (``repro.core.ssa``): filter the
         dielectric subspace once at the reference frequency (the largest
@@ -250,6 +250,11 @@ class RPAConfig:
             raise ValueError(
                 f"solve_dtype must be 'float64' or 'float32_ir', "
                 f"got {self.solve_dtype!r}"
+            )
+        if self.solve_dtype != "float64" and not self.batched_sternheimer:
+            raise ValueError(
+                "solve_dtype='float32_ir' requires batched_sternheimer: the "
+                "float32 iterations run inside the batched kernel only"
             )
         if self.ssa_refresh_tol is not None and self.ssa_refresh_tol <= 0:
             raise ValueError("ssa_refresh_tol must be positive")

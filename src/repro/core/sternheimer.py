@@ -196,7 +196,7 @@ class Chi0Operator:
         ``"float32_ir"`` (complex64 COCG iterations polished by float64
         iterative refinement until the true residual meets ``tol``; a
         float64 fallback finishes any column the refinement budget cannot).
-        Ignored by the block kernel.
+        ``"float32_ir"`` requires ``use_batched``.
     max_cached_preconditioners:
         Bound on the ``(lambda_j, omega)`` preconditioner cache (LRU
         eviction, counted in ``stats.n_preconditioner_evictions``). A full
@@ -256,6 +256,11 @@ class Chi0Operator:
         if solve_dtype not in ("float64", "float32_ir"):
             raise ValueError(
                 f"solve_dtype must be 'float64' or 'float32_ir', got {solve_dtype!r}"
+            )
+        if solve_dtype != "float64" and not use_batched:
+            raise ValueError(
+                "solve_dtype='float32_ir' requires use_batched: the float32 "
+                "iterations run inside the batched kernel only"
             )
         if max_cached_preconditioners < 1:
             raise ValueError("max_cached_preconditioners must be >= 1")

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from repro.dft.pseudopotential import NonlocalProjectors
+from repro.grid.fourier import FourierLaplacian
 from repro.grid.mesh import Grid3D
 from repro.grid.stencil import StencilLaplacian
 
@@ -37,6 +38,14 @@ class Hamiltonian:
         Optional sparse Kleinman-Bylander projector set.
     radius:
         FD stencil radius for the kinetic term.
+
+    The kinetic path follows the grid (read-only ``kinetic_backend``):
+    ``"fft"`` on periodic grids — the same FD stencil applied exactly, as two
+    FFTs around the stored multiplier ``-1/2 lambda(k)`` instead of ``6 r``
+    shifted adds — and the matrix-free ``"stencil"`` otherwise. Precision
+    belongs to the operator: :meth:`apply` is one code path over coefficient
+    arrays (kinetic multiplier, ``v_local``, projectors) held in one real
+    dtype — float64 as constructed, any other through :meth:`astype`.
     """
 
     def __init__(
@@ -45,30 +54,18 @@ class Hamiltonian:
         v_local: np.ndarray,
         nonlocal_part: NonlocalProjectors | None = None,
         radius: int = 4,
-        kinetic_backend: str = "auto",
     ) -> None:
         v_local = np.asarray(v_local, dtype=float)
         if v_local.shape != (grid.n_points,):
             raise ValueError(f"v_local shape {v_local.shape} != ({grid.n_points},)")
-        if kinetic_backend not in ("auto", "stencil", "fft"):
-            raise ValueError(f"unknown kinetic_backend {kinetic_backend!r}")
-        if kinetic_backend == "auto":
-            kinetic_backend = "fft" if grid.bc == "periodic" else "stencil"
-        if kinetic_backend == "fft" and grid.bc != "periodic":
-            raise ValueError("fft kinetic backend requires a periodic grid")
         self.grid = grid
         self.radius = int(radius)
-        self.kinetic_backend = kinetic_backend
-        self._stencil = StencilLaplacian(grid, radius)
-        if kinetic_backend == "fft":
-            # Exact spectral application of the same FD stencil: identical
-            # operator, far lower per-call overhead on small grids (two FFTs
-            # instead of 6 r shifted adds).
-            from repro.grid.fourier import FourierLaplacian
-
-            self._fourier = FourierLaplacian(grid, radius)
+        if grid.bc == "periodic":
+            self._laplacian = FourierLaplacian(grid, radius)
+            self._kinetic = -0.5 * self._laplacian.symbol
         else:
-            self._fourier = None
+            self._laplacian = StencilLaplacian(grid, radius)
+            self._kinetic = None
         self.v_local = v_local.copy()
         self.nonlocal_part = nonlocal_part
 
@@ -76,18 +73,36 @@ class Hamiltonian:
     def n_points(self) -> int:
         return self.grid.n_points
 
+    @property
+    def kinetic_backend(self) -> str:
+        return "stencil" if self._kinetic is None else "fft"
+
     def update_potential(self, v_local: np.ndarray) -> None:
-        v_local = np.asarray(v_local, dtype=float)
+        v_local = np.asarray(v_local, dtype=self.v_local.dtype)
         if v_local.shape != (self.n_points,):
             raise ValueError("potential shape mismatch")
         self.v_local = v_local.copy()
 
+    def astype(self, dtype) -> "Hamiltonian":
+        """A sibling (same grid, radius, kinetic path) whose coefficient
+        arrays are cast once to the real ``dtype``: ``astype(np.float32)``
+        maps complex64 blocks to complex64 with no float64 intermediate.
+        Later potential updates on either leave the other untouched, so
+        build the sibling where it is used rather than keeping it around."""
+        sibling = Hamiltonian(self.grid, self.v_local, self.nonlocal_part, self.radius)
+        sibling.v_local = self.v_local.astype(dtype)
+        if sibling._kinetic is not None:
+            sibling._kinetic = sibling._kinetic.astype(dtype)
+        if self.nonlocal_part is not None:
+            sibling.nonlocal_part = self.nonlocal_part.astype(dtype)
+        return sibling
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``H v`` for a vector ``(n_d,)`` or block ``(n_d, s)``."""
-        if self._fourier is not None:
-            out = self._fourier.apply_function(lambda lam: -0.5 * lam, v)
+        if self._kinetic is not None:
+            out = self._laplacian.apply_multiplier(self._kinetic, v)
         else:
-            out = -0.5 * self._stencil.apply(v)
+            out = -0.5 * self._laplacian.apply(v)
         if v.ndim == 1:
             out += self.v_local * v
         else:
@@ -121,10 +136,3 @@ class Hamiltonian:
         if self.nonlocal_part is not None and self.nonlocal_part.n_projectors:
             mat += self.nonlocal_part.to_dense()
         return mat
-
-    def rayleigh_quotients(self, psi: np.ndarray) -> np.ndarray:
-        """Per-column Rayleigh quotients ``psi_j^T H psi_j / psi_j^T psi_j``."""
-        h_psi = self.apply(psi)
-        num = np.einsum("ij,ij->j", psi.conj(), h_psi).real
-        den = np.einsum("ij,ij->j", psi.conj(), psi).real
-        return num / den

@@ -17,7 +17,7 @@ model systems on coarse grids (tests, quick examples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gamma as gamma_fn
 
 import numpy as np
@@ -311,6 +311,13 @@ class NonlocalProjectors:
         else:
             coeff = coeff * self.strengths[:, None]
         return self.dv * (self.projectors @ coeff)
+
+    def astype(self, dtype) -> "NonlocalProjectors":
+        """The same projector set held in real ``dtype`` (cast once, here):
+        its ``apply`` keeps a complex64 block complex64 when ``dtype`` is
+        float32, because no float64 array or NumPy scalar meets the block."""
+        return replace(self, projectors=self.projectors.astype(dtype),
+                       strengths=self.strengths.astype(dtype), dv=float(self.dv))
 
     def to_dense(self) -> np.ndarray:
         P = self.projectors.toarray()

@@ -33,6 +33,7 @@ from repro.dft.pseudopotential import (
 )
 from repro.dft.xc import lda_xc, xc_energy
 from repro.grid.coulomb import CoulombOperator
+from repro.grid.kronecker import spectral_laplacian
 from repro.grid.mesh import Grid3D
 from repro.obs.tracer import get_tracer
 
@@ -168,14 +169,12 @@ def run_scf(
     history = SCFHistory()
 
     if kerker_q0 is not None and grid.bc == "periodic":
-        from repro.grid.fourier import FourierLaplacian
-
-        _four = FourierLaplacian(grid, radius)
-        q0sq = float(kerker_q0) ** 2
+        _lap = spectral_laplacian(grid, radius)
+        # Laplacian symbol lam ~ -G^2: multiplier G^2 / (G^2 + q0^2).
+        _kerker = -_lap.symbol / (-_lap.symbol + float(kerker_q0) ** 2)
 
         def precondition_residual(residual: np.ndarray) -> np.ndarray:
-            # Laplacian symbol lam ~ -G^2: multiplier G^2 / (G^2 + q0^2).
-            return _four.apply_function(lambda lam: -lam / (-lam + q0sq), residual)
+            return _lap.apply_multiplier(_kerker, residual)
 
     else:
 

@@ -8,7 +8,7 @@ Coulomb operator stack the RPA formulation is built on.
 from repro.grid.coulomb import CoulombOperator
 from repro.grid.fd_coefficients import fornberg_weights, second_derivative_coefficients
 from repro.grid.fourier import FourierLaplacian
-from repro.grid.kronecker import KroneckerLaplacian
+from repro.grid.kronecker import KroneckerLaplacian, spectral_laplacian
 from repro.grid.laplacian import assemble_laplacian, laplacian_1d
 from repro.grid.mesh import Grid3D
 from repro.grid.stencil import (
@@ -28,5 +28,6 @@ __all__ = [
     "assemble_laplacian",
     "FourierLaplacian",
     "KroneckerLaplacian",
+    "spectral_laplacian",
     "CoulombOperator",
 ]

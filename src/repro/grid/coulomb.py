@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.grid.fourier import FourierLaplacian
-from repro.grid.kronecker import KroneckerLaplacian
+from repro.grid.kronecker import KroneckerLaplacian, spectral_laplacian
 from repro.grid.mesh import Grid3D
 
 _ZERO_MODE_RTOL = 1e-12
@@ -43,17 +42,10 @@ class CoulombOperator:
     """
 
     def __init__(self, grid: Grid3D, radius: int = 4, backend: str = "auto") -> None:
-        if backend not in ("auto", "fft", "kronecker"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == "auto":
-            backend = "fft" if grid.bc == "periodic" else "kronecker"
-        if backend == "fft":
-            self._lap = FourierLaplacian(grid, radius)
-        else:
-            self._lap = KroneckerLaplacian(grid, radius)
+        self._lap = spectral_laplacian(grid, radius, backend)
         self.grid = grid
         self.radius = int(radius)
-        self.backend = backend
+        self.backend = "kronecker" if isinstance(self._lap, KroneckerLaplacian) else "fft"
         sym = self._lap.symbol
         cutoff = _ZERO_MODE_RTOL * float(np.abs(sym).max())
         self._zero_mask = np.abs(sym) <= cutoff
@@ -64,10 +56,16 @@ class CoulombOperator:
                 f"expected exactly one Laplacian zero mode on a periodic grid, "
                 f"found {self.n_zero_modes}"
             )
+        # The four functions of the Laplacian this operator applies, each a
+        # stored multiplier over the mode grid (0 on projected modes).
+        self._nu = self._safe(lambda x: -4.0 * np.pi / x)
+        self._nu_sqrt = self._safe(lambda x: np.sqrt(-4.0 * np.pi / x))
+        self._nu_inv = self._safe(lambda x: -x / (4.0 * np.pi))
+        self._inv_sqrt_neg_laplacian = self._safe(lambda x: 1.0 / np.sqrt(-x))
 
-    # -- multiplier helpers ----------------------------------------------------
-
-    def _safe(self, f, lam: np.ndarray) -> np.ndarray:
+    def _safe(self, f) -> np.ndarray:
+        """``f`` over the Laplacian symbol with the zero modes projected out."""
+        lam = self._lap.symbol
         out = np.zeros_like(lam)
         mask = ~self._zero_mask
         out[mask] = f(lam[mask])
@@ -81,25 +79,19 @@ class CoulombOperator:
 
     def apply_nu(self, v: np.ndarray) -> np.ndarray:
         """``nu v = -4 pi (nabla^2)^{-1} v`` (zero mode projected out)."""
-        return self._lap.apply_function(lambda lam: self._safe(lambda x: -4.0 * np.pi / x, lam), v)
+        return self._lap.apply_multiplier(self._nu, v)
 
     def apply_nu_sqrt(self, v: np.ndarray) -> np.ndarray:
         """``nu^{1/2} v``; well-posed since ``nu`` is SPD on the zero-mean subspace."""
-        return self._lap.apply_function(
-            lambda lam: self._safe(lambda x: np.sqrt(-4.0 * np.pi / x), lam), v
-        )
+        return self._lap.apply_multiplier(self._nu_sqrt, v)
 
     def apply_nu_inv(self, v: np.ndarray) -> np.ndarray:
         """``nu^{-1} v = -(1/(4 pi)) nabla^2 v`` (zero mode projected out)."""
-        return self._lap.apply_function(
-            lambda lam: self._safe(lambda x: -x / (4.0 * np.pi), lam), v
-        )
+        return self._lap.apply_multiplier(self._nu_inv, v)
 
     def apply_inv_sqrt_neg_laplacian(self, v: np.ndarray) -> np.ndarray:
         """``(-nabla^2)^{-1/2} v`` — the solve form quoted in Section III-A."""
-        return self._lap.apply_function(
-            lambda lam: self._safe(lambda x: 1.0 / np.sqrt(-x), lam), v
-        )
+        return self._lap.apply_multiplier(self._inv_sqrt_neg_laplacian, v)
 
     def solve_poisson(self, rho: np.ndarray) -> np.ndarray:
         """Electrostatic potential of density ``rho``: solves ``-nabla^2 phi = 4 pi rho``.
@@ -117,11 +109,6 @@ class CoulombOperator:
         return v - v.mean(axis=0, keepdims=v.ndim > 1)
 
     @property
-    def laplacian_eigenvalues(self) -> np.ndarray:
-        return self._lap.eigenvalues
-
-    @property
     def nu_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of ``nu`` (0 on projected modes)."""
-        lam = self._lap.symbol
-        return self._safe(lambda x: -4.0 * np.pi / x, lam).ravel()
+        return self._nu.flatten()

@@ -39,14 +39,19 @@ class FourierLaplacian:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply ``nabla^2`` (exact for the FD stencil, not the continuum)."""
-        return self.apply_function(lambda lam: lam, v)
+        return self.apply_multiplier(self.symbol, v)
 
     def apply_function(self, f: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
-        """Apply ``f(nabla^2)`` to flat vector(s) ``v``.
+        """Apply ``f(nabla^2)``: ``f`` maps the 3-D eigenvalue array to multipliers."""
+        return self.apply_multiplier(f(self.symbol), v)
 
-        ``f`` receives the 3-D array of Laplacian eigenvalues and must return
-        an array of multipliers of the same shape. Real inputs produce real
-        outputs (the symbol is real and even).
+    def apply_multiplier(self, mult: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Transform flat vector(s) ``v``, scale mode-wise by ``mult``, transform back.
+
+        ``mult`` is a stored array over the mode grid (``f(self.symbol)`` for
+        ``f(nabla^2)``; it must be real and even for real inputs to produce
+        real outputs). The transforms keep the operand's precision, so a
+        float32 ``mult`` applied to a complex64 block stays complex64.
         """
         v = np.asarray(v)
         field = self.grid.to_field(v)
@@ -54,7 +59,7 @@ class FourierLaplacian:
         if single:
             field = field[..., None]
         vhat = scipy.fft.fftn(field, axes=(0, 1, 2))
-        vhat *= f(self.symbol)[..., None]
+        vhat *= mult[..., None]
         out = scipy.fft.ifftn(vhat, axes=(0, 1, 2), overwrite_x=True)
         if not np.iscomplexobj(v):
             out = out.real

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.grid.fourier import FourierLaplacian
 from repro.grid.laplacian import laplacian_1d
 from repro.grid.mesh import Grid3D
 
@@ -46,10 +47,16 @@ class KroneckerLaplacian:
         return self.symbol.ravel()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.apply_function(lambda lam: lam, v)
+        return self.apply_multiplier(self.symbol, v)
 
     def apply_function(self, f: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
-        """Apply ``f(nabla^2)`` to flat vector(s) ``v`` via tensor contractions."""
+        """Apply ``f(nabla^2)``: ``f`` maps the 3-D eigenvalue array to multipliers."""
+        return self.apply_multiplier(f(self.symbol), v)
+
+    def apply_multiplier(self, mult: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Contract flat vector(s) ``v`` into the tensor eigenbasis, scale
+        mode-wise by the stored array ``mult``, contract back (in the float64
+        of the eigenvector matrices)."""
         v = np.asarray(v)
         field = self.grid.to_field(v)
         single = field.ndim == 3
@@ -60,7 +67,7 @@ class KroneckerLaplacian:
         t = np.einsum("ia,abcs->ibcs", Qx.T, field, optimize=True)
         t = np.einsum("jb,ibcs->ijcs", Qy.T, t, optimize=True)
         t = np.einsum("kc,ijcs->ijks", Qz.T, t, optimize=True)
-        t *= f(self.symbol)[..., None]
+        t *= mult[..., None]
         # Back transform.
         t = np.einsum("ai,ijks->ajks", Qx, t, optimize=True)
         t = np.einsum("bj,ajks->abks", Qy, t, optimize=True)
@@ -68,3 +75,15 @@ class KroneckerLaplacian:
         if single:
             t = t[..., 0]
         return self.grid.to_vector(np.ascontiguousarray(t))
+
+
+def spectral_laplacian(grid: Grid3D, radius: int = 4, backend: str = "auto"):
+    """The exact diagonalization of the FD Laplacian to use on ``grid``:
+    ``"auto"`` picks the FFT form on periodic grids and the Kronecker
+    eigenbasis otherwise; ``"fft"`` / ``"kronecker"`` force one (the FFT form
+    rejects non-periodic grids). Both have the same ``apply*`` / ``symbol``."""
+    if backend not in ("auto", "fft", "kronecker"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "fft" or (backend == "auto" and grid.bc == "periodic"):
+        return FourierLaplacian(grid, radius)
+    return KroneckerLaplacian(grid, radius)

@@ -28,6 +28,10 @@ class StencilLaplacian:
     radius:
         Stencil radius ``r`` (order ``2r`` accuracy). The paper's production
         runs use high-order stencils; tests default to small radii.
+
+    The weights are Python floats on purpose: they take the operand's
+    precision (a complex64 block stays complex64), and NumPy elides the
+    ``w * shifted`` temporary, which it does not for an ``np.float64`` weight.
     """
 
     def __init__(self, grid: Grid3D, radius: int = 4) -> None:
@@ -41,7 +45,11 @@ class StencilLaplacian:
         self.grid = grid
         self.radius = int(radius)
         self.coefficients = second_derivative_coefficients(radius)
-        self._inv_h2 = np.asarray([1.0 / h**2 for h in grid.spacing])
+        c, inv_h2 = self.coefficients, np.asarray([1.0 / h**2 for h in grid.spacing])
+        self._center = float(c[0] * inv_h2.sum())
+        # _weights[axis][m - 1] multiplies the two points m steps away along axis.
+        self._weights = [[float(c[m] * w) for m in range(1, self.radius + 1)]
+                         for w in inv_h2]
 
     @property
     def n_points(self) -> int:
@@ -50,7 +58,15 @@ class StencilLaplacian:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply ``nabla^2`` to flat vector(s) ``v`` of shape ``(n_d,)`` or ``(n_d, s)``."""
         field = self.grid.to_field(np.asarray(v))
-        out = self._apply_field(field)
+        out = self._center * field
+        periodic = self.grid.bc == "periodic"
+        for axis, weights in enumerate(self._weights):
+            for m, w in enumerate(weights, start=1):
+                if periodic:
+                    out += w * (np.roll(field, m, axis=axis) + np.roll(field, -m, axis=axis))
+                else:
+                    out += w * _shift_zero(field, m, axis)
+                    out += w * _shift_zero(field, -m, axis)
         return self.grid.to_vector(out)
 
     def apply_columnwise(self, v: np.ndarray) -> np.ndarray:
@@ -68,25 +84,6 @@ class StencilLaplacian:
         out = np.empty_like(v)
         for col in range(v.shape[1]):
             out[:, col] = self.apply(v[:, col])
-        return out
-
-    # -- internals ------------------------------------------------------------
-
-    def _apply_field(self, field: np.ndarray) -> np.ndarray:
-        c = self.coefficients
-        out = (c[0] * self._inv_h2.sum()) * field
-        if self.grid.bc == "periodic":
-            for axis in range(3):
-                w = self._inv_h2[axis]
-                for m in range(1, self.radius + 1):
-                    shifted = np.roll(field, m, axis=axis) + np.roll(field, -m, axis=axis)
-                    out += (c[m] * w) * shifted
-        else:
-            for axis in range(3):
-                w = self._inv_h2[axis]
-                for m in range(1, self.radius + 1):
-                    out += (c[m] * w) * _shift_zero(field, m, axis)
-                    out += (c[m] * w) * _shift_zero(field, -m, axis)
         return out
 
 

@@ -47,7 +47,7 @@ import numpy as np
 # Iterations without any per-column residual improvement before a column is
 # declared stagnated: the block solver's window, not a second copy of it.
 from repro.solvers.block_cocg import _STAGNATION_WINDOW
-from repro.solvers.linear_operator import CountingOperator, as_operator
+from repro.solvers.linear_operator import as_operator
 
 #: Default inner tolerance for the float32 correction solves. Single
 #: precision bottoms out near 1e-6 relative residual; stopping well above
@@ -113,114 +113,23 @@ class BatchedShiftedOperator:
         return self._op(x) + x * shifts
 
     def single_precision(self) -> "BatchedShiftedOperator":
-        """A complex64 clone with a demoted base-operator kernel."""
+        """A complex64 clone over the base demoted to single precision.
+
+        One rule for every base that owns its precision (ndarray, scipy
+        sparse, the Hamiltonian): ``base.astype(...)``, complex64 when the
+        base is complex, float32 otherwise — rebuilt per call, so it is never
+        stale against the float64 base. A bare callable or a
+        ``CountingOperator`` only gets its output cast (correct, not faster).
+        """
         if self.dtype == np.dtype(np.complex64):
             return self
-        return BatchedShiftedOperator(
-            demote_operator(self.base, self.n), self.shifts, n=self.n,
-            dtype=np.complex64,
-        )
-
-
-def demote_operator(base, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A float32-kernel apply for ``base`` (outputs complex64 on complex64).
-
-    Hamiltonians get a rebuilt kernel — float32 FFT symbol or stencil
-    weights, float32 local potential and nonlocal projectors — so every
-    intermediate stays in single precision. Dense/sparse matrices are cast
-    once. Anything else is wrapped with an output cast (correct, if not
-    faster).
-    """
-    from repro.dft.hamiltonian import Hamiltonian
-
-    if isinstance(base, Hamiltonian):
-        return _demote_hamiltonian(base)
-    if isinstance(base, np.ndarray):
-        a32 = base.astype(np.complex64 if np.iscomplexobj(base) else np.float32)
-        return lambda x: a32 @ x
-    import scipy.sparse as sp
-
-    if sp.issparse(base):
-        a32 = base.astype(np.float32)
-        return lambda x: a32 @ x
-    if isinstance(base, CountingOperator):
-        inner = base
-        return lambda x: np.asarray(inner(x), dtype=np.complex64)
-    apply_fn = base.apply if hasattr(base, "apply") and callable(base.apply) else base
-    return lambda x: np.asarray(apply_fn(x), dtype=np.complex64)
-
-
-def _demote_hamiltonian(h) -> Callable[[np.ndarray], np.ndarray]:
-    """Single-precision ``H`` apply: f32 kinetic kernel + f32 potentials.
-
-    numpy's promotion rules make this delicate: a float64 scalar or symbol
-    times a complex64 block silently promotes to complex128, so every
-    coefficient below is materialized as float32 before it meets the field.
-    """
-    grid = h.grid
-    v32 = h.v_local.astype(np.float32)
-
-    if getattr(h, "_fourier", None) is not None:
-        import scipy.fft
-
-        # The kinetic multiplier -0.5 * lambda(k), precomputed in float32;
-        # scipy.fft preserves complex64 end to end.
-        mult = (-0.5 * h._fourier.symbol).astype(np.float32)
-
-        def kinetic(x: np.ndarray) -> np.ndarray:
-            fld = grid.to_field(x)
-            vhat = scipy.fft.fftn(fld, axes=(0, 1, 2))
-            vhat *= mult[..., None] if fld.ndim == 4 else mult
-            out = scipy.fft.ifftn(vhat, axes=(0, 1, 2), overwrite_x=True)
-            return grid.to_vector(np.ascontiguousarray(out))
-    else:
-        from repro.grid.stencil import _shift_zero
-
-        stencil = h._stencil
-        radius = stencil.radius
-        coeff = stencil.coefficients
-        inv_h2 = stencil._inv_h2
-        # -0.5 folded into each stencil weight, all f32 scalars.
-        c0 = np.float32(-0.5 * coeff[0] * inv_h2.sum())
-        ws = [
-            [np.float32(-0.5 * coeff[m] * inv_h2[axis]) for m in range(radius + 1)]
-            for axis in range(3)
-        ]
-        periodic = grid.bc == "periodic"
-
-        def kinetic(x: np.ndarray) -> np.ndarray:
-            fld = grid.to_field(x)
-            out = c0 * fld
-            for axis in range(3):
-                for m in range(1, radius + 1):
-                    w = ws[axis][m]
-                    if periodic:
-                        out += w * (np.roll(fld, m, axis=axis)
-                                    + np.roll(fld, -m, axis=axis))
-                    else:
-                        out += w * _shift_zero(fld, m, axis)
-                        out += w * _shift_zero(fld, -m, axis)
-            return grid.to_vector(out)
-
-    nl = h.nonlocal_part
-    if nl is not None and nl.n_projectors:
-        p32 = nl.projectors.astype(np.float32)
-        pt32 = p32.T.tocsr()
-        s32 = (nl.dv * nl.strengths).astype(np.float32)
-
-        def nonlocal_apply(x: np.ndarray) -> np.ndarray:
-            return p32 @ ((pt32 @ x) * s32[:, None])
-    else:
-        nonlocal_apply = None
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = kinetic(x)
-        out += v32[:, None] * x
-        if nonlocal_apply is not None:
-            out += nonlocal_apply(x)
-        return np.asarray(out, dtype=np.complex64)
-
-    return apply
+        if hasattr(self.base, "astype"):
+            is_complex = np.dtype(getattr(self.base, "dtype", float)).kind == "c"
+            base32 = self.base.astype(np.complex64 if is_complex else np.float32)
+        else:
+            op = self._op
+            base32 = lambda x: np.asarray(op(x), dtype=np.complex64)
+        return BatchedShiftedOperator(base32, self.shifts, n=self.n, dtype=np.complex64)
 
 
 @dataclass

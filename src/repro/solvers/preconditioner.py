@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.grid.fourier import FourierLaplacian
-from repro.grid.kronecker import KroneckerLaplacian
+from repro.grid.kronecker import spectral_laplacian
 from repro.grid.mesh import Grid3D
 
 
@@ -40,14 +39,11 @@ class ShiftedLaplacianPreconditioner:
             raise ValueError(f"shift must be positive, got {shift}")
         self.grid = grid
         self.shift = float(shift)
-        if grid.bc == "periodic":
-            self._lap = FourierLaplacian(grid, radius)
-        else:
-            self._lap = KroneckerLaplacian(grid, radius)
+        self._lap = spectral_laplacian(grid, radius)
+        self._multiplier = 1.0 / (-0.5 * self._lap.symbol + self.shift)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        sigma = self.shift
-        return self._lap.apply_function(lambda lam: 1.0 / (-0.5 * lam + sigma), v)
+        return self._lap.apply_multiplier(self._multiplier, v)
 
     @classmethod
     def for_shift(

@@ -123,6 +123,8 @@ class TestDriverOptions:
             RPAConfig(n_eig=10, tol_sternheimer=-1.0)
         with pytest.raises(ValueError):
             RPAConfig(n_eig=10, trace_method="magic")
+        with pytest.raises(ValueError, match="requires batched_sternheimer"):
+            RPAConfig(n_eig=10, solve_dtype="float32_ir")
         cfg = RPAConfig(n_eig=10, n_quadrature=4, tol_subspace=(1e-3, 1e-4))
         assert cfg.tol_subspace == (1e-3, 1e-4, 1e-4, 1e-4)
         assert cfg.tol_subspace_for(4) == 1e-4

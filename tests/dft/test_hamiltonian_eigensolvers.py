@@ -1,10 +1,13 @@
 """Tests for the Hamiltonian operator, eigensolvers and density machinery."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.dft import (
     ChebyshevFilteredSubspace,
+    GaussianPseudopotential,
     Hamiltonian,
     build_nonlocal_projectors,
     chebyshev_filter,
@@ -13,8 +16,10 @@ from repro.dft import (
     dense_lowest_eigenpairs,
     electron_count,
     fermi_dirac_occupations,
+    gth_real_space_local_potential,
     insulator_occupations,
     local_potential_on_grid,
+    real_space_local_potential,
     silicon_crystal,
 )
 from repro.dft.atoms import Crystal
@@ -92,6 +97,78 @@ class TestHamiltonian:
             Hamiltonian(grid, np.zeros(grid.n_points + 1))
         with pytest.raises(ValueError):
             h.update_potential(np.zeros(3))
+
+
+@pytest.fixture(params=["fft+projectors", "fft", "stencil+projectors", "stencil"])
+def any_hamiltonian(request, si_setup, toy_dft):
+    """A fresh float64 Hamiltonian on each kinetic path, with and without
+    nonlocal projectors (no SCF: the operator, not the ground state)."""
+    if request.param == "fft+projectors":
+        h = si_setup[2]
+    elif request.param == "fft":
+        h = toy_dft.hamiltonian
+    else:
+        grid = Grid3D((8, 8, 8), (10.0, 10.0, 10.0), bc="dirichlet")
+        if request.param == "stencil+projectors":
+            atom = Crystal(["Si"], np.array([[5.0, 5.0, 5.0]]), (10.0, 10.0, 10.0))
+            return Hamiltonian(grid, gth_real_space_local_potential(atom, grid),
+                               build_nonlocal_projectors(atom, grid), radius=2)
+        dimer = Crystal(["X", "X"], np.array([[4.2, 5.0, 5.0], [5.8, 5.0, 5.0]]),
+                        (10.0, 10.0, 10.0))
+        pseudos = {"X": GaussianPseudopotential("X", z_ion=1.0, r_core=0.7)}
+        return Hamiltonian(grid, real_space_local_potential(dimer, grid, pseudos),
+                           radius=2)
+    return Hamiltonian(h.grid, h.v_local, h.nonlocal_part, radius=h.radius)
+
+
+class TestWorkingPrecision:
+    """Precision is the operator's: one ``apply``, coefficient arrays in the
+    sibling's dtype (every float32 kernel of the stack runs here)."""
+
+    @staticmethod
+    def _block(h, columns=5):
+        rng = np.random.default_rng(7)
+        return (rng.standard_normal((h.n_points, columns))
+                + 1j * rng.standard_normal((h.n_points, columns)))
+
+    def test_kinetic_path_is_derived_from_the_grid(self, any_hamiltonian, request):
+        h = any_hamiltonian
+        assert "kinetic_backend" not in inspect.signature(Hamiltonian.__init__).parameters
+        assert h.kinetic_backend == request.node.callspec.id.split("+")[0]
+        n_projectors = h.nonlocal_part.n_projectors if h.nonlocal_part is not None else 0
+        assert (n_projectors > 0) == ("projectors" in request.node.callspec.id)
+
+    def test_float32_sibling_stays_in_single_precision(self, any_hamiltonian):
+        h = any_hamiltonian
+        x = self._block(h)
+        ref = h.apply(x)
+        h32 = h.astype(np.float32)
+        assert h32.kinetic_backend == h.kinetic_backend
+        out = h32.apply(x.astype(np.complex64))
+        assert out.dtype == np.complex64
+        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-6
+        col = h32.apply(x[:, 0].astype(np.complex64))
+        assert col.dtype == np.complex64
+        assert np.linalg.norm(col - ref[:, 0]) / np.linalg.norm(ref[:, 0]) < 1e-6
+        assert h32.apply(x.real.astype(np.float32)).dtype == np.float32
+
+    def test_float64_sibling_is_the_same_operator_bitwise(self, any_hamiltonian):
+        h = any_hamiltonian
+        x = self._block(h)
+        assert np.array_equal(h.astype(np.float64).apply(x), h.apply(x))
+        assert np.array_equal(h.astype(np.float64).apply(x.real), h.apply(x.real))
+
+    def test_sibling_is_independent_of_later_potential_updates(self, any_hamiltonian):
+        h = any_hamiltonian
+        x32 = self._block(h).astype(np.complex64)
+        h32 = h.astype(np.float32)
+        before = h32.apply(x32)
+        h.update_potential(h.v_local + 1.0)
+        assert np.array_equal(h32.apply(x32), before)
+        # ... and the sibling's own updates keep its precision.
+        h32.update_potential(h.v_local)
+        assert h32.apply(x32).dtype == np.complex64
+        assert not np.array_equal(h32.apply(x32), before)
 
 
 class TestEigensolvers:

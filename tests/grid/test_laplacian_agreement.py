@@ -62,6 +62,17 @@ class TestAgreement:
         kron = KroneckerLaplacian(grid, radius)
         assert np.allclose(kron.apply(v), mat @ v, atol=1e-10)
 
+    def test_stencil_keeps_single_precision(self, grid, radius):
+        # One shifted-add loop per boundary condition serves both precisions:
+        # the weights are Python floats, so a complex64 block stays complex64.
+        rng = np.random.default_rng(47)
+        V = rng.standard_normal((grid.n_points, 3)) + 1j * rng.standard_normal((grid.n_points, 3))
+        sten = StencilLaplacian(grid, radius)
+        ref = sten.apply(V)
+        out = sten.apply(V.astype(np.complex64))
+        assert out.dtype == np.complex64
+        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-6
+
 
 class TestFourierPath:
     @pytest.mark.parametrize("radius", [1, 2, 3])

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grid import CoulombOperator, FourierLaplacian, Grid3D, KroneckerLaplacian
+from repro.grid import (
+    CoulombOperator,
+    FourierLaplacian,
+    Grid3D,
+    KroneckerLaplacian,
+    spectral_laplacian,
+)
 
 
 def _grid(bc="periodic"):
@@ -56,6 +62,35 @@ class TestFunctionCalculus:
         assert w @ op.apply_function(f, v) == pytest.approx(
             v @ op.apply_function(f, w), rel=1e-10
         )
+
+    @pytest.mark.parametrize("complex_operand", [False, True], ids=["real", "complex"])
+    def test_stored_multiplier_is_the_function_application(self, cls, bc,
+                                                           complex_operand):
+        # apply_function(f, v) is apply_multiplier(f(symbol), v), bit for bit,
+        # for vectors and blocks — what lets callers build f(symbol) once.
+        op = cls(_grid(bc), radius=2)
+        rng = np.random.default_rng(4)
+        V = rng.standard_normal((op.grid.n_points, 3))
+        if complex_operand:
+            V = V + 1j * rng.standard_normal(V.shape)
+        f = lambda lam: 1.0 / (0.37 - 0.5 * lam)
+        mult = f(op.symbol)
+        for v in (V, V[:, 0]):
+            out = op.apply_multiplier(mult, v)
+            assert np.array_equal(out, op.apply_function(f, v))
+            assert np.iscomplexobj(out) == complex_operand
+        assert np.array_equal(op.apply_multiplier(op.symbol, V), op.apply(V))
+
+
+def test_spectral_laplacian_selects_by_boundary_condition():
+    assert isinstance(spectral_laplacian(_grid("periodic"), 2), FourierLaplacian)
+    assert isinstance(spectral_laplacian(_grid("dirichlet"), 2), KroneckerLaplacian)
+    assert isinstance(spectral_laplacian(_grid("periodic"), 2, backend="kronecker"),
+                      KroneckerLaplacian)
+    with pytest.raises(ValueError, match="periodic"):
+        spectral_laplacian(_grid("dirichlet"), 2, backend="fft")
+    with pytest.raises(ValueError, match="unknown backend"):
+        spectral_laplacian(_grid(), 2, backend="dense")
 
 
 @settings(deadline=None, max_examples=20)

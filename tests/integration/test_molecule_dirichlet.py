@@ -11,6 +11,7 @@ import pytest
 
 from repro.config import RPAConfig
 from repro.core import compute_rpa_energy, compute_rpa_energy_direct
+from repro.core.sternheimer import Chi0Operator
 from repro.dft import GaussianPseudopotential, real_space_local_potential, run_scf
 from repro.dft.atoms import Crystal
 from repro.grid import CoulombOperator, Grid3D
@@ -90,3 +91,19 @@ class TestMoleculeRPA:
     def test_no_zero_mode_in_dirichlet_coulomb(self, molecule):
         _, coulomb, _ = molecule
         assert coulomb.n_zero_modes == 0
+
+    def test_float32_ir_batched_chi0_matches_the_float64_loop(self, molecule):
+        # The float32 sibling of a Dirichlet (stencil-kinetic) Hamiltonian
+        # under the batched kernel, gated by the float64 true residual.
+        dft, coulomb, _ = molecule
+        assert dft.hamiltonian.kinetic_backend == "stencil"
+        V = np.random.default_rng(0).standard_normal((dft.grid.n_points, 3))
+        per_orbital = Chi0Operator(dft.hamiltonian, dft.occupied_orbitals,
+                                   dft.occupied_energies, coulomb, tol=1e-9)
+        mixed = Chi0Operator(dft.hamiltonian, dft.occupied_orbitals,
+                             dft.occupied_energies, coulomb, tol=1e-9,
+                             use_batched=True, solve_dtype="float32_ir")
+        ref = per_orbital.apply_chi0(V, omega=0.7)
+        out = mixed.apply_chi0(V, omega=0.7)
+        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 5e-8
+        assert mixed.stats.n_ir_refinements > 0

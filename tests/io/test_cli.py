@@ -94,3 +94,8 @@ class TestMain:
         rc = main(["--system", "toy", "--backend", "serial", "--ranks", "2"])
         assert rc == 2
         assert "--backend serial runs on one rank" in capsys.readouterr().err
+
+    def test_float32_ir_refuses_the_per_orbital_kernel(self, capsys):
+        rc = main(["--system", "toy", "--solve-dtype", "float32_ir"])
+        assert rc == 2
+        assert "--solve-dtype float32_ir requires --batched" in capsys.readouterr().err

@@ -35,7 +35,7 @@ FEATURE_MATRIX = {
     "recycle": {"use_recycling": True},
     "batched": {"batched_sternheimer": True},
     "ssa": {"use_ssa": True},
-    "float32_ir": {"solve_dtype": "float32_ir"},
+    "float32_ir": {"batched_sternheimer": True, "solve_dtype": "float32_ir"},
 }
 
 
@@ -55,6 +55,10 @@ class TestBitIdentical:
             assert a.energy_term == b.energy_term
             assert a.filter_iterations == b.filter_iterations
             assert a.subspace_mode == b.subspace_mode
+        if feature == "float32_ir":
+            # Not vacuous: the float32 iterations ran, on both backends.
+            assert out.stats.n_ir_refinements > 0
+            assert out.stats.n_ir_refinements == ref.stats.n_ir_refinements
 
     def test_matches_serial_driver(self, toy_dft, toy_coulomb):
         # Single-worker spmd shares the serial driver's block-size cap

@@ -12,6 +12,7 @@ refinement budget is exhausted.
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import repro.core.sternheimer as sternheimer_mod
 from repro.core.sternheimer import Chi0Operator
@@ -82,7 +83,42 @@ class TestPlantedIllConditionedSystem:
         assert true_relative_residuals(op, B, res.solution).max() <= TOL
 
 
+class TestSinglePrecisionDemotion:
+    """One demotion rule: the base casts itself, complex bases to complex64."""
+
+    @pytest.mark.parametrize("wrap", [np.asarray, scipy.sparse.csr_matrix,
+                                      scipy.sparse.csc_matrix],
+                             ids=["dense", "csr", "csc"])
+    def test_complex_symmetric_base_keeps_its_imaginary_part(self, wrap):
+        rng = np.random.default_rng(5)
+        A, K = rng.standard_normal((2, 40, 40))
+        S = (A + A.T) + 0.3j * (K + K.T)
+        shifts = rng.standard_normal(4) + 0.5j
+        x = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+        op = BatchedShiftedOperator(wrap(S), shifts)
+        ref = op.apply(x)
+        out = op.single_precision().apply(x.astype(np.complex64))
+        assert out.dtype == np.complex64
+        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-6
+
+    def test_bare_callable_base_gets_an_output_cast(self):
+        S, shifts, B = planted_ill_conditioned()
+        op = BatchedShiftedOperator(lambda v: S @ v, shifts, n=S.shape[0])
+        x = B.astype(np.complex64)
+        out = op.single_precision().apply(x)
+        assert out.dtype == np.complex64
+        ref = op.apply(B.astype(complex))
+        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-6
+
+
 class TestChi0MixedPrecision:
+    def test_float32_ir_without_the_batched_kernel_is_rejected(self, toy_dft,
+                                                               toy_coulomb):
+        with pytest.raises(ValueError, match="requires use_batched"):
+            Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
+                         toy_dft.occupied_energies, toy_coulomb,
+                         solve_dtype="float32_ir")
+
     def test_cheap_verifier_passes_on_the_ir_path(self, toy_dft, toy_coulomb):
         verifier = Verifier(level="cheap", strict=True)
         with use_verifier(verifier):
