@@ -22,7 +22,7 @@ Subpackages
 ``repro.parallel``
     Simulated-MPI runtime (virtual clocks, Hockney communication model,
     block-column distribution, ScaLAPACK-like kernels) reproducing the
-    paper's scaling studies, plus a real threaded backend.
+    paper's scaling studies, plus a real shared-memory SPMD backend.
 ``repro.analysis``
     Complexity fits and paper-style reporting helpers.
 """

@@ -131,20 +131,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default=None,
                         help="write the artifact-format .out log here (stdout otherwise)")
     parser.add_argument("--ranks", type=int, default=1,
-                        help="simulated MPI ranks (1 = serial driver)")
+                        help="MPI ranks: simulated, or worker processes under "
+                             "--backend spmd (1 = serial driver)")
     parser.add_argument("--backend",
-                        choices=("serial", "simulated", "process", "spmd"),
+                        choices=("serial", "simulated", "spmd"),
                         default=None,
                         help="execution backend: 'serial' (in-process driver), "
                              "'simulated' (virtual-clock MPI over --ranks), "
-                             "'process' (orbital fan-out over a worker pool), "
-                             "'spmd' (real column-distributed workers on "
-                             "shared memory). Default: 'simulated' when "
-                             "--ranks > 1, else 'serial'")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker-process count for --backend process/spmd "
-                             "(spmd workers are the MPI ranks; defaults "
-                             "to --ranks)")
+                             "'spmd' (--ranks real column-distributed worker "
+                             "processes on shared memory). Default: "
+                             "'simulated' when --ranks > 1, else 'serial'")
     parser.add_argument("--n-eig", type=int, default=None,
                         help="override the number of nu chi0 eigenpairs")
     parser.add_argument("--seed", type=int, default=1)
@@ -325,17 +321,12 @@ def _run(args, tracer, recorder) -> int:
 
     coulomb = CoulombOperator(grid, radius=dft.hamiltonian.radius)
     backend = args.backend or ("simulated" if args.ranks > 1 else "serial")
-    if args.workers is not None and backend not in ("process", "spmd"):
-        print("error: --workers requires --backend process or spmd",
-              file=sys.stderr)
-        return 2
     if backend == "serial" and args.ranks != 1:
         print("error: --backend serial runs on one rank; drop --ranks or pick "
               "--backend simulated/spmd", file=sys.stderr)
         return 2
     result = compute_rpa_energy_parallel(dft, config, n_ranks=args.ranks,
-                                         coulomb=coulomb, backend=backend,
-                                         n_workers=args.workers)
+                                         coulomb=coulomb, backend=backend)
     _print_resilience_summary(result.stats)
     if result.recycle is not None:
         r = result.recycle
@@ -358,8 +349,8 @@ def _run(args, tracer, recorder) -> int:
         print(f"simulated walltime on {result.n_ranks} ranks: "
               f"{result.simulated_walltime:.2f} s "
               f"(comm {result.comm_seconds * 1e3:.1f} ms)", file=sys.stderr)
-    elif backend != "serial":
-        print(f"{backend} backend on {result.n_ranks} worker process(es): "
+    elif backend == "spmd":
+        print(f"spmd backend on {result.n_ranks} worker process(es): "
               f"wall {result.elapsed_seconds:.2f} s "
               f"(comm {result.comm_seconds * 1e3:.1f} ms)", file=sys.stderr)
     _export_observability(

@@ -190,13 +190,11 @@ def chi0_operator_from_config(
     config: RPAConfig,
     coulomb: CoulombOperator,
     max_block_size: int | None = None,
-    operator_class: type[Chi0Operator] = Chi0Operator,
-    **extra,
 ) -> Chi0Operator:
     """The Sternheimer operator ``config`` asks for (solver policy,
     resilience, recycler). ``max_block_size`` overrides the config's cap —
     the distributed backends pass Section III-D's ``n_eig / p``."""
-    return operator_class(
+    return Chi0Operator(
         dft.hamiltonian,
         dft.occupied_orbitals,
         dft.occupied_energies,
@@ -216,7 +214,6 @@ def chi0_operator_from_config(
         solve_dtype=config.solve_dtype,
         recycler=(SolveRecycler(width=config.n_eig)
                   if config.use_recycling else None),
-        **extra,
     )
 
 

@@ -1,13 +1,14 @@
-"""The ``Scheduler`` seam: *where* Algorithm 6's distributed kernels run.
+"""The ``Scheduler`` seam: *where* Algorithm 6's chi0 application runs.
 
 The paper has one sweep (Algorithm 6); Section III-D only says where the
 ``n_eig`` columns of each ``nu^{1/2} chi0 nu^{1/2}`` application execute.
-A scheduler owns exactly that: the three distributed kernels (the chi0
-application, the subspace Gram products, the Eq. 7 residual norm), the
+A scheduler owns exactly that: the distributed chi0 application, the
 per-rank work assignment, and the time accounting for its execution
 domain. The sweep (``repro.core.rpa_energy``), Algorithm 5
 (``repro.core.subspace``) and the SSA point (``repro.core.ssa``) are
-written once against this interface and never branch on the backend.
+written once against this interface and never branch on the backend; the
+Rayleigh-Ritz Grams and the Eq. 7 norm (0.3 % of a sweep) run in the
+driver on the gathered block under every backend.
 
 This module holds the interface and the in-process single-rank
 implementation every serial call uses; the simulated-MPI and shared-memory
@@ -30,9 +31,6 @@ class Scheduler:
     Contract:
 
     * :meth:`apply` — one symmetrized chi0 application of the full block.
-    * :meth:`grams` — the raw Rayleigh-Ritz products ``V^H W`` / ``V^H V``
-      (the caller symmetrizes, eigensolves and rotates).
-    * :meth:`error_norm` — the Eq. 7 numerator.
     * :meth:`start_point` — called at the top of each quadrature point;
       processes any planted rank faults for that point.
     * ``charge_*`` hooks — the caller reports the measured Rayleigh-Ritz /
@@ -41,6 +39,7 @@ class Scheduler:
     * :meth:`report` — the parallel accounting folded into
       ``RPAEnergyResult`` (comm/imbalance, per-rank seconds, rank
       failures, simulated walltime).
+    * :meth:`close` — release worker processes and shared memory.
 
     ``timers`` is the one accumulator of the Fig. 5 kernel buckets
     (``chi0_apply``, ``matmult``, ``eigensolve``, ``eval_error``): the
@@ -66,30 +65,10 @@ class Scheduler:
         self.timers = tracer if tracer.enabled else KernelTimers()
         self._elapsed = 0.0
 
-    # -- the distributed kernels -----------------------------------------------
+    # -- the distributed kernel -------------------------------------------------
 
     def apply(self, V: np.ndarray, omega: float) -> np.ndarray:
         raise NotImplementedError
-
-    def grams(self, V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Raw sesquilinear products ``(V^H W, V^H V)`` (unsymmetrized).
-
-        Conjugation is required for complex blocks (``V.T @ V`` is complex
-        symmetric, not Hermitian); for real blocks ``conj()`` is the
-        identity and the float path is bit-for-bit the plain product.
-        """
-        vh = V.conj().T
-        return vh @ W, vh @ V
-
-    def error_norm(self, V: np.ndarray, W: np.ndarray,
-                   vals: np.ndarray) -> float:
-        """Eq. 7 numerator ``sum_c ||W_c - vals_c V_c||``.
-
-        In-process backends compute it on the caller's arrays; the SPMD
-        backend distributes the per-column norms and tree-reduces them.
-        """
-        R = W - V * vals
-        return float(np.linalg.norm(R, axis=0).sum())
 
     # -- per-point lifecycle ---------------------------------------------------
 
@@ -150,7 +129,7 @@ class SerialScheduler(Scheduler):
 
     Without an operator it still serves Algorithm 5 callers that bring
     their own ``apply_op`` (planted test operators, the Fig. 1 dielectric
-    diagnostics): Grams, Eq. 7 and the kernel buckets run here.
+    diagnostics): the kernel buckets are booked here.
     """
 
     backend = "serial"

@@ -337,9 +337,8 @@ class Chi0Operator:
         orbital (one ``Y_j`` live at a time; preconditioner-cache touches
         and recycler stores interleave with the solves); the batched kernel
         prepares every orbital first and solves them as one fused batch.
-        Backends relocate this call (a process worker runs it on an orbital
-        group, an SPMD worker on a column slice, fault hooks wrap it); none
-        re-implements a step.
+        Backends relocate this call (an SPMD worker runs it on a column
+        slice, fault hooks wrap it); none re-implements a step.
         """
         if self.use_batched:
             yield from self._batched_kernel(

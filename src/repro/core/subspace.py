@@ -110,12 +110,12 @@ def filtered_subspace_iteration(
         (see :func:`_filter_bounds`); ``None`` reproduces the historical
         from-scratch estimates bit-for-bit.
     scheduler:
-        Where the Gram products and the Eq. 7 norm run, and whose ``timers``
-        book the ``matmult`` / ``eigensolve`` / ``eval_error`` buckets
-        (:class:`repro.core.scheduler.Scheduler`). The RPA sweep passes its
-        backend here, with ``apply_op`` bound to that scheduler's ``apply``;
-        the default runs everything in process on private buckets (the
-        active tracer's, when tracing).
+        Whose ``timers`` book the ``matmult`` / ``eigensolve`` /
+        ``eval_error`` buckets of the Rayleigh-Ritz and Eq. 7 phases run
+        here (:class:`repro.core.scheduler.Scheduler`). The RPA sweep passes
+        its backend, with ``apply_op`` bound to that scheduler's ``apply``;
+        the default books on private buckets (the active tracer's, when
+        tracing).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -236,13 +236,17 @@ def _rayleigh_ritz(
     Returns ``(vals, V Q, W Q, Q)`` — ``Q`` is exposed so callers can feed
     rotation-covariant caches (the ``on_rotation`` hook).
 
-    The Gram matrices are the *sesquilinear* projections ``V^H W`` / ``V^H V``
-    from ``sched.grams``, symmetrized here. The measured phases are reported
-    to the scheduler, which books them in its own time domain.
+    The Gram matrices are the *sesquilinear* projections ``V^H W`` / ``V^H V``,
+    symmetrized here. Conjugation is required for complex blocks (``V.T @ V``
+    is complex symmetric, not Hermitian); for real blocks ``conj()`` is the
+    identity and the float path is bit-for-bit the plain product. The
+    measured phases are reported to the scheduler, which books them in its
+    own time domain.
     """
     n_d, m = V.shape
     t0 = time.perf_counter()
-    hs, ms = sched.grams(V, W)
+    vh = V.conj().T
+    hs, ms = vh @ W, vh @ V
     hs = 0.5 * (hs + hs.conj().T)
     ms = 0.5 * (ms + ms.conj().T)
     t1 = time.perf_counter()
@@ -283,7 +287,7 @@ def _eq7_error(V: np.ndarray, W: np.ndarray, vals: np.ndarray,
     modelled separately by the simulated backend's ``eval_error`` charge.
     """
     t0 = time.perf_counter()
-    num = sched.error_norm(V, W, vals)
+    num = float(np.linalg.norm(W - V * vals, axis=0).sum())
     den = len(vals) * np.sqrt(np.sum(vals**2))
     if den == 0.0:
         err = float(np.inf) if num > 0 else 0.0

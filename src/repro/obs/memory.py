@@ -49,12 +49,12 @@ def peak_rss_bytes(include_children: bool = True) -> int | None:
     """Kernel high-water-mark RSS for the process lifetime, in bytes.
 
     With ``include_children`` (the default) the reading also covers
-    reaped child processes via ``RUSAGE_CHILDREN`` — in the process-pool
-    and SPMD backends the workers, not the parent, do the bulk of the
-    allocation, and reporting only ``RUSAGE_SELF`` under-reported those
-    runs. ``ru_maxrss`` is a per-process high-water mark, so the combined
-    figure is the max over parent and largest child (summing would
-    over-report shared copy-on-write pages).
+    reaped child processes via ``RUSAGE_CHILDREN`` — in the SPMD backend
+    the workers, not the parent, do the bulk of the allocation, and
+    reporting only ``RUSAGE_SELF`` under-reported those runs. ``ru_maxrss``
+    is a per-process high-water mark, so the combined figure is the max
+    over parent and largest child (summing would over-report shared
+    copy-on-write pages).
     """
     if resource is None:
         return None

@@ -32,12 +32,12 @@ a shared no-op :data:`NULL_RECORDER`). Solvers report through
 Thread/process safety
 ---------------------
 Record mutation is guarded by a lock and the scope stack is thread-local,
-so the threaded backend's concurrent orbital solves record losslessly into
-one shared recorder. The process-pool backend cannot share the recorder
-(fork + copy-on-write); workers record into a private recorder and ship
-:meth:`ConvergenceRecorder.payload` back with each result, which the
-parent folds in with :meth:`ConvergenceRecorder.merge` — exactly once per
-orbital, because the orchestration layer keys results by orbital index.
+so concurrent solves on threads record losslessly into one shared
+recorder. The SPMD backend's worker processes cannot share the recorder
+(fork + copy-on-write); each task records into a private recorder and
+ships :meth:`ConvergenceRecorder.payload` back with its result, which the
+parent folds in with :meth:`ConvergenceRecorder.merge` — exactly once,
+because the scheduler keys results by task id.
 
 The aggregation API (``aggregates`` / ``payload`` / ``merge``) is
 deliberately request-shaped — one entry per ``(orbital, omega)`` work item
@@ -381,8 +381,8 @@ class ConvergenceRecorder:
     def merge(self, payload: dict) -> None:
         """Fold another recorder's :meth:`payload` into this one.
 
-        Used by the process-pool backend (per-orbital worker payloads) and
-        by any cross-rank reduction. Counters and aggregates merge exactly;
+        Used by the SPMD backend (per-task worker payloads) and by any
+        cross-rank reduction. Counters and aggregates merge exactly;
         per-solve records append subject to the ring capacity.
         """
         if not payload:

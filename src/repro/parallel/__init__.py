@@ -4,8 +4,7 @@ Reproduces the paper's parallelization structure (Section III-D) without an
 MPI installation: per-rank work is executed for real and timed on virtual
 clocks; communication and ScaLAPACK kernels are charged from calibrated
 cost models. Figures 4-6 regenerate from these simulated walltimes. The
-``process`` and ``spmd`` backends run the same sweep on real worker
-processes.
+``spmd`` backend runs the same sweep on real worker processes.
 """
 
 from repro.parallel.costmodel import (
@@ -24,12 +23,10 @@ from repro.parallel.distribution import (
 )
 from repro.core.scheduler import Scheduler, SerialScheduler
 from repro.parallel.executor import (
-    ProcessPoolScheduler,
     SimulatedScheduler,
     WorkerRecoveryError,
     make_scheduler,
 )
-from repro.parallel.process_executor import ProcessChi0Operator
 from repro.parallel.manager_worker import (
     Chi0WorkloadProfiler,
     RecoveryReplay,
@@ -62,10 +59,8 @@ __all__ = [
     "Scheduler",
     "SerialScheduler",
     "SimulatedScheduler",
-    "ProcessPoolScheduler",
     "make_scheduler",
     "PARALLEL_BACKENDS",
-    "ProcessChi0Operator",
     "WorkerRecoveryError",
     "WorkItem",
     "WorkerFailure",

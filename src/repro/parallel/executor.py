@@ -8,16 +8,14 @@ that need ``repro.parallel``:
   rank's column slice is actually executed and its measured wall time
   charged to that rank's virtual clock; ScaLAPACK phases and collectives
   are charged from the Fig. 5-calibrated cost models.
-* :class:`ProcessPoolScheduler` — orbital fan-out over a worker pool inside
-  one full-width apply.
 * ``repro.parallel.spmd.SpmdScheduler`` — real column-distributed workers
   on shared memory (built by :func:`make_scheduler`).
 
-A scheduler owns the distributed kernels of Algorithm 6 (the chi0
-application, the subspace Gram products, the Eq. 7 norm), the per-rank work
-assignment (including rank failure recovery), and the time accounting for
-its execution domain. Everything else — Rayleigh-Ritz rotations, SSA
-policy, recycler rotations — is the one sweep in ``repro.core``.
+A scheduler owns the distributed chi0 application of Algorithm 6, the
+per-rank work assignment (including rank failure recovery), and the time
+accounting for its execution domain. Everything else — Rayleigh-Ritz, the
+Eq. 7 norm, SSA policy, recycler rotations — is the one sweep in
+``repro.core``.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from repro.verify.invariants import (
 
 
 class WorkerRecoveryError(RuntimeError):
-    """Worker recovery gave up: restart budget spent, or no worker left."""
+    """Worker recovery gave up: no worker left to take the lost work."""
 
 
 @contextmanager
@@ -142,24 +140,6 @@ class _SliceAssignment:
             if tracer.enabled:
                 tracer.event("task_reassigned", rank=survivor, domain=domain,
                              columns=(sl.start, sl.stop), from_rank=r)
-
-
-class ProcessPoolScheduler(SerialScheduler):
-    """Process-pool execution: orbital fan-out inside one full-width apply.
-
-    Wraps a :class:`repro.parallel.process_executor.ProcessChi0Operator`;
-    its own pool-rebuild recovery applies. Work splits by *orbital*, not by
-    column slice, so there is no per-rank attribution: the aggregate apply
-    time lands on entry 0 of ``per_rank_chi0``.
-    """
-
-    backend = "process"
-
-    def __init__(self, chi0op) -> None:
-        super().__init__(chi0op, int(chi0op.n_workers))
-
-    def close(self) -> None:
-        self.op.close()
 
 
 class SimulatedScheduler(Scheduler, _SliceAssignment):
@@ -280,16 +260,14 @@ def make_scheduler(
     """Build the scheduler for ``backend``.
 
     ``width`` is the distributed column count (the driver's ``n_eig``);
-    ``serial`` and ``process`` ignore ``rank_faults`` (the driver validates
-    they were not requested); ``spmd`` turns them into real worker deaths.
+    ``serial`` ignores ``rank_faults`` (the driver validates they were not
+    requested); ``spmd`` turns them into real worker deaths.
     """
     if backend == "serial":
         return SerialScheduler(chi0op)
     if backend == "simulated":
         return SimulatedScheduler(chi0op, n_ranks, width, machine,
                                   rank_faults=rank_faults)
-    if backend == "process":
-        return ProcessPoolScheduler(chi0op)
     if backend == "spmd":
         from repro.parallel.spmd import SpmdScheduler
 
@@ -297,5 +275,5 @@ def make_scheduler(
                              rank_faults=rank_faults, fault_hook=fault_hook)
     raise ValueError(
         f"unknown backend {backend!r} "
-        f"(expected serial / simulated / process / spmd)"
+        f"(expected serial / simulated / spmd)"
     )

@@ -13,8 +13,6 @@ hands both to that sweep:
   Figures 4, 5 and 6 are regenerated from these simulated walltimes.
 * ``serial`` — single-rank execution in the driver process; identical to
   calling ``compute_rpa_energy`` directly.
-* ``process`` — orbital fan-out over a persistent process pool
-  (:class:`repro.parallel.process_executor.ProcessChi0Operator`).
 * ``spmd`` — real shared-memory SPMD workers operating on
   ``multiprocessing.shared_memory`` views of the operands
   (:class:`repro.parallel.spmd.SpmdScheduler`), producing measured —
@@ -41,7 +39,7 @@ from repro.parallel.distribution import BlockColumnDistribution
 from repro.parallel.executor import make_scheduler
 
 #: Backends accepted by :func:`compute_rpa_energy_parallel`.
-PARALLEL_BACKENDS = ("serial", "simulated", "process", "spmd")
+PARALLEL_BACKENDS = ("serial", "simulated", "spmd")
 
 
 def compute_rpa_energy_parallel(
@@ -69,8 +67,7 @@ def compute_rpa_energy_parallel(
     n_ranks:
         Processor count; must satisfy ``n_ranks <= n_eig`` for the
         column-distributing backends (``simulated``/``spmd``). ``serial``
-        requires 1; ``process`` runs the distribution on one rank and
-        fans out by orbital instead (see ``n_workers``).
+        requires 1.
     machine:
         Interconnect/kernel-efficiency profile for the simulated backend
         (default: the paper's PACE-Phoenix). Ignored by the real backends.
@@ -83,13 +80,13 @@ def compute_rpa_energy_parallel(
         surviving rank (manager-worker recovery) and the energies are
         *identical* to the fault-free run. At least one rank must survive.
     backend:
-        One of ``serial`` / ``simulated`` / ``process`` / ``spmd``.
+        One of ``serial`` / ``simulated`` / ``spmd``.
     n_workers:
-        Worker-process count for ``process``/``spmd`` (defaults to
-        ``n_ranks``; for ``spmd`` the workers *are* the ranks).
+        ``spmd`` only: another spelling of ``n_ranks`` (the worker
+        processes *are* the ranks). Giving both, different, is an error.
     fault_hook:
-        Test-only per-orbital callable run in ``process``/``spmd`` workers
-        before each solve (fault injection).
+        Test-only per-orbital callable run in ``spmd`` workers before each
+        solve (fault injection).
     initial_vectors, keep_vectors:
         As in :func:`repro.core.rpa_energy.compute_rpa_energy`.
     """
@@ -106,17 +103,19 @@ def compute_rpa_energy_parallel(
             f"rank_faults require a column-distributing backend "
             f"(simulated/spmd), not {backend!r}"
         )
-    if fault_hook is not None and backend not in ("process", "spmd"):
-        raise ValueError("fault_hook requires the process or spmd backend")
-    workers = None
-    if backend in ("process", "spmd"):
-        workers = int(n_workers) if n_workers is not None else int(n_ranks)
-        if workers < 1:
+    if fault_hook is not None and backend != "spmd":
+        raise ValueError("fault_hook requires the spmd backend")
+    if n_workers is not None:
+        if backend != "spmd":
+            raise ValueError(
+                f"n_workers requires the spmd backend, not {backend!r}")
+        if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-    if backend == "spmd":
-        n_ranks = workers  # SPMD workers are the ranks
-    elif backend == "process":
-        n_ranks = 1  # fan-out is by orbital; the column layout is trivial
+        if n_ranks not in (1, n_workers):
+            raise ValueError(
+                f"n_ranks={n_ranks} and n_workers={n_workers} disagree; "
+                f"spmd workers are the ranks, give one of them")
+        n_ranks = int(n_workers)
     if backend in ("simulated", "spmd") and n_ranks > config.n_eig:
         raise ValueError(
             f"the paper's distribution requires p <= n_eig (got p={n_ranks}, "
@@ -135,17 +134,8 @@ def compute_rpa_energy_parallel(
         coulomb = CoulombOperator(dft.grid, radius=dft.hamiltonian.radius)
     block_cap = min(config.max_block_size,
                     BlockColumnDistribution(config.n_eig, n_ranks).max_block_size())
-    if backend == "process":
-        from repro.parallel.process_executor import ProcessChi0Operator
-
-        chi0op = chi0_operator_from_config(
-            dft, config, coulomb, max_block_size=block_cap,
-            operator_class=ProcessChi0Operator,
-            n_workers=workers, fault_hook=fault_hook,
-        )
-    else:
-        chi0op = chi0_operator_from_config(dft, config, coulomb,
-                                           max_block_size=block_cap)
+    chi0op = chi0_operator_from_config(dft, config, coulomb,
+                                       max_block_size=block_cap)
     # The scheduler owns backend resources (worker processes, shared
     # memory); it is torn down on every exit path. The SPMD backend forks
     # its workers lazily at first use, i.e. inside the sweep, after the

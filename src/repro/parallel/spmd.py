@@ -3,10 +3,14 @@
 Persistent worker processes (``fork`` start method) execute the paper's
 block-column work decomposition on ``multiprocessing.shared_memory`` views
 of the big operands — the occupied orbitals ``Psi``, the Hamiltonian's
-local potential, the subspace block ``V`` / its image ``W``, the Gram
-reduction slots, and the solve-recycle cache. Task descriptors carry only
-metadata — ``(kind, task id, generation, column/row slice, omega, shm
-names)`` — never ndarrays, so per-task IPC is O(1) in the grid size.
+local potential, the subspace block ``V`` / its image ``W``, and the
+solve-recycle cache. Task descriptors carry only metadata — ``(kind, task
+id, generation, column slice, omega, shm names)`` — never ndarrays, so
+per-task IPC is O(1) in the grid size.
+
+Only the chi0 application is distributed: it is 99.7 % of a sweep, and the
+Rayleigh-Ritz Grams and the Eq. 7 norm (0.3 %) run in the driver on the
+gathered block, exactly as under every other scheduler.
 
 Determinism contract (what makes the verify matrix and the fault tests
 meaningful):
@@ -17,21 +21,6 @@ meaningful):
   run with planted worker deaths is bit-identical to an undisturbed run,
   and ``n_workers=1`` is bit-identical to the simulated backend at
   ``p=1`` and to the serial sweep.
-* The trace/Gram contractions tree-reduce over ``p0`` *fixed* per-slice
-  slots (``p0`` = worker count at construction) in a fixed pairwise
-  order. Each rank scatters its column block's contribution —
-  ``V^H W[:, lo:hi]`` for the Rayleigh-Ritz Gram, per-column residual
-  norms for the Eq. 7 trace — into a zeroed full-width slot, so every
-  tree addition combines disjoint supports (``x + 0.0``, exact in IEEE
-  arithmetic) and the reduced result is bitwise equal to the serial
-  driver's single-gemm assembly. The overlap ``V^H V`` is computed
-  unsplit by one rank: for real blocks ``V.conj()`` *is* ``V``, BLAS
-  takes a syrk-style aliased path whose bits a column-block gemm cannot
-  reproduce. Rank death changes which worker computes a slot, never the
-  slot geometry or summation order. (Caveat: a width-1 column slice
-  routes through gemv rather than gemm and may differ from the serial
-  bits in the last ulp — the block-column layout only produces width-1
-  slices when ``n_workers`` approaches ``n_eig``.)
 * Recycle-cache stores are task-transactional: a worker stages its stores
   and commits them to shared memory only when the task completes, so a
   mid-task death leaves no partial cache state and the re-executed task
@@ -187,8 +176,7 @@ class SharedSolveRecycler(SolveRecycler):
 def _install_fault_hook(op: Chi0Operator, hook) -> None:
     """Route every orbital solve through ``hook(j)`` (worker-side).
 
-    Mirrors the process-pool backend's per-orbital fault hook so the same
-    ``DieOnceFile`` injectors drive real SPMD worker deaths — including
+    Lets the ``DieOnceFile`` injectors drive real worker deaths — including
     mid-task, after earlier orbitals in the slice already solved: the
     protocol is entered once per kernel call (per orbital on the block
     kernel, per fused batch on the batched one), the hook firing for the
@@ -222,20 +210,7 @@ def _spmd_worker_main(sched: "SpmdScheduler", rank: int) -> None:
         tid, gen = msg[1], msg[2]
         try:
             t0 = time.perf_counter()
-            if kind == "apply":
-                payload = sched._worker_apply(msg)
-            elif kind == "gram":
-                payload = sched._worker_gram(msg)
-            elif kind == "gramvv":
-                payload = sched._worker_gramvv(msg)
-            elif kind == "enorm":
-                payload = sched._worker_enorm(msg)
-            elif kind == "reduce":
-                payload = sched._worker_reduce(msg)
-            elif kind == "nreduce":
-                payload = sched._worker_nreduce(msg)
-            else:
-                raise ValueError(f"unknown spmd task kind {kind!r}")
+            payload = sched._worker_apply(msg)
             payload["busy"] = time.perf_counter() - t0
             result_q.put((tid, gen, rank, "ok", payload))
         except BaseException:
@@ -243,7 +218,7 @@ def _spmd_worker_main(sched: "SpmdScheduler", rank: int) -> None:
 
 
 class SpmdScheduler(Scheduler, _SliceAssignment):
-    """Shared-memory SPMD execution of the distributed RPA kernels.
+    """Shared-memory SPMD execution of the distributed chi0 application.
 
     Parameters
     ----------
@@ -254,8 +229,7 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
         :class:`SharedSolveRecycler` over shm-backed storage, *before*
         workers fork so every process views the same pages.
     n_ranks:
-        Persistent worker count; also the (fixed) Gram reduction slot
-        count ``p0``.
+        Persistent worker count.
     width:
         Distributed column count (the driver's ``n_eig``).
     rank_faults:
@@ -281,23 +255,11 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
         n_d = chi0op.n_points
         n_s = chi0op.n_occupied
 
-        # Fixed reduction geometry: one slot per construction-time column
-        # slice, combined in a fixed pairwise tree order. Immutable after
-        # construction so the slot layout and floating-point summation
-        # order never depend on which workers are still alive.
-        self.p0 = int(n_ranks)
-        dist = BlockColumnDistribution(self.width, n_ranks)
-        self._slices0 = [dist.owned_slice(r) for r in range(n_ranks)]
-
         self._segments: list[shared_memory.SharedMemory] = []
         self._names: dict[str, str] = {}
         self._closed = False
         self._v = self._alloc("V", (n_d, self.width), np.float64)
         self._w = self._alloc("W", (n_d, self.width), np.float64)
-        self._gram = self._alloc("gram", (self.p0, self.width, self.width),
-                                 np.float64)
-        self._ms = self._alloc("ms", (self.width, self.width), np.float64)
-        self._nrm = self._alloc("nrm", (self.p0, self.width), np.float64)
         # Zero-copy statics: rebind the operator's big read-only arrays onto
         # shm views so forked workers share one physical copy (no
         # copy-on-write duplication from refcount traffic). Psi keeps its
@@ -405,7 +367,7 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
             self.recycler._sol = np.array(self.recycler._sol)
             self.recycler._omegas = np.array(self.recycler._omegas)
             self.recycler._valid = np.array(self.recycler._valid)
-        self._v = self._w = self._gram = self._ms = self._nrm = None
+        self._v = self._w = None
         for seg in self._segments:
             try:
                 seg.close()
@@ -428,14 +390,13 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
 
     def _retarget(self, msg: tuple) -> tuple[int, tuple]:
         """Pick the new executor for an in-flight task of a dead rank."""
-        if msg[0] == "apply":
-            start = msg[4]
-            for r, slices in self.assignment.items():
-                if any(sl.start == start for sl in slices) and r in self._live:
-                    return r, msg[:3] + (r,) + msg[4:]
+        start = msg[4]
+        r = next((r for r, slices in self.assignment.items()
+                  if r in self._live
+                  and any(sl.start == start for sl in slices)), None)
+        if r is None:
             r = self._least_loaded_live()
-            return r, msg[:3] + (r,) + msg[4:]
-        return self._least_loaded_live(), msg
+        return r, msg[:3] + (r,) + msg[4:]
 
     def _check_liveness(self, tasks: dict, pending: dict) -> None:
         dead = [r for r in sorted(self._live) if not self._procs[r].is_alive()]
@@ -444,13 +405,16 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
         for r in dead:
             self._live.discard(r)
             self._procs[r].join(timeout=1.0)
-            if r in self.assignment:
-                # Permanent slice reassignment for all future rounds.
-                self.fail_rank(r, self._point, domain="real")
         if not self._live:
+            # Checked before any reassignment: with nobody left there is no
+            # survivor for fail_rank to hand the slices to.
             raise WorkerRecoveryError(
                 "all spmd workers died; cannot recover"
             )
+        for r in dead:
+            if r in self.assignment:
+                # Permanent slice reassignment for all future rounds.
+                self.fail_rank(r, self._point, domain="real")
         for tid in sorted(pending):
             if pending[tid] in self._live:
                 continue
@@ -497,7 +461,7 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
             results[tid] = (rank, payload)
         return results
 
-    # -- the two distributed kernels -------------------------------------------
+    # -- the distributed kernel -------------------------------------------------
 
     def apply(self, V: np.ndarray, omega: float) -> np.ndarray:
         w = V.shape[1]
@@ -531,116 +495,7 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
         self._charge("chi0_apply", dmax)
         return self._w[:, :w].copy()
 
-    def _slot_owner(self, slot: int) -> int:
-        """Current owner of slot ``slot``'s construction-time column slice."""
-        start = self._slices0[slot].start
-        for r in sorted(self.assignment):
-            if r in self._live or not self._started:
-                if any(sl.start == start for sl in self.assignment[r]):
-                    return r
-        return self._least_loaded_live() if self._started else 0
-
-    def _reduce_rounds(self, kind: str, w: int, sig) -> float:
-        """Fixed pairwise tree-reduce over the ``p0`` slots of one array.
-
-        Each round folds slot ``i + offset`` into slot ``i``; rounds are
-        synchronous barriers, so the summation order is identical no
-        matter which worker runs which fold — and identical to the clean
-        run after rank deaths. Because every column's contribution lives
-        in exactly one slot (the rest hold exact zeros), each fold adds
-        ``x + 0.0`` and the reduced slot 0 is bitwise the serial value.
-        """
-        busy = 0.0
-        offset = 1
-        while offset < self.p0:
-            self._gen += 1
-            live = sorted(self._live)
-            tasks: dict[int, tuple[int, tuple]] = {}
-            for i in range(0, self.p0, 2 * offset):
-                src = i + offset
-                if src >= self.p0:
-                    continue
-                tid = self._tid()
-                tasks[tid] = (live[(i // (2 * offset)) % len(live)],
-                              (kind, tid, self._gen, i, src, w, sig))
-            busy += self._round_busy(self._run_round(tasks))
-            offset *= 2
-        return busy
-
-    def grams(self, V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = V.shape[1]
-        self._gen += 1
-        t_round = time.perf_counter()
-        self._v[:, :w] = V
-        self._w[:, :w] = W
-        self._gram[:, :w, :w] = 0.0
-        self._ms[:w, :w] = 0.0
-        sig = self._shm_signature
-        tasks: dict[int, tuple[int, tuple]] = {}
-        for slot, sl in enumerate(self._slices0):
-            lo, hi = sl.start, min(sl.stop, w)
-            if hi <= lo:
-                continue
-            tid = self._tid()
-            tasks[tid] = (self._slot_owner(slot),
-                          ("gram", tid, self._gen, slot, lo, hi, w, sig))
-        # The overlap V^H V rides along unsplit (see module docstring: the
-        # serial bits come from BLAS's aliased syrk path, which column
-        # blocks cannot reproduce); any rank may compute it.
-        tid = self._tid()
-        tasks[tid] = (self._slot_owner(self.p0 - 1),
-                      ("gramvv", tid, self._gen, w, sig))
-        busy = self._round_busy(self._run_round(tasks))
-        busy += self._reduce_rounds("reduce", w, sig)
-        round_wall = time.perf_counter() - t_round
-        self._comm += max(round_wall - busy, 0.0)
-        hs = self._gram[0, :w, :w].copy()
-        ms = self._ms[:w, :w].copy()
-        return hs, ms
-
-    def error_norm(self, V: np.ndarray, W: np.ndarray,
-                   vals: np.ndarray) -> float:
-        """Eq. 7 trace numerator, column-distributed and tree-reduced.
-
-        Each rank writes its columns' residual norms into a zeroed
-        full-width slot vector; the fixed pairwise tree-reduce assembles
-        the per-column norms (bitwise: disjoint supports), and the final
-        sum over columns happens parent-side with the serial driver's
-        exact reduction.
-        """
-        w = V.shape[1]
-        self._gen += 1
-        t_round = time.perf_counter()
-        self._v[:, :w] = V
-        self._w[:, :w] = W
-        self._nrm[:, :w] = 0.0
-        sig = self._shm_signature
-        vals_t = tuple(float(x) for x in np.asarray(vals))
-        tasks: dict[int, tuple[int, tuple]] = {}
-        for slot, sl in enumerate(self._slices0):
-            lo, hi = sl.start, min(sl.stop, w)
-            if hi <= lo:
-                continue
-            tid = self._tid()
-            tasks[tid] = (self._slot_owner(slot),
-                          ("enorm", tid, self._gen, slot, lo, hi, w,
-                           vals_t, sig))
-        busy = self._round_busy(self._run_round(tasks))
-        busy += self._reduce_rounds("nreduce", w, sig)
-        round_wall = time.perf_counter() - t_round
-        self._charge("eval_error", busy)
-        self._comm += max(round_wall - busy, 0.0)
-        return float(self._nrm[0, :w].sum())
-
-    def charge_error_eval(self, seconds: float) -> None:
-        """Nothing to add: :meth:`error_norm` booked the workers' busy time
-        (``seconds``, measured around it in the parent, includes IPC)."""
-
-    @staticmethod
-    def _round_busy(results: dict) -> float:
-        return max((p["busy"] for _r, p in results.values()), default=0.0)
-
-    # -- worker-side task bodies (run in the forked children) --------------------
+    # -- worker-side task body (runs in the forked children) ---------------------
 
     def _check_signature(self, sig: tuple) -> None:
         if tuple(sig) != self._shm_signature:
@@ -677,47 +532,6 @@ class SpmdScheduler(Scheduler, _SliceAssignment):
                 W = op.apply_symmetrized(V, omega)
                 self._w[:, start:stop] = W
         return payload
-
-    def _worker_gram(self, msg: tuple) -> dict:
-        _kind, _tid, _gen, slot, lo, hi, w, sig = msg
-        self._check_signature(sig)
-        # Contiguous full-height V, like the serial driver's operand; the
-        # column block of V^H W is then bitwise the corresponding columns
-        # of the serial single gemm.
-        vh = np.ascontiguousarray(self._v[:, :w]).conj().T
-        self._gram[slot, :w, lo:hi] = vh @ np.ascontiguousarray(
-            self._w[:, lo:hi])
-        return {}
-
-    def _worker_gramvv(self, msg: tuple) -> dict:
-        _kind, _tid, _gen, w, sig = msg
-        self._check_signature(sig)
-        # Aliased on purpose: for real blocks V.conj() is V itself, and
-        # the serial driver's V^H V bits come from the resulting
-        # syrk-style BLAS path. Keep the identical aliasing here.
-        Vc = np.ascontiguousarray(self._v[:, :w])
-        self._ms[:w, :w] = Vc.conj().T @ Vc
-        return {}
-
-    def _worker_enorm(self, msg: tuple) -> dict:
-        _kind, _tid, _gen, slot, lo, hi, w, vals, sig = msg
-        self._check_signature(sig)
-        vals_b = np.asarray(vals)[lo:hi]
-        Rb = self._w[:, lo:hi] - self._v[:, lo:hi] * vals_b
-        self._nrm[slot, lo:hi] = np.linalg.norm(Rb, axis=0)
-        return {}
-
-    def _worker_reduce(self, msg: tuple) -> dict:
-        _kind, _tid, _gen, dst, src, w, sig = msg
-        self._check_signature(sig)
-        self._gram[dst, :w, :w] += self._gram[src, :w, :w]
-        return {}
-
-    def _worker_nreduce(self, msg: tuple) -> dict:
-        _kind, _tid, _gen, dst, src, w, sig = msg
-        self._check_signature(sig)
-        self._nrm[dst, :w] += self._nrm[src, :w]
-        return {}
 
     # -- parent-side result folding ---------------------------------------------
 

@@ -5,7 +5,7 @@ escalation policy (block COCG -> breakdown-free block COCG -> shift
 regularized GMRES) with per-solve matvec budgets, and provides the fault
 injection hooks the recovery tests drive. The worker-recovery pieces live
 next to the runtimes they extend (``repro.parallel.manager_worker``,
-``repro.parallel.process_executor``); this package deliberately does not
+``repro.parallel.spmd``); this package deliberately does not
 import them, so ``core`` can depend on the policy without a cycle.
 """
 

@@ -1,17 +1,17 @@
 """Fault injection for the resilience test harness.
 
-Deterministic, opt-in sabotage of individual solver stages and pool
-workers, so breakdown/recovery paths can be exercised end-to-end without
+Deterministic, opt-in sabotage of individual solver stages and worker
+processes, so breakdown/recovery paths can be exercised end-to-end without
 waiting for a genuinely pathological system:
 
 * :func:`breakdown_injector` wraps a solver stage and makes selected calls
   fail exactly the way a singular Sternheimer shift does — the solver
   returns its initial iterate with ``converged=False, breakdown=True`` —
   while all other calls pass through untouched.
-* :class:`DieOnceFile` arranges for exactly one process-pool worker to die
-  (``os._exit``) the first time it sees a chosen orbital; subsequent
-  attempts (after the pool is rebuilt) proceed normally. The token file
-  makes the fault fire at most once across the forked workers.
+* :class:`DieOnceFile` arranges for exactly one SPMD worker process to die
+  (``os._exit``) the first time it sees a chosen orbital; the resubmitted
+  task (on a surviving worker) proceeds normally. The token file makes
+  the fault fire at most once across the forked workers.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class DieOnceFile:
 
     Picklable under the ``fork`` start method (plain data + module-level
     behaviour); pass as ``fault_hook`` to
-    :class:`repro.parallel.process_executor.ProcessChi0Operator`.
+    :class:`repro.parallel.spmd.SpmdScheduler`.
     """
 
     token_path: str

@@ -99,9 +99,7 @@ class SolveRecycler:
     The recycler is attached to a :class:`repro.core.sternheimer.Chi0Operator`
     (``chi0.recycler = SolveRecycler(width=n_eig)``); the one sweep wires
     :meth:`rotate` into the subspace iteration's ``on_rotation`` hook. One
-    process owns it: the process backend looks guesses up and stores
-    solutions parent-side, the SPMD backend swaps in its shared-memory
-    subclass.
+    process owns it; the SPMD backend swaps in its shared-memory subclass.
     """
 
     def __init__(self, width: int, max_orbitals: int | None = None) -> None:

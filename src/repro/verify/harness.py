@@ -2,17 +2,16 @@
 
 Runs the full Krylov RPA pipeline on a tiny dense-verifiable system across
 the configuration matrix — every backend (serial, simulated-MPI,
-process-pool, shared-memory SPMD) crossed with recycling, preconditioning
-and resilience — and
-cross-checks each configuration's energy against the dense Adler-Wiser
-oracle (``compute_rpa_energy_direct`` truncated to the same ``n_eig``) to
-a pinned tolerance. Every run executes under an installed
+shared-memory SPMD) crossed with recycling, preconditioning and
+resilience — and cross-checks each configuration's energy against the
+dense Adler-Wiser oracle (``compute_rpa_energy_direct`` truncated to the
+same ``n_eig``) to a pinned tolerance. Every run executes under an installed
 :class:`repro.verify.Verifier`, so the runtime invariant layer is
 exercised on every code path at the same time.
 
 The harness also validates the *checker*: it injects one deliberate fault
 per invariant class — an asymmetric Sternheimer operator, a solver that
-lies about convergence (run in-process and on the process backend), a
+lies about convergence (run in-process and inside an SPMD worker), a
 recycler whose rotation is corrupted (run on the block and the batched
 kernel), a batched operator that drops an orbital's shift, and an SSA
 Rayleigh-Ritz that reuses a stale basis without re-orthonormalization
@@ -30,13 +29,13 @@ from __future__ import annotations
 
 import platform
 import time
-from functools import partial
 
 import numpy as np
 
 from repro.config import ResilienceConfig, RPAConfig
 from repro.core.direct_rpa import compute_rpa_energy_direct
 from repro.core.rpa_energy import compute_rpa_energy
+from repro.core.scheduler import SerialScheduler
 from repro.core.sternheimer import Chi0Operator
 from repro.dft import GaussianPseudopotential, run_scf
 from repro.dft.atoms import Crystal
@@ -72,7 +71,7 @@ HARNESS_SEED = 7
 #: run with the fused multi-orbital kernel at float64 and float32+IR) and
 #: the SSA axis (each backend with the frequency-shared eigenbasis on).
 #: ``--quick`` keeps one covering subset per backend.
-BACKENDS = ("serial", "mpi", "process", "spmd")
+BACKENDS = ("serial", "mpi", "spmd")
 SOLVE_DTYPES = ("float64", "float32_ir")
 
 
@@ -132,9 +131,6 @@ def configuration_matrix(quick: bool = False):
             ("mpi", False, False, False, False, "float64", False),
             ("mpi", True, False, True, False, "float64", False),
             ("mpi", True, False, False, True, "float64", True),
-            ("process", False, False, False, False, "float64", False),
-            ("process", True, True, False, False, "float64", False),
-            ("process", True, False, False, True, "float32_ir", True),
             ("spmd", False, False, False, False, "float64", False),
             ("spmd", True, False, True, False, "float64", False),
             ("spmd", True, False, False, True, "float64", True),
@@ -179,12 +175,12 @@ def _run_backend(dft, coulomb, backend: str, config: RPAConfig):
     if backend == "mpi":
         return compute_rpa_energy_parallel(dft, config, n_ranks=2,
                                            coulomb=coulomb)
-    if backend in ("spmd", "process"):
-        # "spmd": the same column distribution as the "mpi" cell, executed
-        # by real worker processes over shared memory; the two cells must
-        # agree bitwise, and both sit under the oracle pin.
-        return compute_rpa_energy_parallel(dft, config, coulomb=coulomb,
-                                           backend=backend, n_workers=2)
+    if backend == "spmd":
+        # The same column distribution as the "mpi" cell, executed by real
+        # worker processes over shared memory; the two cells must agree
+        # bitwise, and both sit under the oracle pin.
+        return compute_rpa_energy_parallel(dft, config, n_ranks=2,
+                                           coulomb=coulomb, backend="spmd")
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -292,29 +288,28 @@ def _inject_asymmetric_operator(dft, coulomb, level: str) -> dict:
 
 def _inject_fake_converged_solve(dft, coulomb, level: str) -> dict:
     """The true-residual check runs where the solve runs: in-process, and
-    in a pool worker whose verifier outcome must come home."""
-    from repro.parallel import ProcessChi0Operator
+    in an SPMD worker whose verifier outcome must come home."""
+    from repro.parallel.spmd import SpmdScheduler
 
+    schedulers = {
+        "serial": SerialScheduler,
+        "spmd": lambda op: SpmdScheduler(op, n_ranks=2, width=4),
+    }
     per_backend = {}
-    for backend, make_op in (
-            ("serial", Chi0Operator),
-            ("process", partial(ProcessChi0Operator, n_workers=2))):
+    for backend, make_scheduler in schedulers.items():
         verifier = Verifier(level=level)
         tracer = Tracer()
         with use_tracer(tracer), use_verifier(verifier):
-            op = make_op(
+            op = Chi0Operator(
                 dft.hamiltonian, dft.occupied_orbitals, dft.occupied_energies,
                 coulomb, tol=1e-8, solver=_lying_solver,
                 dynamic_block_size=False, fixed_block_size=4,
                 use_galerkin_guess=False,
             )
-            rng = np.random.default_rng(HARNESS_SEED)
-            try:
-                op.apply_chi0(rng.standard_normal((dft.grid.n_points, 4)),
-                              omega=1.0)
-            finally:
-                if backend == "process":
-                    op.close()
+            V = np.random.default_rng(HARNESS_SEED).standard_normal(
+                (dft.grid.n_points, 4))
+            with make_scheduler(op) as sched:
+                sched.apply(V, 1.0)
         per_backend[backend] = _fault_record(
             "fake_converged_solve", "solve_residual", verifier, tracer)
     return _caught_everywhere(per_backend)
@@ -386,7 +381,7 @@ def _stale_ssa_rayleigh_ritz(v, w, sched):
     """
     scale = np.linspace(1.0, 1.8, v.shape[1])
     vs, ws = v * scale, w * scale
-    hs, _ms = sched.grams(vs, ws)  # the planted bug: M_s != I is ignored
+    hs = vs.conj().T @ ws  # the planted bug: M_s != I is ignored
     vals, q = np.linalg.eigh(0.5 * (hs + hs.conj().T))
     return vals, vs @ q, ws @ q, q
 

@@ -1,6 +1,5 @@
 """Tests for the command-line driver."""
 
-import functools
 import sys
 
 import pytest
@@ -73,22 +72,37 @@ class TestMain:
         assert "simulated walltime on 3 ranks" in captured.err
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="process backend requires the fork start method")
+                        reason="spmd backend requires the fork start method")
     def test_process_backend_verify_exit_status_sees_worker_checks(
             self, capsys, monkeypatch):
-        # A solver that lies about convergence inside the pool workers must
-        # fail the run: their verifier outcome comes home with the results.
+        # A solver that lies about convergence inside the worker processes
+        # (SPMD's, since the orbital pool is gone) must fail the run: their
+        # verifier outcome comes home with the results.
         import repro.parallel.rpa_parallel as rpa_parallel
         from repro.verify.harness import _lying_solver
 
-        monkeypatch.setattr(
-            rpa_parallel, "chi0_operator_from_config",
-            functools.partial(rpa_parallel.chi0_operator_from_config,
-                              solver=_lying_solver))
-        rc = main(["--system", "toy", "--n-eig", "8", "--backend", "process",
-                   "--workers", "2", "--verify", "cheap"])
+        build = rpa_parallel.chi0_operator_from_config
+
+        def lying_operator(*args, **kwargs):
+            op = build(*args, **kwargs)
+            op.solver = _lying_solver
+            return op
+
+        monkeypatch.setattr(rpa_parallel, "chi0_operator_from_config",
+                            lying_operator)
+        rc = main(["--system", "toy", "--n-eig", "8", "--backend", "spmd",
+                   "--ranks", "2", "--verify", "cheap"])
         assert rc != 0
-        assert "verify FAILURE [solve_residual]" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "verify FAILURE [solve_residual]" in captured.err
+        assert "spmd backend on 2 worker process(es)" in captured.err
+
+    def test_workers_flag_is_gone(self, capsys):
+        # One real backend left: its workers are --ranks.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--system", "toy", "--backend", "spmd", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_serial_backend_refuses_ranks(self, capsys):
         rc = main(["--system", "toy", "--backend", "serial", "--ranks", "2"])

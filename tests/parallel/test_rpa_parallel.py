@@ -68,6 +68,20 @@ class TestParallelCorrectness:
             compute_rpa_energy_parallel(toy_dft, base_config, n_ranks=0,
                                         coulomb=toy_coulomb)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(backend="spmd", n_ranks=3, n_workers=2), "disagree"),
+        (dict(backend="simulated", n_ranks=2, n_workers=2),
+         "n_workers requires the spmd backend"),
+        (dict(backend="serial", n_workers=1),
+         "n_workers requires the spmd backend"),
+    ])
+    def test_contradictory_rank_counts_are_rejected(self, toy_dft, toy_coulomb,
+                                                    base_config, kwargs, match):
+        # Used to run 2 ranks silently and validate rank_faults against 2.
+        with pytest.raises(ValueError, match=match):
+            compute_rpa_energy_parallel(toy_dft, base_config,
+                                        coulomb=toy_coulomb, **kwargs)
+
 
 class TestSimulatedScaling:
     def test_walltime_decreases_with_ranks(self, toy_dft, toy_coulomb, base_config):

@@ -71,9 +71,9 @@ class TestBitIdentical:
 
 
 class TestWorkerDeath:
-    """Satellite: exactly-once accounting across real rank death (the
-    simulated/process backends already have this coverage; the SPMD
-    backend is the fourth)."""
+    """Exactly-once accounting across real rank death, end to end through
+    the sweep (apply-level coverage: ``test_worker_recovery.py`` and
+    ``test_telemetry_merge.py``)."""
 
     def test_rank_death_bitwise_and_exactly_once(self, toy_dft, toy_coulomb):
         config = _cfg(use_recycling=True, telemetry_level="summary")

@@ -1,9 +1,12 @@
 """Telemetry/trace merge across execution backends (exactly-once contract).
 
-The process-pool backend ships per-task payloads home and folds them in
-keyed by orbital; the simulated-MPI scheduler tags records with ranks. In
-every case the parent-side counters must equal a serial run's — no events
-lost, none double-counted — including across worker death and resubmission.
+The SPMD backend's worker processes ship per-task payloads home and the
+parent folds them in keyed by task id ("process backend" in
+``TestProcessBackend`` now means those workers); the simulated-MPI
+scheduler tags records with ranks. In every case the parent-side counters
+must equal those of the same column slices run in process — no events
+lost, none double-counted — including across worker death and
+resubmission.
 """
 
 import sys
@@ -13,91 +16,95 @@ import pytest
 
 from repro.core import Chi0Operator
 from repro.obs import ConvergenceRecorder, Tracer, use_recorder, use_tracer
-from repro.parallel import ProcessChi0Operator
+from repro.parallel import PACE_PHOENIX, SimulatedScheduler
+from repro.parallel.spmd import SpmdScheduler
 from repro.resilience import DieOnceFile
 
 needs_fork = pytest.mark.skipif(
     not sys.platform.startswith("linux"),
-    reason="process backend requires the fork start method",
+    reason="spmd backend requires the fork start method",
 )
 
-OP_KWARGS = dict(tol=1e-8, max_iterations=2000, dynamic_block_size=False)
+N_COLS = 4
 
 
-def _apply_with_obs(op, V, omega=0.5, level="summary"):
-    """Run one chi0 application under a fresh recorder+tracer; return both."""
+def _operator(dft, coulomb):
+    return Chi0Operator(dft.hamiltonian, dft.occupied_orbitals,
+                        dft.occupied_energies, coulomb, tol=1e-8,
+                        max_iterations=2000, dynamic_block_size=False)
+
+
+def _apply_with_obs(sched, V, omega=0.5, level="summary"):
+    """Run one distributed apply under a fresh recorder+tracer; return both."""
     recorder = ConvergenceRecorder(level=level)
     tracer = Tracer()
     with use_recorder(recorder), use_tracer(tracer):
-        op.apply_chi0(V, omega)
+        sched.apply(V, omega)
     return recorder, tracer
 
 
-def _operand(dft, n_cols=3, seed=5):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((dft.grid.n_points, n_cols))
+def _solve_spans(tracer):
+    return [e for e in tracer.events if e["name"] == "sternheimer_solve"]
 
 
 @pytest.fixture(scope="module")
-def serial_reference(toy_dft, toy_coulomb):
-    op = Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                      toy_dft.occupied_energies, toy_coulomb, **OP_KWARGS)
-    V = _operand(toy_dft)
-    recorder, tracer = _apply_with_obs(op, V)
+def in_process_reference(toy_dft, toy_coulomb):
+    """The same two column slices, solved in this process."""
+    V = np.random.default_rng(5).standard_normal(
+        (toy_dft.grid.n_points, N_COLS))
+    sched = SimulatedScheduler(_operator(toy_dft, toy_coulomb), 2, N_COLS,
+                               PACE_PHOENIX)
+    recorder, tracer = _apply_with_obs(sched, V)
     return V, recorder, tracer
 
 
 @needs_fork
 class TestProcessBackend:
-    def _proc_op(self, toy_dft, toy_coulomb, **kwargs):
-        return ProcessChi0Operator(toy_dft.hamiltonian,
-                                   toy_dft.occupied_orbitals,
-                                   toy_dft.occupied_energies, toy_coulomb,
-                                   n_workers=2, **OP_KWARGS, **kwargs)
+    def _spmd(self, toy_dft, toy_coulomb, **kwargs):
+        return SpmdScheduler(_operator(toy_dft, toy_coulomb), n_ranks=2,
+                             width=N_COLS, **kwargs)
 
     def test_child_payloads_merge_exactly_once(self, toy_dft, toy_coulomb,
-                                               serial_reference):
-        V, serial_rec, serial_tr = serial_reference
-        with self._proc_op(toy_dft, toy_coulomb) as op:
-            recorder, tracer = _apply_with_obs(op, V)
-        assert recorder.counters == serial_rec.counters
-        assert recorder.aggregates == serial_rec.aggregates
-        assert recorder.n_recorded == serial_rec.n_recorded
+                                               in_process_reference):
+        V, ref_rec, ref_tr = in_process_reference
+        with self._spmd(toy_dft, toy_coulomb) as spmd:
+            recorder, tracer = _apply_with_obs(spmd, V)
+        assert recorder.counters == ref_rec.counters
+        assert recorder.aggregates == ref_rec.aggregates
+        assert recorder.n_recorded == ref_rec.n_recorded
         # Child tracer spans arrive exactly once: one sternheimer_solve per
-        # orbital, same as the serial timeline.
-        solves = [e for e in tracer.events if e["name"] == "sternheimer_solve"]
-        serial_solves = [e for e in serial_tr.events
-                         if e["name"] == "sternheimer_solve"]
-        assert len(solves) == len(serial_solves) == toy_dft.n_occupied
+        # (column slice, orbital), same as the in-process timeline.
+        assert (len(_solve_spans(tracer)) == len(_solve_spans(ref_tr))
+                == 2 * toy_dft.n_occupied)
 
     def test_full_level_ships_histories(self, toy_dft, toy_coulomb,
-                                        serial_reference):
-        V, _, _ = serial_reference
-        with self._proc_op(toy_dft, toy_coulomb) as op:
-            recorder, _ = _apply_with_obs(op, V, level="full")
+                                        in_process_reference):
+        V, _, _ = in_process_reference
+        with self._spmd(toy_dft, toy_coulomb) as spmd:
+            recorder, _ = _apply_with_obs(spmd, V, level="full")
         assert recorder.n_recorded > 0
+        assert {rec["rank"] for rec in recorder.solves} == {0, 1}
         for rec in recorder.solves:
             assert rec["residual_history"][0] > 0
 
     def test_worker_death_merges_exactly_once(self, toy_dft, toy_coulomb,
-                                              serial_reference, tmp_path):
-        V, serial_rec, _ = serial_reference
+                                              in_process_reference, tmp_path):
+        V, ref_rec, ref_tr = in_process_reference
         fault = DieOnceFile(str(tmp_path / "die.token"), orbital=1).arm()
-        with self._proc_op(toy_dft, toy_coulomb, fault_hook=fault) as op:
-            recorder, tracer = _apply_with_obs(op, V)
-            assert op.n_pool_restarts == 1
+        with self._spmd(toy_dft, toy_coulomb, fault_hook=fault) as spmd:
+            recorder, tracer = _apply_with_obs(spmd, V)
+            assert spmd.n_rank_failures == 1
         # The dead worker's partial payload died with it; the resubmitted
-        # orbital records once. Totals equal the undisturbed serial run.
-        assert recorder.counters == serial_rec.counters
-        assert recorder.aggregates == serial_rec.aggregates
-        solves = [e for e in tracer.events if e["name"] == "sternheimer_solve"]
-        assert len(solves) == toy_dft.n_occupied
+        # task records once. Totals equal the undisturbed in-process run.
+        assert recorder.counters == ref_rec.counters
+        assert recorder.aggregates == ref_rec.aggregates
+        assert len(_solve_spans(tracer)) == len(_solve_spans(ref_tr))
 
     def test_disabled_recorder_ships_nothing(self, toy_dft, toy_coulomb,
-                                             serial_reference):
-        V, _, _ = serial_reference
-        with self._proc_op(toy_dft, toy_coulomb) as op:
-            op.apply_chi0(V, 0.5)  # NULL recorder/tracer active
+                                             in_process_reference):
+        V, _, _ = in_process_reference
+        with self._spmd(toy_dft, toy_coulomb) as spmd:
+            assert spmd.apply(V, 0.5).shape == V.shape  # NULL recorder/tracer
 
 
 class TestSimulatedMPI:

@@ -1,10 +1,12 @@
-"""Worker-death recovery: process pools, simulated MPI ranks, schedules.
+"""Worker-death recovery: worker processes, simulated MPI ranks, schedules.
 
 Three layers of the same contract — losing a worker mid-sweep must never
 change the physics:
 
-* ``ProcessChi0Operator`` rebuilds a broken pool and resubmits exactly the
-  lost orbitals (bit-identical to serial);
+* ``SpmdScheduler`` hands a dead worker process's column slices to a
+  survivor and resubmits exactly the lost tasks (bit-identical to the same
+  slices run in process) — "process pool" in ``TestProcessPoolRecovery``
+  now means the SPMD backend's worker processes;
 * ``compute_rpa_energy_parallel`` reassigns a dead simulated rank's column
   slices to the least-loaded survivor (energies unchanged, only the time
   accounting moves);
@@ -21,8 +23,9 @@ import pytest
 from repro.core import Chi0Operator
 from repro.obs import Tracer, use_tracer
 from repro.parallel import (
-    ProcessChi0Operator,
+    PACE_PHOENIX,
     RecoveryReplay,
+    SimulatedScheduler,
     WorkerFailure,
     WorkerRecoveryError,
     WorkItem,
@@ -30,13 +33,14 @@ from repro.parallel import (
     replay_schedule,
     replay_schedule_with_recovery,
 )
+from repro.parallel.spmd import SpmdScheduler
 from repro.resilience import DieOnceFile
 
 pytestmark = pytest.mark.resilience
 
 needs_fork = pytest.mark.skipif(
     not sys.platform.startswith("linux"),
-    reason="process backend requires the fork start method",
+    reason="spmd backend requires the fork start method",
 )
 
 
@@ -52,39 +56,40 @@ def rpa_config():
 
 @needs_fork
 class TestProcessPoolRecovery:
-    def _operators(self, toy_dft, toy_coulomb, **proc_kwargs):
-        kwargs = dict(tol=1e-8, max_iterations=2000, dynamic_block_size=False)
-        serial = Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                              toy_dft.occupied_energies, toy_coulomb, **kwargs)
-        proc = ProcessChi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                                   toy_dft.occupied_energies, toy_coulomb,
-                                   n_workers=2, **kwargs, **proc_kwargs)
-        return serial, proc
+    def _operator(self, toy_dft, toy_coulomb):
+        return Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
+                            toy_dft.occupied_energies, toy_coulomb, tol=1e-8,
+                            max_iterations=2000, dynamic_block_size=False)
 
     def test_worker_death_recovers_bit_identical(self, toy_dft, toy_coulomb, tmp_path):
-        # Kill the worker solving orbital 1 exactly once mid-sweep; the pool
-        # must be rebuilt, the lost orbitals resolved, and the result must
-        # equal the serial operator's bit for bit.
+        # Kill the worker solving orbital 1 exactly once mid-task; its column
+        # slice must move to the survivor, the lost task be resubmitted, and
+        # the result equal the same slices run in process, bit for bit.
         fault = DieOnceFile(str(tmp_path / "die.token"), orbital=1).arm()
-        serial, proc = self._operators(toy_dft, toy_coulomb, fault_hook=fault)
+        rng = np.random.default_rng(11)
+        V = rng.standard_normal((toy_dft.grid.n_points, 4))
+        reference = SimulatedScheduler(
+            self._operator(toy_dft, toy_coulomb), 2, 4, PACE_PHOENIX
+        ).apply(V, 0.5)
         tracer = Tracer()
-        with use_tracer(tracer), proc:
-            rng = np.random.default_rng(11)
-            V = rng.standard_normal((toy_dft.grid.n_points, 4))
-            recovered = proc.apply_chi0(V, 0.5)
-            assert proc.n_pool_restarts == 1
-            reference = serial.apply_chi0(V, 0.5)
+        with use_tracer(tracer), SpmdScheduler(
+                self._operator(toy_dft, toy_coulomb), n_ranks=2, width=4,
+                fault_hook=fault) as spmd:
+            recovered = spmd.apply(V, 0.5)
+            assert spmd.n_rank_failures == 1
             assert np.array_equal(recovered, reference)
-            # A second application runs clean on the rebuilt pool.
-            assert np.array_equal(proc.apply_chi0(V, 0.5), reference)
-            assert proc.n_pool_restarts == 1
-        assert tracer.counters.get("worker_pool_restarts") == 1
-        events = [e for e in tracer.events if e["name"] == "worker_pool_restart"]
-        assert len(events) == 1
+            # A second application runs clean on the surviving worker.
+            assert np.array_equal(spmd.apply(V, 0.5), reference)
+            assert spmd.n_rank_failures == 1
+            assert sum(p.is_alive() for p in spmd._procs.values()) == 1
+        names = [e["name"] for e in tracer.events]
+        assert names.count("rank_failure") == 1
+        assert names.count("task_reassigned") == 1
+        assert names.count("task_resubmitted") == 1
 
     def test_restart_budget_exhaustion_raises(self, toy_dft, toy_coulomb, tmp_path):
-        # A worker that dies on every attempt must eventually surface a
-        # WorkerRecoveryError instead of looping forever.
+        # A task that kills every worker it lands on must surface a
+        # WorkerRecoveryError once nobody is left, instead of looping forever.
         class DieAlways:
             def __init__(self, orbital):
                 self.orbital = orbital
@@ -95,13 +100,14 @@ class TestProcessPoolRecovery:
                 if orbital == self.orbital:
                     os._exit(1)
 
-        _, proc = self._operators(toy_dft, toy_coulomb,
-                                  fault_hook=DieAlways(0), max_pool_restarts=1)
-        with proc:
-            v = np.random.default_rng(12).standard_normal(toy_dft.grid.n_points)
-            with pytest.raises(WorkerRecoveryError):
-                proc.apply_chi0(v, 0.5)
-        assert proc.n_pool_restarts == 1
+        with SpmdScheduler(self._operator(toy_dft, toy_coulomb), n_ranks=2,
+                           width=2, fault_hook=DieAlways(0)) as spmd:
+            v = np.random.default_rng(12).standard_normal(
+                (toy_dft.grid.n_points, 2))
+            with pytest.raises(WorkerRecoveryError,
+                               match="all spmd workers died"):
+                spmd.apply(v, 0.5)
+            assert not any(p.is_alive() for p in spmd._procs.values())
 
 
 class TestRankFaultRecovery:

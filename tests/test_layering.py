@@ -1,6 +1,7 @@
 """Import layering of ``src/repro``, checked on the AST (function-local
-imports count): the solver layer sits below the DFT layer, and the grid
-package's underscore names stay inside it."""
+imports count): the solver layer sits below the DFT layer, the grid
+package's underscore names stay inside it, and no module brings its own
+worker pool."""
 
 import ast
 import pathlib
@@ -44,3 +45,12 @@ def test_grid_private_names_stay_inside_the_grid_package():
     outside = [p for p in sorted(ROOT.rglob("*.py")) if ROOT / "grid" not in p.parents]
     assert outside
     assert _violations(outside, forbidden) == []
+
+
+def test_nothing_imports_concurrent_futures():
+    # One real backend (repro.parallel.spmd, on multiprocessing): a second
+    # pool cannot come back unnoticed.
+    def forbidden(module, name):
+        return module == "concurrent" or module.startswith("concurrent.")
+
+    assert _violations(sorted(ROOT.rglob("*.py")), forbidden) == []

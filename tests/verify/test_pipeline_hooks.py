@@ -12,7 +12,7 @@ from repro.verify import NULL_VERIFIER, Verifier, get_verifier, use_verifier
 
 needs_fork = pytest.mark.skipif(
     not sys.platform.startswith("linux"),
-    reason="process/spmd backends require the fork start method")
+    reason="spmd backend requires the fork start method")
 
 
 def _config(**overrides):
@@ -88,7 +88,6 @@ BACKEND_CELLS = {
     "serial": dict(backend="serial"),
     "simulated": dict(backend="simulated", n_ranks=2),
     "spmd": dict(backend="spmd", n_workers=2),
-    "process": dict(backend="process", n_workers=2),
 }
 
 
@@ -124,7 +123,7 @@ def test_sternheimer_faults_are_caught_wherever_the_protocol_runs(toy_dft,
     rotation = _inject_broken_rotation(toy_dft, toy_coulomb, "cheap")
     assert rotation["caught_on"] == {"per_orbital": True, "batched": True}
     fake = _inject_fake_converged_solve(toy_dft, toy_coulomb, "cheap")
-    assert fake["caught_on"] == {"serial": True, "process": True}
+    assert fake["caught_on"] == {"serial": True, "spmd": True}
     assert rotation["caught"] and fake["caught"]
 
 
