@@ -22,14 +22,18 @@ from repro.dft.hamiltonian import Hamiltonian
 from repro.utils.rng import default_rng
 
 
-def dense_lowest_eigenpairs(h: Hamiltonian, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+def dense_lowest_eigenpairs(
+    h: Hamiltonian, n_states: int, constants: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact lowest eigenpairs via dense diagonalization.
 
     Returns ``(eigenvalues, orbitals)`` with l2-orthonormal real orbitals.
+    A caller that diagonalizes ``h`` under many potentials passes its
+    ``h.dense_constants()`` so they are assembled once.
     """
     if n_states < 1 or n_states > h.n_points:
         raise ValueError(f"n_states must be in 1..{h.n_points}, got {n_states}")
-    mat = h.to_dense()
+    mat = h.to_dense(constants)
     vals, vecs = scipy.linalg.eigh(mat, subset_by_index=(0, n_states - 1))
     return vals, vecs
 

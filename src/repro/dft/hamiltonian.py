@@ -124,15 +124,27 @@ class Hamiltonian:
 
         return apply
 
-    def to_dense(self) -> np.ndarray:
-        """Explicit matrix (small grids only: O(n_d^2) memory)."""
+    def dense_constants(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The parts of :meth:`to_dense` no potential update changes: dense
+        ``-1/2 nabla^2`` and ``V_nl`` (``None`` without projectors). Small grids
+        only: ``O(n_d^2)`` memory each."""
         from repro.grid.laplacian import assemble_laplacian
 
         n = self.n_points
         if n > 20_000:
             raise MemoryError(f"refusing to densify a {n} x {n} Hamiltonian")
-        mat = (-0.5 * assemble_laplacian(self.grid, self.radius)).toarray()
-        mat[np.arange(n), np.arange(n)] += self.v_local
+        kinetic = (-0.5 * assemble_laplacian(self.grid, self.radius)).toarray()
         if self.nonlocal_part is not None and self.nonlocal_part.n_projectors:
-            mat += self.nonlocal_part.to_dense()
+            return kinetic, self.nonlocal_part.to_dense()
+        return kinetic, None
+
+    def to_dense(self, constants: tuple | None = None) -> np.ndarray:
+        """Explicit matrix; ``constants`` is a kept :meth:`dense_constants`."""
+        if constants is None:
+            mat, nonlocal_dense = self.dense_constants()
+        else:
+            mat, nonlocal_dense = constants[0].copy(), constants[1]
+        mat[np.arange(self.n_points), np.arange(self.n_points)] += self.v_local
+        if nonlocal_dense is not None:
+            mat += nonlocal_dense
         return mat

@@ -165,6 +165,8 @@ def run_scf(
 
     coulomb = CoulombOperator(grid, radius=radius)
     h = Hamiltonian(grid, v_ext, nonlocal_part, radius=radius)
+    # Locals, not Hamiltonian attributes: two n_d x n_d matrices for one SCF loop.
+    dense_constants = h.dense_constants() if eigensolver == "dense" else None
     mixer = AndersonMixer(alpha=mixing_alpha, history=mixing_history)
     history = SCFHistory()
 
@@ -198,7 +200,7 @@ def run_scf(
         h.update_potential(v_ext + v_h + v_xc)
 
         if eigensolver == "dense":
-            eigenvalues, orbitals = dense_lowest_eigenpairs(h, n_states)
+            eigenvalues, orbitals = dense_lowest_eigenpairs(h, n_states, dense_constants)
         else:
             solver = ChebyshevFilteredSubspace(
                 h, n_states, degree=chefsi_degree, tol=max(tol * 0.1, 1e-8), seed=seed

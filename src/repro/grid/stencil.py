@@ -5,9 +5,9 @@ Section III-C of the paper: a six-axis ``(6r + 1)``-point stencil. The
 paper's C implementation blocks the stencil for cache and applies it to one
 input vector at a time (their arithmetic-intensity argument, Eqs. 11-12, is
 reproduced in :func:`stencil_arithmetic_intensity`). In numpy the analogous
-strategy is whole-array shifted adds, which vectorize across the block
-dimension; both orderings are exposed so the ablation benchmark can compare
-them.
+strategy is whole-array shifted adds over the block (on Dirichlet grids, views
+of one zero-rimmed halo copy of the field, added in one pinned order); both
+orderings are exposed so the ablation benchmark can compare them.
 """
 
 from __future__ import annotations
@@ -30,8 +30,12 @@ class StencilLaplacian:
         runs use high-order stencils; tests default to small radii.
 
     The weights are Python floats on purpose: they take the operand's
-    precision (a complex64 block stays complex64), and NumPy elides the
-    ``w * shifted`` temporary, which it does not for an ``np.float64`` weight.
+    precision (a complex64 block stays complex64). Dirichlet applies copy the
+    field into the interior of an ``(n_x + 2r, n_y + 2r, n_z + 2r[, s])`` halo
+    whose rim stays zero (the boundary condition), so each shift is a view; the
+    halo, a product buffer and the ``6r`` ``(weight, view)`` pairs are kept for
+    the last ``(shape, dtype)`` applied. The adds keep one order (axis by axis,
+    ``m = 1..r``, ``+m`` then ``-m``): float64 results are pinned to the last bit.
     """
 
     def __init__(self, grid: Grid3D, radius: int = 4) -> None:
@@ -47,9 +51,10 @@ class StencilLaplacian:
         self.coefficients = second_derivative_coefficients(radius)
         c, inv_h2 = self.coefficients, np.asarray([1.0 / h**2 for h in grid.spacing])
         self._center = float(c[0] * inv_h2.sum())
-        # _weights[axis][m - 1] multiplies the two points m steps away along axis.
-        self._weights = [[float(c[m] * w) for m in range(1, self.radius + 1)]
-                         for w in inv_h2]
+        # (axis, m, w): w multiplies the two points m steps away along axis.
+        self._weights = [(axis, m, float(c[m] * w)) for axis, w in enumerate(inv_h2)
+                         for m in range(1, self.radius + 1)]
+        self._halo: tuple | None = None  # (interior, product, pairs) of the last apply
 
     @property
     def n_points(self) -> int:
@@ -59,15 +64,28 @@ class StencilLaplacian:
         """Apply ``nabla^2`` to flat vector(s) ``v`` of shape ``(n_d,)`` or ``(n_d, s)``."""
         field = self.grid.to_field(np.asarray(v))
         out = self._center * field
-        periodic = self.grid.bc == "periodic"
-        for axis, weights in enumerate(self._weights):
-            for m, w in enumerate(weights, start=1):
-                if periodic:
-                    out += w * (np.roll(field, m, axis=axis) + np.roll(field, -m, axis=axis))
-                else:
-                    out += w * _shift_zero(field, m, axis)
-                    out += w * _shift_zero(field, -m, axis)
+        if self.grid.bc == "periodic":
+            for axis, m, w in self._weights:
+                out += w * (np.roll(field, m, axis=axis) + np.roll(field, -m, axis=axis))
+        elif out.size:
+            interior, product, pairs = self._halo_for(out.shape, out.dtype)
+            interior[...] = field
+            for w, shifted in pairs:
+                np.multiply(w, shifted, out=product)
+                out += product
         return self.grid.to_vector(out)
+
+    def _halo_for(self, shape: tuple, dtype: np.dtype) -> tuple:
+        """``(interior, product, pairs)`` for fields of ``shape`` and ``dtype``."""
+        if self._halo is None or (self._halo[1].shape, self._halo[1].dtype) != (shape, dtype):
+            r = self.radius
+            halo = np.zeros(tuple(n + 2 * r for n in shape[:3]) + shape[3:], dtype)
+            box = tuple(slice(r, r + n) for n in shape[:3])
+            def shifted(axis: int, m: int) -> np.ndarray:  # [i] is field[i - m] along axis
+                return halo[box[:axis] + (slice(r - m, r - m + shape[axis]),) + box[axis + 1:]]
+            pairs = [(w, shifted(axis, k)) for axis, m, w in self._weights for k in (m, -m)]
+            self._halo = (halo[box], np.empty(shape, dtype), pairs)
+        return self._halo
 
     def apply_columnwise(self, v: np.ndarray) -> np.ndarray:
         """Apply the stencil one column at a time.
@@ -85,24 +103,6 @@ class StencilLaplacian:
         for col in range(v.shape[1]):
             out[:, col] = self.apply(v[:, col])
         return out
-
-
-def _shift_zero(field: np.ndarray, shift: int, axis: int) -> np.ndarray:
-    """Shift ``field`` along ``axis`` filling vacated entries with zeros."""
-    out = np.zeros_like(field)
-    n = field.shape[axis]
-    if abs(shift) >= n:
-        return out
-    src = [slice(None)] * field.ndim
-    dst = [slice(None)] * field.ndim
-    if shift > 0:
-        dst[axis] = slice(shift, None)
-        src[axis] = slice(None, n - shift)
-    else:
-        dst[axis] = slice(None, n + shift)
-        src[axis] = slice(-shift, None)
-    out[tuple(dst)] = field[tuple(src)]
-    return out
 
 
 def stencil_arithmetic_intensity(

@@ -91,6 +91,22 @@ class TestHamiltonian:
         finally:
             h.update_potential(old)
 
+    def test_kept_dense_constants_rebuild_the_same_matrix(self, si_setup):
+        # run_scf holds them across its iterations: the potential moves, they do not.
+        _, _, h = si_setup
+        constants = h.dense_constants()
+        snapshot = [c.copy() for c in constants]
+        old = h.v_local.copy()
+        try:
+            h.update_potential(old + np.linspace(0.0, 1.0, h.n_points))
+            assert h.to_dense(constants).tobytes() == h.to_dense().tobytes()
+            vals, vecs = dense_lowest_eigenpairs(h, 6, constants)
+            ref_vals, ref_vecs = dense_lowest_eigenpairs(h, 6)
+            assert vals.tobytes() == ref_vals.tobytes() and vecs.tobytes() == ref_vecs.tobytes()
+        finally:
+            h.update_potential(old)
+        assert all(np.array_equal(c, s) for c, s in zip(constants, snapshot))
+
     def test_validation(self, si_setup):
         _, grid, h = si_setup
         with pytest.raises(ValueError):
@@ -119,6 +135,33 @@ def any_hamiltonian(request, si_setup, toy_dft):
         return Hamiltonian(grid, real_space_local_potential(dimer, grid, pseudos),
                            radius=2)
     return Hamiltonian(h.grid, h.v_local, h.nonlocal_part, radius=h.radius)
+
+
+def test_timing_wrappers_set_on_the_instance_see_every_apply(any_hamiltonian):
+    """The benchmark ladder counts and times H-apply by setting a wrapper as the
+    *instance's* ``apply`` (``dft.h_apply_calls``), after the shifted operators
+    may already exist: ``shifted`` looks ``self.apply`` up per call, and on the
+    stencil path ``apply`` reaches the Laplacian through ``self._laplacian.apply``."""
+    h = any_hamiltonian
+    v = TestWorkingPrecision._block(h, columns=2)
+    a = h.shifted(lambda_j=0.3, omega=0.7)
+    expected = a(v)
+
+    def counted(obj):
+        inner, seen = obj.apply, []
+
+        def wrapper(x):
+            seen.append(x.shape)
+            return inner(x)
+
+        obj.apply = wrapper
+        return seen
+
+    laplacian_calls = counted(h._laplacian)
+    h_calls = counted(h)
+    assert np.array_equal(a(v), expected)
+    assert h_calls == [v.shape]
+    assert laplacian_calls == ([v.shape] if h.kinetic_backend == "stencil" else [])
 
 
 class TestWorkingPrecision:
