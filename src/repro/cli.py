@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -255,11 +256,10 @@ def _run(args, tracer, recorder) -> int:
         config = load_rpa_config(path=args.input, seed=args.seed, **overrides)
     else:
         config = RPAConfig(n_eig=n_eig, seed=args.seed)
+    flags: dict = {}
     if args.recycle or args.precondition:
-        from dataclasses import replace
-
-        config = replace(config, use_recycling=args.recycle,
-                         use_preconditioner=args.precondition)
+        flags.update(use_recycling=args.recycle,
+                     use_preconditioner=args.precondition)
         modes = [m for m, on in (("recycling", args.recycle),
                                  ("preconditioning", args.precondition)) if on]
         print(f"sternheimer: {' + '.join(modes)} enabled", file=sys.stderr)
@@ -267,48 +267,37 @@ def _run(args, tracer, recorder) -> int:
         print("error: --solve-dtype float32_ir requires --batched", file=sys.stderr)
         return 2
     if args.batched:
-        from dataclasses import replace
-
-        config = replace(config, batched_sternheimer=True,
-                         solve_dtype=args.solve_dtype)
+        flags.update(batched_sternheimer=True, solve_dtype=args.solve_dtype)
         print(f"sternheimer: batched multi-orbital solves enabled "
               f"(solve_dtype={args.solve_dtype})", file=sys.stderr)
     if args.ssa_refresh_tol is not None and not args.ssa:
         print("error: --ssa-refresh-tol requires --ssa", file=sys.stderr)
         return 2
     if args.ssa:
-        from dataclasses import replace
-
-        ssa_kwargs = {"use_ssa": True}
+        flags["use_ssa"] = True
         if args.ssa_refresh_tol is not None:
-            ssa_kwargs["ssa_refresh_tol"] = args.ssa_refresh_tol
-        config = replace(config, **ssa_kwargs)
-        refresh_desc = ("per-point subspace tol"
-                        if config.ssa_refresh_tol is None
-                        else f"{config.ssa_refresh_tol:g}")
+            flags["ssa_refresh_tol"] = args.ssa_refresh_tol
+        refresh_tol = flags.get("ssa_refresh_tol", config.ssa_refresh_tol)
+        refresh_desc = ("per-point subspace tol" if refresh_tol is None
+                        else f"{refresh_tol:g}")
         print(f"ssa: frequency-shared eigenbasis enabled "
               f"(refresh tol {refresh_desc})", file=sys.stderr)
     resilience = _resilience_from_args(args)
     if resilience is not None:
-        from dataclasses import replace
-
-        config = replace(config, resilience=resilience)
+        flags["resilience"] = resilience
         print(f"resilience: chain={' -> '.join(resilience.escalation_chain)}, "
               f"budget={resilience.matvec_budget or 'none'}, "
               f"retries={resilience.max_solve_attempts}, "
               f"on_failure={resilience.on_failure}", file=sys.stderr)
     if args.verify != "off":
-        from dataclasses import replace
-
-        config = replace(config, verify_level=args.verify)
+        flags["verify_level"] = args.verify
         print(f"verify: runtime invariant checks at level '{args.verify}'",
               file=sys.stderr)
     if args.telemetry != "off":
-        from dataclasses import replace
-
         # The CLI-installed recorder stays authoritative (install-unless-
         # active); the config field keeps the manifest/provenance truthful.
-        config = replace(config, telemetry_level=args.telemetry)
+        flags["telemetry_level"] = args.telemetry
+    config = replace(config, **flags)
 
     print(f"system {crystal.label}: {crystal.n_atoms} atoms, grid {grid.shape} "
           f"(n_d = {grid.n_points}), n_eig = {config.n_eig}", file=sys.stderr)
@@ -365,7 +354,15 @@ def _run(args, tracer, recorder) -> int:
         imbalance_seconds=result.imbalance_seconds,
         n_rank_failures=result.n_rank_failures,
     )
-    return _verify_exit_code(result.verify)
+    status = _verify_exit_code(result.verify)
+    late = [p for p in result.points if not p.converged]
+    if late:
+        print(f"WARNING: {len(late)} of {len(result.points)} quadrature "
+              "point(s) did not converge (Eq. 7 error > tolerance): "
+              + ", ".join(f"#{p.index} {p.error:.2e} > "
+                          f"{config.tol_subspace_for(p.index):.1e}" for p in late)
+              + "; the energy above is not converged", file=sys.stderr)
+    return status or (3 if late else 0)
 
 
 def _verify_exit_code(verify: dict | None) -> int:

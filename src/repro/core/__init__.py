@@ -15,7 +15,6 @@ from repro.core.chi0_direct import (
 from repro.core.dielectric import (
     DielectricSpectrum,
     dielectric_matrix_dense,
-    dielectric_spectra_ssa,
     dielectric_spectrum,
     screened_interaction_dense,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "truncated_trapezoid",
     "DielectricSpectrum",
     "dielectric_spectrum",
-    "dielectric_spectra_ssa",
     "dielectric_matrix_dense",
     "screened_interaction_dense",
     "build_chi0_dense",

@@ -39,8 +39,8 @@ class DielectricSpectrum:
     eigenvalues: np.ndarray  # eigenvalues of epsilon, descending (largest first)
     converged: bool
     iterations: int
-    #: How the subspace was obtained ("filtered" / "warm" / "frozen" /
-    #: "refreshed" — see repro.core.ssa.SUBSPACE_MODES).
+    #: How the subspace was obtained ("filtered", or "warm" when the initial
+    #: vectors already met the tolerance).
     subspace_mode: str = "filtered"
 
     @property
@@ -101,89 +101,6 @@ def dielectric_spectrum(
         iterations=res.iterations,
         subspace_mode=res.subspace_mode,
     )
-
-
-def dielectric_spectra_ssa(
-    chi0_operator: Chi0Operator,
-    omegas,
-    n_eig: int,
-    tol: float = 1e-4,
-    refresh_tol: float = 1e-2,
-    max_iterations: int = 30,
-    max_refresh_passes: int = 1,
-    seed: int | None = None,
-) -> list[DielectricSpectrum]:
-    """Dielectric spectra across a frequency grid sharing one eigenbasis.
-
-    The static subspace approximation (repro.core.ssa) applied to the
-    Fig. 1 diagnostic: the filtered subspace is computed once at the
-    reference frequency — the largest omega, where the spectrum is most
-    compressed — and every other frequency only Rayleigh-Ritzes in that
-    frozen basis (one ``chi0 . V`` apply each), refreshing with a single
-    Chebyshev pass when the frozen-basis Eq. 7 residual exceeds
-    ``refresh_tol``. Results are returned in the input ``omegas`` order.
-    """
-    from repro.core.ssa import frozen_subspace_point
-
-    omegas = [float(w) for w in omegas]
-    if not omegas:
-        return []
-    n = chi0_operator.n_points
-    if not 1 <= n_eig <= n:
-        raise ValueError(f"n_eig must be in 1..{n}")
-    order = sorted(range(len(omegas)), key=lambda i: -omegas[i])
-    rng = default_rng(seed)
-    V = rng.standard_normal((n, n_eig))
-    out: list[DielectricSpectrum | None] = [None] * len(omegas)
-    ref = filtered_subspace_iteration(
-        lambda B: chi0_operator.apply_symmetrized(B, omegas[order[0]]),
-        V,
-        tol=tol,
-        max_iterations=max_iterations,
-    )
-    results = [ref]
-    for i in order[1:]:
-        prev = results[-1]
-        if not prev.converged:
-            res = filtered_subspace_iteration(
-                lambda B: chi0_operator.apply_symmetrized(B, omegas[i]),
-                prev.vectors,
-                tol=tol,
-                max_iterations=max_iterations,
-            )
-        else:
-            res = frozen_subspace_point(
-                lambda B: chi0_operator.apply_symmetrized(B, omegas[i]),
-                prev.vectors,
-                refresh_tol=refresh_tol,
-                max_refresh_passes=max_refresh_passes,
-                bounds_seed=prev.filter_bounds,
-                recycler=getattr(chi0_operator, "recycler", None),
-            )
-            if res.guard_triggered or not res.converged:
-                # Rejected SSA acceptance: redo with full filtering (same
-                # policy as the energy drivers), injecting the guard's
-                # recovery direction when one was found.
-                V_fb = res.vectors
-                if res.guard_vector is not None:
-                    V_fb = res.vectors.copy()
-                    V_fb[:, -1] = res.guard_vector
-                res = filtered_subspace_iteration(
-                    lambda B: chi0_operator.apply_symmetrized(B, omegas[i]),
-                    V_fb,
-                    tol=tol,
-                    max_iterations=max_iterations,
-                )
-        results.append(res)
-    for idx, res in zip(order, results):
-        out[idx] = DielectricSpectrum(
-            omega=omegas[idx],
-            eigenvalues=1.0 - res.eigenvalues,
-            converged=res.converged,
-            iterations=res.iterations,
-            subspace_mode=res.subspace_mode,
-        )
-    return out  # type: ignore[return-value]
 
 
 def dielectric_matrix_dense(

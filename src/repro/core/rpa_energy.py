@@ -17,7 +17,7 @@ the same :class:`RPAEnergyResult`.
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -285,7 +285,6 @@ def compute_rpa_energy(
 
     energy = 0.0
     points: list[FrequencyPointStats] = []
-    prev_bounds: tuple[float, float, float] | None = None
     prev_sub: SubspaceResult | None = None
     with ExitStack() as stack:
         # Install the invariant checker for the duration of the sweep.
@@ -328,89 +327,24 @@ def compute_rpa_energy(
 
             if recorder.enabled:
                 recorder.point_started(k, omega)
-            # SSA: every point after the reference (k = 1, largest omega)
-            # reuses the frozen basis — provided the previous point actually
-            # produced a converged one to freeze.
-            ssa_point = (config.use_ssa and k > 1
-                         and prev_sub is not None and prev_sub.converged)
             with tracer.span("omega_point", index=k, omega=omega,
                              weight=weight) as sp:
-                if ssa_point:
-                    sub: SubspaceResult = frozen_subspace_point(
-                        apply_op,
-                        V,
-                        refresh_tol=config.ssa_refresh_tol_for(k),
-                        degree=config.filter_degree,
-                        max_refresh_passes=config.ssa_refresh_passes,
-                        on_rotation=(recycler.rotate_frozen
-                                     if recycler is not None else None),
-                        bounds_seed=prev_bounds,
-                        recycler=recycler,
-                        scheduler=sched,
-                    )
-                    if sub.guard_triggered or not sub.converged:
-                        # SSA acceptance rejected — the refresh budget ran
-                        # out, or the exterior-eigenvalue guard found a
-                        # screening channel the frozen span missed. Redo
-                        # the point with full filtering (warm-started from
-                        # the refined basis) so accepted energies never
-                        # carry an unguarded approximation.
-                        if tracer.enabled:
-                            tracer.incr("ssa_fallback_points")
-                        V_fb = sub.vectors
-                        if sub.guard_vector is not None:
-                            # Inject the guard probe's Ritz vector (already
-                            # orthogonal to the span) in place of the least
-                            # important column: the missed channel enters
-                            # the warm start with O(1) overlap instead of
-                            # ~0, collapsing the fallback iteration count.
-                            V_fb = sub.vectors.copy()
-                            V_fb[:, -1] = sub.guard_vector
-                            if recycler is not None:
-                                # The column swap is not a rotation of the
-                                # old block, so cached solves no longer
-                                # correspond to the RHS they claim to.
-                                recycler.clear()
-                        sub = filtered_subspace_iteration(
-                            apply_op,
-                            V_fb,
-                            tol=config.tol_subspace_for(k),
-                            degree=config.filter_degree,
-                            max_iterations=config.max_filter_iterations,
-                            on_rotation=(recycler.rotate
-                                         if recycler is not None else None),
-                            bounds_seed=prev_bounds,
-                            scheduler=sched,
-                        )
-                else:
-                    sub = filtered_subspace_iteration(
-                        apply_op,
-                        V,
-                        tol=config.tol_subspace_for(k),
-                        degree=config.filter_degree,
-                        max_iterations=config.max_filter_iterations,
-                        on_rotation=recycler.rotate if recycler is not None else None,
-                        bounds_seed=prev_bounds if config.use_ssa else None,
-                        scheduler=sched,
-                    )
+                sub = _subspace_point(apply_op, V, k, config, sched, recycler,
+                                      prev_sub)
                 if config.use_ssa:
-                    prev_bounds = sub.filter_bounds or prev_bounds
                     prev_sub = sub
                 if config.use_warm_start:
                     V = sub.vectors
-                elif recycler is not None:
-                    # A fresh random block shares nothing with the cache.
-                    V = rng.standard_normal((n_d, config.n_eig))
-                    recycler.clear()
                 else:
                     V = rng.standard_normal((n_d, config.n_eig))
+                    if recycler is not None:
+                        # A fresh random block shares nothing with the cache.
+                        recycler.clear()
 
-                if recycler is not None and config.trace_method != "eigenvalues":
-                    # Stochastic trace probes are unrelated single vectors;
-                    # keep them out of the solve cache.
-                    with recycler.paused():
-                        e_k = _energy_term(sub, chi0_operator, omega, config)
-                else:
+                # Stochastic trace probes are unrelated single vectors; keep
+                # them out of the solve cache.
+                with (recycler.paused() if recycler is not None
+                      and config.trace_method != "eigenvalues" else nullcontext()):
                     e_k = _energy_term(sub, chi0_operator, omega, config)
                 if verifier.enabled and config.trace_method == "eigenvalues":
                     # Eq. 1 integrand vs the dielectric-route trace over the
@@ -493,6 +427,67 @@ def compute_rpa_energy(
         block_size_cap=chi0_operator.max_block_size,
         machine=sched.machine,
         **sched.report(),
+    )
+
+
+def _subspace_point(
+    apply_op,
+    V: np.ndarray,
+    k: int,
+    config: RPAConfig,
+    sched: Scheduler,
+    recycler: SolveRecycler | None,
+    prev_sub: SubspaceResult | None,
+) -> SubspaceResult:
+    """Algorithm 5 at quadrature point ``k`` under the per-point policy.
+
+    With SSA on, every point after one that converged is first tried in
+    the frozen basis (``prev_sub`` is the previous point's result, ``None``
+    without SSA or at the reference point). A rejected acceptance — the
+    refresh budget ran out, or the exterior-eigenvalue guard found a
+    screening channel the frozen span missed — is redone with full
+    filtering, warm-started from the refined basis, so accepted energies
+    never carry an unguarded approximation.
+    """
+    bounds = prev_sub.filter_bounds if prev_sub is not None else None
+    if prev_sub is not None and prev_sub.converged:
+        sub = frozen_subspace_point(
+            apply_op,
+            V,
+            refresh_tol=config.ssa_refresh_tol_for(k),
+            degree=config.filter_degree,
+            max_refresh_passes=config.ssa_refresh_passes,
+            on_rotation=recycler.rotate_frozen if recycler is not None else None,
+            bounds_seed=bounds,
+            recycler=recycler,
+            scheduler=sched,
+        )
+        if sub.converged and not sub.guard_triggered:
+            return sub
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.incr("ssa_fallback_points")
+        V = sub.vectors
+        if sub.guard_vector is not None:
+            # Inject the guard probe's Ritz vector (already orthogonal to
+            # the span) in place of the least important column: the missed
+            # channel enters the warm start with O(1) overlap instead of
+            # ~0, collapsing the fallback iteration count.
+            V = V.copy()
+            V[:, -1] = sub.guard_vector
+            if recycler is not None:
+                # The column swap is not a rotation of the old block, so
+                # cached solves no longer correspond to the RHS they claim.
+                recycler.clear()
+    return filtered_subspace_iteration(
+        apply_op,
+        V,
+        tol=config.tol_subspace_for(k),
+        degree=config.filter_degree,
+        max_iterations=config.max_filter_iterations,
+        on_rotation=recycler.rotate if recycler is not None else None,
+        bounds_seed=bounds,
+        scheduler=sched,
     )
 
 

@@ -35,17 +35,10 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.scheduler import Scheduler, SerialScheduler
-from repro.core.subspace import (
-    SubspaceResult,
-    _eq7_error,
-    _filter_bounds,
-    _rayleigh_ritz,
-)
-from repro.dft.eigensolvers import chebyshev_filter
+from repro.core.scheduler import Scheduler
+from repro.core.subspace import SubspaceResult, _algorithm5, _rayleigh_ritz
 from repro.obs.tracer import get_tracer
 from repro.utils.rng import default_rng
-from repro.verify.invariants import get_verifier
 
 #: The per-point subspace modes, in decreasing order of per-point cost.
 #: ``filtered``: full Algorithm 5 (>= 1 Chebyshev pass). ``warm``: the
@@ -226,98 +219,39 @@ def frozen_subspace_point(
     """
     if refresh_tol <= 0:
         raise ValueError("refresh_tol must be positive")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
     if max_refresh_passes < 0:
         raise ValueError("max_refresh_passes must be >= 0")
-    v0_dtype = complex if np.iscomplexobj(v0) else float
-    V = np.array(v0, dtype=v0_dtype, copy=True)
-    if V.ndim != 2:
-        raise ValueError(f"v0 must be a block (n_d, n_eig), got shape {V.shape}")
-    sched = scheduler if scheduler is not None else SerialScheduler()
+    sub, W = _algorithm5(apply_op, v0, refresh_tol, degree, max_refresh_passes,
+                         None, on_rotation, bounds_seed, scheduler,
+                         rayleigh_ritz=_frozen_rayleigh_ritz,
+                         modes=("frozen", "refreshed"), span="ssa_refresh")
+    V, vals = sub.vectors, sub.eigenvalues
     tracer = get_tracer()
-    verifier = get_verifier()
 
-    def run_guard(vals_now: np.ndarray) -> bool:
-        # Exterior-eigenvalue guard: Eq. 7 cannot see an emergent screening
-        # channel with near-zero overlap with the frozen span (it converges
-        # happily onto the wrong invariant subspace). Probe the deflated
-        # operator; a deeper exterior eigenvalue rejects the acceptance.
-        nonlocal guard_vector
-        if guard_probes < 1:
-            return False
-        pause = recycler.paused() if recycler is not None else nullcontext()
-        with pause:
-            probe = exterior_eigenvalue_estimate(apply_op, V,
-                                                 n_steps=guard_probes)
-        if probe is None:
-            return False
+    # Exterior-eigenvalue guard: Eq. 7 cannot see an emergent screening
+    # channel with near-zero overlap with the frozen span (it converges
+    # happily onto the wrong invariant subspace). Probe the deflated
+    # operator; a deeper exterior eigenvalue rejects the acceptance.
+    # Guard at acceptance, not before: pre-refresh, ordinary basis drift is
+    # indistinguishable from a missed channel (the probe sees every
+    # not-yet-recovered component), while post-refresh anything still deeper
+    # outside the span is a genuine zero-overlap miss that refreshing cannot
+    # recover.
+    with recycler.paused() if recycler is not None else nullcontext():
+        probe = exterior_eigenvalue_estimate(apply_op, V, n_steps=guard_probes)
+    if probe is not None:
         exterior, exterior_vec = probe
-        margin = GUARD_REL_MARGIN * max(abs(float(vals_now[0])), 1e-300)
-        triggered = exterior < float(vals_now[-1]) - margin
-        if triggered:
-            guard_vector = exterior_vec
+        margin = GUARD_REL_MARGIN * max(abs(float(vals[0])), 1e-300)
+        if exterior < float(vals[-1]) - margin:
+            sub.guard_triggered = True
+            sub.guard_vector = exterior_vec
         if tracer.enabled:
             tracer.gauge("ssa_exterior_eigenvalue", exterior)
-            if triggered:
+            if sub.guard_triggered:
                 tracer.incr("ssa_guard_rejections")
-        return triggered
 
-    mode = "frozen"
-    history: list[float] = []
-    last_bounds = bounds_seed
-    used_bounds: tuple[float, float, float] | None = None
-    passes = 0
-    guard_triggered = False
-    guard_vector: np.ndarray | None = None
-    while True:
-        W = apply_op(V)
-        V_raw, W_raw = V, W  # pre-rotation operands for the independent check
-        vals, V, W, Q = _frozen_rayleigh_ritz(V_raw, W_raw, sched)
-        if on_rotation is not None:
-            on_rotation(Q)
-            if verifier.enabled:
-                verifier.note_recycler_rotation(Q)
-        err = _eq7_error(V, W, vals, sched)
-        history.append(err)
-        if verifier.enabled:
-            verifier.check_rotation(Q, iteration=passes, subspace_mode=mode)
-            verifier.check_ritz_values(vals, err, iteration=passes,
-                                       subspace_mode=mode)
-            verifier.check_frozen_trace_identity(V_raw, W_raw, vals,
-                                                 subspace_mode=mode,
-                                                 iteration=passes)
-            if verifier.full:
-                verifier.check_basis_orthonormal(V, iteration=passes,
-                                                 subspace_mode=mode)
-        if tracer.enabled:
-            tracer.gauge("subspace_error", err, iteration=passes)
-        if err <= refresh_tol or passes >= max_refresh_passes:
-            # Guard at acceptance, not before: pre-refresh, ordinary basis
-            # drift is indistinguishable from a missed channel (the probe
-            # sees every not-yet-recovered component), while post-refresh
-            # anything still deeper outside the span is a genuine
-            # zero-overlap miss that refreshing cannot recover.
-            guard_triggered = run_guard(vals)
-            break
-        # Cheap refresh: one Chebyshev pass in place, then re-project.
-        mode = "refreshed"
-        passes += 1
-        with tracer.span("ssa_refresh", iteration=passes, degree=degree) as sp:
-            low, cut, high = _filter_bounds(vals, seed=last_bounds)
-            used_bounds = (low, cut, high)
-            last_bounds = used_bounds
-            V = chebyshev_filter(apply_op, V, degree, low, cut, high)
-            sp.set(error=err)
-
-    residual_norms = np.linalg.norm(W - V * vals, axis=0)
-    bound = ssa_error_gauge(vals, residual_norms)
+    sub.ssa_error_bound = ssa_error_gauge(
+        vals, np.linalg.norm(W - V * vals, axis=0))
     if tracer.enabled:
-        tracer.gauge("ssa_error_bound", bound)
-    return SubspaceResult(vals, V, passes, err, history,
-                          converged=bool(err <= refresh_tol),
-                          subspace_mode=mode,
-                          filter_bounds=used_bounds or bounds_seed,
-                          ssa_error_bound=bound,
-                          guard_triggered=guard_triggered,
-                          guard_vector=guard_vector)
+        tracer.gauge("ssa_error_bound", sub.ssa_error_bound)
+    return sub

@@ -17,6 +17,7 @@ optimization for the small-omega points.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -117,10 +118,44 @@ def filtered_subspace_iteration(
         the default books on private buckets (the active tracer's, when
         tracing).
     """
+    res, _ = _algorithm5(apply_op, v0, tol, degree, max_iterations, on_iteration,
+                         on_rotation, bounds_seed, scheduler)
+    if not res.converged:
+        res.subspace_mode = "filtered"  # "warm" only names a pass 0 that met tol
+    return res
+
+
+def _algorithm5(
+    apply_op: Callable[[np.ndarray], np.ndarray],
+    v0: np.ndarray,
+    tol: float,
+    degree: int,
+    max_iterations: int,
+    on_iteration: Callable[[int, float, np.ndarray], None] | None,
+    on_rotation: Callable[[np.ndarray], None] | None,
+    bounds_seed: tuple[float, float, float] | None,
+    scheduler: Scheduler | None,
+    rayleigh_ritz=None,
+    modes: tuple[str, str] = ("warm", "filtered"),
+    span: str = "subspace_iteration",
+) -> tuple[SubspaceResult, np.ndarray]:
+    """The one Algorithm 5 loop: pass 0 Rayleigh-Ritzes ``v0`` and checks
+    Eq. 7 before any filtering; every later pass filters first.
+
+    Returns the result and the rotated ``W = A V`` of its last pass. The
+    result's ``subspace_mode`` is ``modes[0]`` when no filter pass ran and
+    ``modes[1]`` otherwise. A caller that supplies its own ``rayleigh_ritz``
+    is re-projecting a *reused* basis (the SSA, :mod:`repro.core.ssa`): the
+    verifier checks then carry the mode and add the frozen-basis trace
+    identity on the pre-rotation pair, and the Chebyshev bounds chain from
+    pass to pass even unseeded.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be >= 0")
     # Complex initial blocks are legitimate (the operator is Hermitian, not
     # real symmetric, in general); preserve the dtype instead of silently
     # truncating imaginary parts. Real input keeps the historical float path.
@@ -131,62 +166,56 @@ def filtered_subspace_iteration(
     sched = scheduler if scheduler is not None else SerialScheduler()
     tracer = get_tracer()
     verifier = get_verifier()
+    frozen = rayleigh_ritz is not None
+    if not frozen:
+        rayleigh_ritz = _rayleigh_ritz
 
-    W = apply_op(V)
-    vals, V, W, Q = _rayleigh_ritz(V, W, sched)
-    if on_rotation is not None:
-        on_rotation(Q)
-        if verifier.enabled:
-            verifier.note_recycler_rotation(Q)
-    err = _eq7_error(V, W, vals, sched)
-    if verifier.enabled:
-        verifier.check_rotation(Q, iteration=0)
-        verifier.check_ritz_values(vals, err, iteration=0)
-        if verifier.full:
-            verifier.check_basis_orthonormal(V, iteration=0)
-    history = [err]
-    if tracer.enabled:
-        tracer.gauge("subspace_error", err, iteration=0)
-    if on_iteration is not None:
-        on_iteration(0, err, vals)
-    if err <= tol:
-        return SubspaceResult(vals, V, 0, err, history, converged=True,
-                              subspace_mode="warm", filter_bounds=bounds_seed)
-
-    # The seed chain only advances when seeding is active, so the unseeded
-    # path keeps the historical from-scratch estimate at every iteration.
+    # The seed chain advances only when seeding is active or the basis is
+    # frozen, so the unseeded filtered path keeps the historical from-scratch
+    # estimate at every iteration.
     last_bounds = bounds_seed
     used_bounds: tuple[float, float, float] | None = None
-    for it in range(1, max_iterations + 1):
-        with tracer.span("subspace_iteration", iteration=it, degree=degree) as sp:
-            low, cut, high = _filter_bounds(vals, seed=last_bounds)
-            used_bounds = (low, cut, high)
-            if bounds_seed is not None:
-                last_bounds = used_bounds
-            V = chebyshev_filter(apply_op, V, degree, low, cut, high)
+    history: list[float] = []
+    for it in range(max_iterations + 1):
+        mode = modes[it > 0]
+        with (tracer.span(span, iteration=it, degree=degree) if it
+              else nullcontext()) as sp:
+            if it:
+                used_bounds = _filter_bounds(vals, seed=last_bounds)
+                if frozen or bounds_seed is not None:
+                    last_bounds = used_bounds
+                V = chebyshev_filter(apply_op, V, degree, *used_bounds)
             W = apply_op(V)
-            vals, V, W, Q = _rayleigh_ritz(V, W, sched)
+            # Pre-rotation operands for the independent frozen-basis check.
+            raw = (V, W) if frozen else None
+            vals, V, W, Q = rayleigh_ritz(V, W, sched)
             if on_rotation is not None:
                 on_rotation(Q)
                 if verifier.enabled:
                     verifier.note_recycler_rotation(Q)
             err = _eq7_error(V, W, vals, sched)
             if verifier.enabled:
-                verifier.check_rotation(Q, iteration=it)
-                verifier.check_ritz_values(vals, err, iteration=it)
+                ctx = {"iteration": it}
+                if frozen:
+                    ctx["subspace_mode"] = mode
+                verifier.check_rotation(Q, **ctx)
+                verifier.check_ritz_values(vals, err, **ctx)
+                if frozen:
+                    verifier.check_frozen_trace_identity(*raw, vals, **ctx)
                 if verifier.full:
-                    verifier.check_basis_orthonormal(V, iteration=it)
-            sp.set(error=err)
+                    verifier.check_basis_orthonormal(V, **ctx)
+            if it:
+                sp.set(error=err)
         history.append(err)
         if tracer.enabled:
             tracer.gauge("subspace_error", err, iteration=it)
         if on_iteration is not None:
             on_iteration(it, err, vals)
         if err <= tol:
-            return SubspaceResult(vals, V, it, err, history, converged=True,
-                                  filter_bounds=used_bounds)
-    return SubspaceResult(vals, V, max_iterations, err, history, converged=False,
-                          filter_bounds=used_bounds)
+            break
+    return SubspaceResult(vals, V, it, err, history, converged=bool(err <= tol),
+                          subspace_mode=mode,
+                          filter_bounds=used_bounds or bounds_seed), W
 
 
 def _filter_bounds(

@@ -186,7 +186,6 @@ def batched_cocg_solve(
     tol: float = 1e-8,
     max_iterations: int = 1000,
     preconditioner_groups: Sequence[tuple[np.ndarray, Callable]] = (),
-    mask_converged: bool = True,
     cols: np.ndarray | None = None,
     stagnation_window: int = _STAGNATION_WINDOW,
 ) -> BatchedSolveResult:
@@ -208,11 +207,6 @@ def batched_cocg_solve(
         group's residual columns every iteration (the Sternheimer layer
         groups columns by orbital so the selective shifted-Laplacian
         preconditioner keys off ``(lambda_j, omega)``).
-    mask_converged:
-        Compress converged columns out of the fused matvec (the default).
-        ``False`` keeps every non-broken column iterating until all of them
-        meet tolerance simultaneously — the mode the accounting identity
-        ``batched_applies * C == sum(col_applies)`` is exact in.
     cols:
         Global operator column index per RHS column (``arange(C)`` when
         omitted).
@@ -324,16 +318,8 @@ def batched_cocg_solve(
     conv_now = (rel <= tol) & ~nonfin
     col_iterations[idx[conv_now]] = 0
     broken[idx[nonfin]] = True
-    if mask_converged:
-        converged[idx[conv_now]] = True
-        keep = ~(conv_now | nonfin)
-    else:
-        # Unmasked: converged columns keep iterating; the whole batch stops
-        # only when every surviving column is at tolerance simultaneously.
-        keep = ~nonfin
-        if keep.any() and conv_now[keep].all():
-            converged[idx[keep]] = True
-            keep = np.zeros_like(keep)
+    converged[idx[conv_now]] = True
+    keep = ~(conv_now | nonfin)
     idx, R, bn, rel = idx[keep], R[:, keep], bn[keep], rel[keep]
     if idx.size == 0:
         return result(0)
@@ -368,15 +354,8 @@ def batched_cocg_solve(
         col_iterations[idx[newly_conv]] = it
         broken[idx[brk_now & ~conv_now]] = True
 
-        if mask_converged:
-            converged[idx[conv_now]] = True
-            keep = ~(conv_now | brk_now)
-        else:
-            keep = ~(brk_now & ~conv_now)
-            if keep.any() and conv_now[keep].all():
-                # Every surviving column is at tolerance simultaneously.
-                converged[idx[keep]] = True
-                keep = np.zeros_like(keep)
+        converged[idx[conv_now]] = True
+        keep = ~(conv_now | brk_now)
         if not keep.all():
             idx, R, P, bn, rho = idx[keep], R[:, keep], P[:, keep], bn[keep], rho[keep]
             best_rel = best_rel[keep]
@@ -402,11 +381,6 @@ def batched_cocg_solve(
         P = Z + P * beta
         rho = rho_new
 
-    if not mask_converged and idx.size:
-        # Iteration cap in unmasked mode: columns sitting at tolerance are
-        # converged even though the batch never stopped simultaneously.
-        final_ok = np.isfinite(residuals[idx]) & (residuals[idx] <= tol)
-        converged[idx[final_ok]] = True
     return result(max_iterations)
 
 

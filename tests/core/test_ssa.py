@@ -175,16 +175,38 @@ class TestFrozenSubspacePoint:
         assert res.guard_triggered
         assert res.guard_vector is not None
         assert abs(q[:, -1] @ res.guard_vector) > 0.99
-        # Injecting the guard vector makes the filtered fallback recover
-        # the true lowest set from an O(1) warm start.
-        V_fb = res.vectors.copy()
-        V_fb[:, -1] = res.guard_vector
-        fb = filtered_subspace_iteration(lambda B: a @ B, V_fb, tol=1e-9,
-                                         max_iterations=30)
-        assert fb.converged
-        true_lowest = np.sort(lam)[:k]
-        assert np.allclose(np.sort(fb.eigenvalues), true_lowest,
+
+    def test_sweep_policy_redoes_a_rejected_point_with_the_guard_vector(self):
+        # The same planted miss through the sweep's per-point policy: the
+        # guard rejection counts one fallback, the probe vector is injected
+        # (a column swap, not a rotation, so the solve cache is dropped),
+        # and the filtered redo recovers the true lowest set.
+        from repro.config import RPAConfig
+        from repro.core.rpa_energy import _subspace_point
+        from repro.core.scheduler import SerialScheduler
+        from repro.core.subspace import SubspaceResult
+        from repro.obs.tracer import Tracer, use_tracer
+        from repro.solvers.recycle import SolveRecycler
+
+        n, k = 60, 5
+        lam = -np.geomspace(3.0, 0.3, n)
+        lam[-1] = -8.0
+        a, q = _nsd_operator(n, seed=13, lam=lam)
+        config = RPAConfig(n_eig=k, use_ssa=True, tol_subspace=1e-9,
+                           max_filter_iterations=30)
+        recycler = SolveRecycler(width=k)
+        assert recycler.store(0, 1.0, np.ones((n, k)))
+        prev = SubspaceResult(lam[:k], q[:, :k], 1, 0.0, converged=True)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            sub = _subspace_point(lambda B: a @ B, q[:, :k], 2, config,
+                                  SerialScheduler(), recycler, prev)
+        assert tracer.counters["ssa_guard_rejections"] == 1
+        assert tracer.counters["ssa_fallback_points"] == 1
+        assert sub.subspace_mode == "filtered" and sub.converged
+        assert np.allclose(sub.eigenvalues, np.sort(lam)[:k],
                            rtol=1e-7, atol=1e-9)
+        assert recycler.n_cached_orbitals == 0
 
     def test_guard_quiet_within_margin(self):
         # A benign near-degenerate edge swap (exterior eigenvalue within

@@ -40,7 +40,7 @@ class TestFilteredSubspace:
         second = filtered_subspace_iteration(lambda V: A @ V, first.vectors,
                                              tol=1e-6, degree=4, max_iterations=60)
         assert second.converged
-        assert second.iterations == 0
+        assert second.iterations == 0 and second.subspace_mode == "warm"
 
     def test_warm_start_on_perturbed_operator(self):
         # The cross-omega scenario: eigenvectors of A serve as initial guess
@@ -67,6 +67,18 @@ class TestFilteredSubspace:
                                           degree=1, max_iterations=2)
         assert not res.converged
         assert res.iterations == 2
+
+    def test_zero_budget_on_an_unconverged_block(self):
+        # Pass 0 alone: one Rayleigh-Ritz and Eq. 7 check, no filtering. The
+        # mode is "warm" only when that check met the tolerance.
+        A, _ = _decaying_operator()
+        rng = np.random.default_rng(5)
+        v0 = rng.standard_normal((A.shape[0], 8))
+        res = filtered_subspace_iteration(lambda V: A @ V, v0, tol=1e-6,
+                                          max_iterations=0)
+        assert res.iterations == 0 and res.converged is False
+        assert res.subspace_mode == "filtered"
+        assert len(res.error_history) == 1 and res.filter_bounds is None
 
     def test_error_history_decreases(self):
         A, _ = _decaying_operator()
@@ -109,6 +121,9 @@ class TestFilteredSubspace:
             filtered_subspace_iteration(lambda V: A @ V, v0, tol=1e-6, degree=0)
         with pytest.raises(ValueError):
             filtered_subspace_iteration(lambda V: A @ V, np.zeros(5), tol=1e-6)
+        with pytest.raises(ValueError):
+            filtered_subspace_iteration(lambda V: A @ V, v0, tol=1e-6,
+                                        max_iterations=-1)
 
     def test_degenerate_eigenvalues(self):
         # Clustered/degenerate levels must not break the generalized RR.

@@ -60,7 +60,7 @@ class TestMain:
     def test_ranks_run_prints_point_table(self, capsys):
         # One branch after the solve: a --ranks run prints the same
         # per-point log a serial run does, then its walltime/comm line.
-        rc = main(["--system", "toy", "--n-eig", "16", "--ranks", "3"])
+        rc = main(["--system", "toy", "--n-eig", "24", "--ranks", "3"])
         assert rc == 0
         captured = capsys.readouterr()
         assert "NP_NUCHI_EIGS_PARAL_RPA: 3" in captured.out
@@ -70,6 +70,19 @@ class TestMain:
         assert (captured.out.count("  filtered\n")
                 + captured.out.count("  warm\n")) == n_points
         assert "simulated walltime on 3 ranks" in captured.err
+
+    def test_unconverged_sweep_exits_3_with_a_warning(self, capsys):
+        # Eight eigenpairs leave the last quadrature point above its Eq. 7
+        # tolerance: the energy is still printed, but the run must say so.
+        rc = main(["--system", "toy", "--n-eig", "8"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "Total RPA correlation energy" in captured.out
+        warnings = [ln for ln in captured.err.splitlines()
+                    if ln.startswith("WARNING:")]
+        assert len(warnings) == 1
+        assert "did not converge" in warnings[0]
+        assert "#8 " in warnings[0] and "> 5.0e-04" in warnings[0]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="spmd backend requires the fork start method")

@@ -14,9 +14,8 @@ pins that over random grids, occupied counts, shifts and RHS widths:
    active set only by crossing tolerance or by breakdown/stagnation, so
    ``converged | broken`` covers every column the iteration cap did not
    cut off, and every converged column's residual is at tolerance.
-4. **Matvec accounting** — in unmasked mode the identity
-   ``batched_applies * total_columns == sum(per-column applies)`` is exact;
-   masking can only reduce the right-hand side.
+4. **Matvec accounting** — ``sum(per-column applies)`` never exceeds
+   ``batched_applies * total_columns``: masking can only reduce it.
 
 The chi0-level agreement test runs under every dtype named in the
 ``REPRO_BATCHED_DTYPES`` environment variable (comma-separated; the CI
@@ -163,8 +162,7 @@ class TestConvergenceMasks:
         S, _, shifts, B = _sternheimer_batch(n, n_orb, n_v, seed, omega)
         op = BatchedShiftedOperator(S, shifts)
         cap = 10 * n
-        res = batched_cocg_solve(op, B, tol=TOL, max_iterations=cap,
-                                 mask_converged=True)
+        res = batched_cocg_solve(op, B, tol=TOL, max_iterations=cap)
         if res.iterations < cap:
             # The active set emptied: every column either crossed tol or was
             # declared broken — none was silently frozen mid-flight.
@@ -197,25 +195,11 @@ class TestMatvecAccounting:
     @given(params=batch_params)
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_unmasked_identity_is_exact(self, params):
-        n, n_orb, n_v, seed, omega = params
-        S, _, shifts, B = _sternheimer_batch(n, n_orb, n_v, seed, omega)
-        op = BatchedShiftedOperator(S, shifts)
-        res = batched_cocg_solve(op, B, tol=TOL, max_iterations=10 * n,
-                                 mask_converged=False)
-        C = n_orb * n_v
-        assert res.n_batched_applies * C == int(res.col_applies.sum())
-        assert res.n_matvec == int(res.col_applies.sum())
-
-    @given(params=batch_params)
-    @settings(max_examples=20, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
     def test_masking_only_reduces_column_applies(self, params):
         n, n_orb, n_v, seed, omega = params
         S, _, shifts, B = _sternheimer_batch(n, n_orb, n_v, seed, omega)
         op = BatchedShiftedOperator(S, shifts)
-        masked = batched_cocg_solve(op, B, tol=TOL, max_iterations=10 * n,
-                                    mask_converged=True)
+        masked = batched_cocg_solve(op, B, tol=TOL, max_iterations=10 * n)
         assert masked.n_matvec <= masked.n_batched_applies * (n_orb * n_v)
         # Per column, applies are bounded by the number of fused applies.
         assert (masked.col_applies <= masked.n_batched_applies).all()
