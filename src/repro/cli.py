@@ -305,8 +305,9 @@ def _run(args, tracer, recorder) -> int:
     if not dft.converged:
         print("warning: SCF did not reach tolerance; continuing with best density",
               file=sys.stderr)
-    print(f"SCF done in {dft.n_iterations} iterations; n_s = {dft.n_occupied}",
-          file=sys.stderr)
+    print(f"SCF done in {dft.n_iterations} iterations "
+          f"({sum(dft.history.eigensolver_passes)} CheFSI filter passes); "
+          f"n_s = {dft.n_occupied}", file=sys.stderr)
 
     coulomb = CoulombOperator(grid, radius=dft.hamiltonian.radius)
     backend = args.backend or ("simulated" if args.ranks > 1 else "serial")

@@ -70,11 +70,20 @@ def chebyshev_filter(
 
 @dataclass
 class EigenResult:
+    """Lowest eigenpairs from CheFSI.
+
+    ``subspace`` is the whole filtered block, the ``n_states + n_buffer``
+    Ritz vectors in ascending order; its leading columns are ``orbitals``.
+    Passing it back as ``v0`` warm-starts the next solve without drawing
+    fresh random buffer columns.
+    """
+
     eigenvalues: np.ndarray
     orbitals: np.ndarray
     iterations: int
     residual: float
     converged: bool
+    subspace: np.ndarray
 
 
 class ChebyshevFilteredSubspace:
@@ -159,10 +168,9 @@ class ChebyshevFilteredSubspace:
             vals, V = self._rayleigh_ritz(V)
             residual = self._mean_residual(V[:, : self.n_states], vals[: self.n_states])
             if residual <= self.tol:
-                return EigenResult(
-                    vals[: self.n_states], V[:, : self.n_states], it, residual, True
-                )
-        return EigenResult(vals[: self.n_states], V[:, : self.n_states], it, residual, False)
+                break
+        return EigenResult(vals[: self.n_states], V[:, : self.n_states], it, residual,
+                           residual <= self.tol, V)
 
     def _rayleigh_ritz(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         HV = self.h.apply(V)

@@ -37,11 +37,29 @@ from repro.grid.kronecker import spectral_laplacian
 from repro.grid.mesh import Grid3D
 from repro.obs.tracer import get_tracer
 
+# Inexact CheFSI: SCF iteration k solves its eigenproblem only to
+# max(tau_final, min(_EIG_TOL_CAP, _EIG_TOL_RATIO * r_{k-1})), r the density
+# residual, since a tighter solve than the density it feeds is wasted work.
+# tau_final = max(0.1 tol, 1e-8) is the tolerance convergence is accepted at.
+_EIG_TOL_RATIO = 0.1  # eigen-tolerance per unit of the previous density residual
+_EIG_TOL_CAP = 1e-3  # loosest eigen-tolerance, used by the first iteration
+
 
 @dataclass
 class SCFHistory:
+    """Per-iteration record of an SCF run.
+
+    ``eigensolver_passes`` / ``eigensolver_tols`` / ``eigensolver_converged``
+    describe each iteration's eigensolve: CheFSI filter passes, the Ritz
+    residual tolerance it ran at and whether it reached it. The dense solver
+    is exact: 0 passes at tolerance 0.
+    """
+
     density_residuals: list[float] = field(default_factory=list)
     band_energies: list[float] = field(default_factory=list)
+    eigensolver_passes: list[int] = field(default_factory=list)
+    eigensolver_tols: list[float] = field(default_factory=list)
+    eigensolver_converged: list[bool] = field(default_factory=list)
 
 
 @dataclass
@@ -115,6 +133,10 @@ def run_scf(
         gap reporting and smearing).
     eigensolver:
         ``"dense"``, ``"chefsi"`` or ``"auto"`` (dense below 1500 points).
+        CheFSI is warm-started from the previous iteration's whole subspace
+        and solves only as tightly as the previous density residual warrants
+        (see ``_EIG_TOL_RATIO``); the SCF converges only on an iteration it
+        solved to ``max(0.1 tol, 1e-8)``.
     tol:
         SCF convergence threshold on the relative density residual
         ``dv * ||rho_out - rho_in||_1 / n_electrons``.
@@ -184,10 +206,12 @@ def run_scf(
             return residual
 
     rho = np.full(grid.n_points, n_electrons / grid.volume)
-    orbitals_guess: np.ndarray | None = None
+    subspace: np.ndarray | None = None
+    eig_tol_final = max(tol * 0.1, 1e-8)
     eigenvalues = np.zeros(n_states)
     orbitals = np.zeros((grid.n_points, n_states))
     occ = np.zeros(n_states)
+    resid = np.inf
     converged = False
     it = 0
 
@@ -201,13 +225,15 @@ def run_scf(
 
         if eigensolver == "dense":
             eigenvalues, orbitals = dense_lowest_eigenpairs(h, n_states, dense_constants)
+            passes, eig_tol, eig_converged = 0, 0.0, True
         else:
-            solver = ChebyshevFilteredSubspace(
-                h, n_states, degree=chefsi_degree, tol=max(tol * 0.1, 1e-8), seed=seed
-            )
-            res = solver.solve(v0=orbitals_guess)
-            eigenvalues, orbitals = res.eigenvalues, res.orbitals
-            orbitals_guess = orbitals
+            # Warm start from the previous iteration's whole filtered subspace.
+            eig_tol = max(eig_tol_final, min(_EIG_TOL_CAP, _EIG_TOL_RATIO * resid))
+            res = ChebyshevFilteredSubspace(
+                h, n_states, degree=chefsi_degree, tol=eig_tol, seed=seed
+            ).solve(v0=subspace)
+            eigenvalues, orbitals, subspace = res.eigenvalues, res.orbitals, res.subspace
+            passes, eig_converged = res.iterations, res.converged
 
         if smearing is None:
             occ = insulator_occupations(eigenvalues, n_electrons)
@@ -219,11 +245,16 @@ def run_scf(
         band = float(2.0 * np.sum(occ * eigenvalues))
         history.density_residuals.append(resid)
         history.band_energies.append(band)
+        history.eigensolver_passes.append(passes)
+        history.eigensolver_tols.append(eig_tol)
+        history.eigensolver_converged.append(eig_converged)
         if tracer.enabled:
             tracer.record("scf_iteration", t_iter, iteration=it,
-                          residual=resid, band_energy=band)
+                          residual=resid, band_energy=band, eigensolver_passes=passes,
+                          eigensolver_tol=eig_tol, eigensolver_converged=eig_converged)
             tracer.gauge("scf_density_residual", resid, iteration=it)
-        if resid < tol:
+        # Orbitals handed on must meet the final eigen-tolerance, not a loose one.
+        if resid < tol and eig_converged and eig_tol <= eig_tol_final:
             rho = rho_out
             converged = True
             break
@@ -236,7 +267,8 @@ def run_scf(
 
     if tracer.enabled:
         tracer.record("scf", t_scf, iterations=it, converged=converged,
-                      eigensolver=eigensolver)
+                      eigensolver=eigensolver,
+                      eigensolver_passes=sum(history.eigensolver_passes))
 
     # Final energies at the converged density.
     eps_xc, v_xc = lda_xc(rho)
