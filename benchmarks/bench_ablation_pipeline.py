@@ -43,13 +43,13 @@ def test_ablation_warm_start(benchmark, si8_medium):
     iters_cold = sum(p.filter_iterations for p in cold.points)
     np.testing.assert_allclose(warm.energy, cold.energy, atol=5e-3)
     assert iters_warm < iters_cold, "warm start did not reduce filtering work"
-    skipped = sum(1 for p in warm.points if p.skipped_filtering)
+    skipped = sum(1 for p in warm.points if p.filter_iterations == 0)
 
     rows = [
         ["warm start (paper)", iters_warm, skipped, f"{warm.energy:.6e}",
          f"{warm.elapsed_seconds:.1f}"],
         ["cold (random) start", iters_cold,
-         sum(1 for p in cold.points if p.skipped_filtering),
+         sum(1 for p in cold.points if p.filter_iterations == 0),
          f"{cold.energy:.6e}", f"{cold.elapsed_seconds:.1f}"],
     ]
     write_report(

@@ -67,7 +67,7 @@ def main() -> None:
               f"Ha/atom | First 2 eigs {mu[0]:.5f} {mu[1]:.5f} ; "
               f"Last 2 eigs {mu[-2]:.5f} {mu[-1]:.5f} | "
               f"eig Error {p.error:.3e} | Timing (s) {p.elapsed_seconds:.2f}"
-              + ("  [filtering skipped]" if p.skipped_filtering else ""))
+              + ("  [filtering skipped]" if p.filter_iterations == 0 else ""))
     print("*" * 66)
     print(f"Total RPA correlation energy: {rpa.energy:.5e} (Ha), "
           f"{rpa.energy_per_atom:.5e} (Ha/atom)")

@@ -253,7 +253,11 @@ def _run(args, tracer, recorder) -> int:
     n_eig = min(args.n_eig or default_n_eig, grid.n_points)
     if args.input is not None:
         overrides = {} if args.n_eig is None else {"n_eig": args.n_eig}
-        config = load_rpa_config(path=args.input, seed=args.seed, **overrides)
+        try:
+            config = load_rpa_config(path=args.input, seed=args.seed, **overrides)
+        except ValueError as exc:  # bad value or unknown keyword: refuse before the SCF
+            print(f"error: {args.input}: {exc}", file=sys.stderr)
+            return 2
     else:
         config = RPAConfig(n_eig=n_eig, seed=args.seed)
     flags: dict = {}

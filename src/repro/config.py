@@ -216,7 +216,6 @@ class RPAConfig:
     use_recycling: bool = False
     use_preconditioner: bool = False
     seed: int | None = None
-    trace_method: str = "eigenvalues"  # "eigenvalues" | "lanczos" | "block_lanczos" | "hutchinson"
     resilience: ResilienceConfig | None = None  # None = plain solver, no escalation
     verify_level: str = "off"  # "off" | "cheap" | "full" (repro.verify)
     telemetry_level: str = "off"  # "off" | "summary" | "full" (repro.obs.telemetry)
@@ -235,8 +234,12 @@ class RPAConfig:
             raise ValueError("tol_sternheimer must be positive")
         if self.filter_degree < 1:
             raise ValueError("filter_degree must be >= 1")
-        if self.trace_method not in ("eigenvalues", "lanczos", "block_lanczos", "hutchinson"):
-            raise ValueError(f"unknown trace_method {self.trace_method!r}")
+        if self.max_filter_iterations < 0:
+            raise ValueError("max_filter_iterations must be >= 0")
+        if self.max_cocg_iterations < 1:
+            raise ValueError("max_cocg_iterations must be >= 1")
+        if self.fixed_block_size < 1 or self.max_block_size < 1:
+            raise ValueError("fixed_block_size and max_block_size must be >= 1")
         if self.verify_level not in ("off", "cheap", "full"):
             raise ValueError(
                 f"verify_level must be 'off', 'cheap' or 'full', got {self.verify_level!r}"
@@ -275,6 +278,8 @@ class RPAConfig:
                 pad = (self.tol_subspace[-1],) * (self.n_quadrature - len(self.tol_subspace))
                 self.tol_subspace = self.tol_subspace + pad
             self.tol_subspace = self.tol_subspace[: self.n_quadrature]
+        if min(self.tol_subspace) <= 0:
+            raise ValueError(f"tol_subspace must be positive, got {self.tol_subspace}")
 
     def tol_subspace_for(self, k: int) -> float:
         """Subspace tolerance for quadrature point ``k`` (1-based)."""

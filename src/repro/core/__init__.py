@@ -6,7 +6,6 @@ iteration (Algorithms 2/5), trace estimators, the Algorithm 6 driver, and
 the quartic-scaling direct baseline (Adler-Wiser / ABINIT-style).
 """
 
-from repro.core.block_lanczos import block_lanczos_trace
 from repro.core.chi0_direct import (
     build_chi0_dense,
     nu_chi0_eigenvalues_dense,
@@ -43,9 +42,9 @@ from repro.core.ssa import (
 from repro.core.sternheimer import Chi0Operator, SternheimerStats
 from repro.core.subspace import SubspaceResult, filtered_subspace_iteration
 from repro.core.trace import (
+    block_lanczos_trace,
     hutchinson_trace,
     rpa_integrand,
-    stochastic_lanczos_trace,
     trace_from_eigenvalues,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "filtered_subspace_iteration",
     "rpa_integrand",
     "trace_from_eigenvalues",
-    "stochastic_lanczos_trace",
     "block_lanczos_trace",
     "hutchinson_trace",
     "FrequencyPointStats",

@@ -3,7 +3,10 @@
 Sequential sweep over the transformed Gauss-Legendre frequency points
 (largest omega first), running warm-started filtered subspace iteration on
 ``nu^{1/2} chi0(i omega_k) nu^{1/2}`` at each point, with all Sternheimer
-systems solved by block COCG + dynamic block sizing. Produces per-point
+systems solved by block COCG + dynamic block sizing. Each point's energy
+term is ``sum_j ln(1 - mu_j) + mu_j`` over the Ritz values that point
+converged (Section III-A); the stochastic estimators of
+:mod:`repro.core.trace` are not part of the sweep. Produces per-point
 energy terms, eigenvalue snapshots, kernel timings and solver statistics —
 everything the paper's output log reports.
 
@@ -17,7 +20,7 @@ the same :class:`RPAEnergyResult`.
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -29,11 +32,7 @@ from repro.core.scheduler import Scheduler, SerialScheduler
 from repro.core.ssa import frozen_subspace_point
 from repro.core.sternheimer import Chi0Operator, SternheimerStats
 from repro.core.subspace import SubspaceResult, filtered_subspace_iteration
-from repro.core.trace import (
-    rpa_integrand,
-    stochastic_lanczos_trace,
-    trace_from_eigenvalues,
-)
+from repro.core.trace import trace_from_eigenvalues
 from repro.solvers.recycle import RecycleStats, SolveRecycler
 from repro.dft.scf import DFTResult
 from repro.grid.coulomb import CoulombOperator
@@ -57,12 +56,11 @@ class FrequencyPointStats:
     error: float
     converged: bool
     elapsed_seconds: float
-    skipped_filtering: bool
     solve_error_bound: float = 0.0  # operator-norm bound from degraded solves
     #: How the subspace at this point was obtained: ``"filtered"`` (>= 1
     #: Chebyshev pass), ``"warm"`` (warm start satisfied Eq. 7 immediately),
     #: ``"frozen"`` / ``"refreshed"`` (SSA, repro.core.ssa). Disambiguates
-    #: ``filter_iterations == 0``, which ``skipped_filtering`` overloaded.
+    #: the ways ``filter_iterations == 0`` can happen.
     subspace_mode: str = "filtered"
     #: First-order bound on the energy-term error of an accepted SSA point
     #: (zero on the exact filtered path).
@@ -341,12 +339,8 @@ def compute_rpa_energy(
                         # A fresh random block shares nothing with the cache.
                         recycler.clear()
 
-                # Stochastic trace probes are unrelated single vectors; keep
-                # them out of the solve cache.
-                with (recycler.paused() if recycler is not None
-                      and config.trace_method != "eigenvalues" else nullcontext()):
-                    e_k = _energy_term(sub, chi0_operator, omega, config)
-                if verifier.enabled and config.trace_method == "eigenvalues":
+                e_k = trace_from_eigenvalues(sub.eigenvalues)  # Alg. 6 line 21
+                if verifier.enabled:
                     # Eq. 1 integrand vs the dielectric-route trace over the
                     # same partial spectrum (mu_i are the Ritz values of
                     # nu^{1/2} chi0 nu^{1/2}, eps_i = 1 - mu_i).
@@ -381,9 +375,7 @@ def compute_rpa_energy(
                                   converged=sub.converged,
                                   subspace_mode=sub.subspace_mode)
                 tracer.incr("omega_points")
-                if sub.iterations == 0:
-                    tracer.incr("omega_points_skipped_filtering")
-                if sub.subspace_mode in ("frozen", "refreshed"):
+                if sub.subspace_mode != "filtered":
                     tracer.incr(f"omega_points_{sub.subspace_mode}")
             energy += weight * e_k / (2.0 * np.pi)
             points.append(
@@ -397,7 +389,6 @@ def compute_rpa_energy(
                     error=sub.error,
                     converged=sub.converged,
                     elapsed_seconds=time.perf_counter() - t0,
-                    skipped_filtering=sub.iterations == 0,
                     solve_error_bound=point_bound,
                     subspace_mode=sub.subspace_mode,
                     ssa_error_bound=sub.ssa_error_bound,
@@ -490,38 +481,3 @@ def _subspace_point(
         scheduler=sched,
     )
 
-
-def _energy_term(
-    sub: SubspaceResult, chi0_operator: Chi0Operator, omega: float, config: RPAConfig
-) -> float:
-    """Trace approximation at one quadrature point (Algorithm 6 line 21)."""
-    if config.trace_method == "eigenvalues":
-        return trace_from_eigenvalues(sub.eigenvalues)
-    if config.trace_method == "lanczos":
-        return stochastic_lanczos_trace(
-            lambda v: chi0_operator.apply_symmetrized(v, omega),
-            n=chi0_operator.n_points,
-            n_probes=max(8, config.n_eig // 16),
-            seed=config.seed,
-        )
-    if config.trace_method == "block_lanczos":
-        from repro.core.block_lanczos import block_lanczos_trace
-
-        return block_lanczos_trace(
-            lambda v: chi0_operator.apply_symmetrized(v, omega),
-            n=chi0_operator.n_points,
-            block_size=max(4, config.n_eig // 16),
-            seed=config.seed,
-        )
-    if config.trace_method == "hutchinson":
-        from repro.core.trace import hutchinson_trace
-
-        bound = min(float(sub.eigenvalues[0]) * 1.2, -1e-8)
-        return hutchinson_trace(
-            lambda v: chi0_operator.apply_symmetrized(v, omega),
-            n=chi0_operator.n_points,
-            spectrum_bound=bound,
-            n_probes=max(8, config.n_eig // 16),
-            seed=config.seed,
-        )
-    raise ValueError(f"unknown trace method {config.trace_method!r}")

@@ -2,16 +2,22 @@
 
 Three routes, mirroring the paper's Section II discussion:
 
-* :func:`trace_from_eigenvalues` — the production path (Section III-A):
-  sum ``f(mu_j)`` over the partial spectrum from subspace iteration. Since
-  ``f(mu) = ln(1 - mu) + mu = O(mu^2)`` near zero and the spectrum decays
-  rapidly (Figure 1), truncation converges fast in ``n_eig``.
-* :func:`stochastic_lanczos_trace` — the paper's *future work* replacement
-  for the poorly-scaling dense eigensolve: stochastic Lanczos quadrature,
-  embarrassingly parallel over probe vectors.
+* :func:`trace_from_eigenvalues` — the production path and the sweep's only
+  energy rule (Section III-A): sum ``f(mu_j)`` over the Ritz values that
+  Algorithm 5 converged. Since ``f(mu) = ln(1 - mu) + mu = O(mu^2)`` near
+  zero and the spectrum decays rapidly (Figure 1), truncation converges
+  fast in ``n_eig``.
+* :func:`block_lanczos_trace` — the paper's *future work* replacement for
+  the poorly-scaling dense eigensolve (Section V): stochastic Lanczos
+  quadrature, embarrassingly parallel over probe vectors, in the block
+  form the paper suggests ("in a similar fashion to block COCG"). At
+  ``block_size=1`` it is plain SLQ.
 * :func:`hutchinson_trace` — the plain Hutchinson estimator applied to
   ``f(M) v`` products realized with a Chebyshev expansion of ``f`` on the
   spectral interval.
+
+The two stochastic estimators take any Hermitian operator, e.g.
+``Chi0Operator.apply_symmetrized``; they are not part of the sweep.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from repro.utils.rng import default_rng
 
@@ -36,46 +43,52 @@ def trace_from_eigenvalues(mu: np.ndarray) -> float:
     return float(np.sum(rpa_integrand(mu)))
 
 
-def stochastic_lanczos_trace(
+def block_lanczos_trace(
     apply_op: Callable[[np.ndarray], np.ndarray],
     n: int,
     f: Callable[[np.ndarray], np.ndarray] = rpa_integrand,
-    n_probes: int = 16,
-    lanczos_steps: int = 30,
+    block_size: int = 8,
+    lanczos_steps: int = 25,
+    n_blocks: int = 2,
     seed: int | None = None,
 ) -> float:
-    """Estimate ``Tr[f(A)]`` for Hermitian ``A`` by stochastic Lanczos quadrature.
+    """Estimate ``Tr[f(A)]`` for Hermitian ``A`` with block SLQ.
 
-    For each Rademacher probe ``z``, run ``m`` Lanczos steps (with full
-    reorthogonalization for numerical robustness at these small ``m``),
-    eigendecompose the tridiagonal matrix, and accumulate the Gauss
-    quadrature value ``||z||^2 sum_i tau_i^2 f(theta_i)``.
+    A block Lanczos recurrence with full reorthogonalization builds a block
+    tridiagonal ``T``; the quadratic forms ``z_i^T f(A) z_i`` of all probes
+    in the block are then read off the eigendecomposition of ``T``
+    simultaneously, sharing the operator applications exactly the way
+    block COCG shares them across right-hand sides.
 
     Parameters
     ----------
     apply_op:
-        ``v -> A v`` (single vectors).
+        Block application ``V -> A V`` (must accept ``(n, b)`` operands).
     n:
         Operator dimension.
     f:
         Spectral function (defaults to the RPA integrand).
-    n_probes:
-        Number of random probes (variance ~ 1/n_probes).
+    block_size:
+        Probes processed per block recurrence (the analogue of COCG's s).
     lanczos_steps:
-        Krylov depth per probe.
+        Block iterations; the Krylov dimension is ``block_size * steps``.
+    n_blocks:
+        Independent probe blocks averaged (variance reduction).
+
+    Returns
+    -------
+    Trace estimate (mean over all ``block_size * n_blocks`` probes).
     """
-    if n_probes < 1 or lanczos_steps < 1:
-        raise ValueError("n_probes and lanczos_steps must be >= 1")
+    if block_size < 1 or lanczos_steps < 1 or n_blocks < 1:
+        raise ValueError("block_size, lanczos_steps and n_blocks must be >= 1")
+    if block_size > n:
+        raise ValueError(f"block_size {block_size} exceeds dimension {n}")
     rng = default_rng(seed)
-    total = 0.0
-    for _ in range(n_probes):
-        z = rng.choice([-1.0, 1.0], size=n)
-        z_norm2 = float(z @ z)
-        alphas, betas = _lanczos(apply_op, z, lanczos_steps)
-        theta, S = _tridiag_eigh(alphas, betas)
-        tau2 = S[0, :] ** 2
-        total += z_norm2 * float(tau2 @ f(theta))
-    return total / n_probes
+    estimates = []
+    for _ in range(n_blocks):
+        Z = rng.choice([-1.0, 1.0], size=(n, block_size))
+        estimates.append(_block_slq_forms(apply_op, Z, f, lanczos_steps).mean())
+    return float(np.mean(estimates))
 
 
 def hutchinson_trace(
@@ -130,42 +143,68 @@ def hutchinson_trace(
 # -- helpers -------------------------------------------------------------------
 
 
-def _lanczos(
-    apply_op: Callable[[np.ndarray], np.ndarray], z: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lanczos tridiagonalization with full reorthogonalization."""
-    n = len(z)
-    m = min(m, n)
-    Q = np.zeros((n, m))
-    alphas = np.zeros(m)
-    betas = np.zeros(max(m - 1, 0))
-    q = z / np.linalg.norm(z)
-    Q[:, 0] = q
-    beta = 0.0
-    q_prev = np.zeros(n)
-    k_used = m
-    for k in range(m):
-        w = apply_op(q) - beta * q_prev
-        alphas[k] = float(q @ w)
-        w -= alphas[k] * q
-        # Full reorthogonalization (small m, robustness over speed).
-        w -= Q[:, : k + 1] @ (Q[:, : k + 1].T @ w)
-        if k == m - 1:
+def _block_slq_forms(
+    apply_op: Callable[[np.ndarray], np.ndarray],
+    Z: np.ndarray,
+    f: Callable[[np.ndarray], np.ndarray],
+    steps: int,
+) -> np.ndarray:
+    """Per-probe quadratic forms ``diag(Z^T f(A) Z)`` via block Lanczos.
+
+    Uses rank-revealing (SVD) deflation: directions exhausted by an
+    invariant subspace are dropped and the recurrence continues with a
+    narrower block — the block-Lanczos analogue of the deflation the
+    paper's block COCG discussion calls for.
+    """
+    n, b = Z.shape
+    steps = min(steps, max(n // b, 1))
+    Q, R1 = np.linalg.qr(Z)
+    basis_blocks: list[np.ndarray] = [Q]
+    alphas: list[np.ndarray] = []
+    betas: list[np.ndarray] = []  # betas[k]: (b_{k+1}, b_k) with W_k = Q_{k+1} beta_k
+    Q_prev: np.ndarray | None = None
+    beta_prev: np.ndarray | None = None
+    scale = 1.0
+    for k in range(steps):
+        W = apply_op(Q)
+        alpha = Q.T @ W
+        alpha = 0.5 * (alpha + alpha.T)
+        alphas.append(alpha)
+        scale = max(scale, float(np.abs(alpha).max()))
+        if k == steps - 1:
             break
-        beta = float(np.linalg.norm(w))
-        if beta < 1e-12:
-            k_used = k + 1
-            break
-        betas[k] = beta
-        q_prev = q
-        q = w / beta
-        Q[:, k + 1] = q
-    return alphas[:k_used], betas[: max(k_used - 1, 0)]
+        W = W - Q @ alpha
+        if Q_prev is not None:
+            W = W - Q_prev @ beta_prev.T
+        # Full reorthogonalization against the accumulated basis.
+        for blk in basis_blocks:
+            W -= blk @ (blk.T @ W)
+        U, sv, Vt = np.linalg.svd(W, full_matrices=False)
+        keep = sv > 1e-12 * max(scale, float(sv[0]) if sv.size else 1.0)
+        if not np.any(keep):
+            break  # Krylov space exhausted: quadrature is exact from here
+        Q_next = np.ascontiguousarray(U[:, keep])
+        beta = sv[keep, None] * Vt[keep, :]  # (b_{k+1}, b_k)
+        betas.append(beta)
+        basis_blocks.append(Q_next)
+        Q_prev, beta_prev, Q = Q, beta, Q_next
 
-
-def _tridiag_eigh(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    import scipy.linalg
-
-    if len(alphas) == 1:
-        return alphas.copy(), np.ones((1, 1))
-    return scipy.linalg.eigh_tridiagonal(alphas, betas)
+    # Assemble the (possibly ragged) block tridiagonal matrix.
+    widths = [a.shape[0] for a in alphas]
+    offsets = np.concatenate([[0], np.cumsum(widths)])
+    m = int(offsets[-1])
+    T = np.zeros((m, m))
+    for k, alpha in enumerate(alphas):
+        i, j = offsets[k], offsets[k + 1]
+        T[i:j, i:j] = alpha
+    for k, beta in enumerate(betas[: len(alphas) - 1]):
+        i, j = offsets[k], offsets[k + 1]
+        i2, j2 = offsets[k + 1], offsets[k + 2]
+        T[i2:j2, i:j] = beta
+        T[i:j, i2:j2] = beta.T
+    theta, S = scipy.linalg.eigh(T)
+    # Z^T f(A) Z ~ R1^T S_1 f(Theta) S_1^T R1 with S_1 the first block row.
+    S1 = S[:b, :]
+    G = (S1 * f(theta)) @ S1.T
+    forms = R1.T @ G @ R1
+    return np.diag(forms).copy()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.rpa_energy import chi0_operator_from_config
 from repro.dft import GaussianPseudopotential, run_scf
 from repro.dft.atoms import Crystal
 from repro.grid import CoulombOperator
@@ -34,3 +35,21 @@ def toy_dense_eigen(toy_dft):
 
     h = toy_dft.hamiltonian.to_dense()
     return scipy.linalg.eigh(h)
+
+
+@pytest.fixture(scope="session")
+def stochastic_sweep_energy(toy_dft, toy_coulomb):
+    """``sum_k w_k est_k / 2 pi`` at a toy sweep's quadrature points, with
+    ``est_k`` a stochastic trace estimator run on the sweep config's
+    ``nu^{1/2} chi0(i omega_k) nu^{1/2}``."""
+
+    def energy(ref, estimator, **kwargs):
+        op = chi0_operator_from_config(toy_dft, ref.config, toy_coulomb)
+        return sum(
+            p.weight / (2.0 * np.pi) * estimator(
+                lambda v, w=p.omega: op.apply_symmetrized(v, w), n=op.n_points,
+                seed=ref.config.seed, **kwargs)
+            for p in ref.points
+        )
+
+    return energy

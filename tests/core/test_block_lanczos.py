@@ -75,13 +75,10 @@ class TestBlockSLQ:
 
 
 class TestDriverIntegration:
-    def test_block_lanczos_trace_method(self, toy_dft, toy_coulomb):
-        ref = compute_rpa_energy(
-            toy_dft, RPAConfig(n_eig=40, n_quadrature=3, seed=4), coulomb=toy_coulomb
-        )
-        est = compute_rpa_energy(
-            toy_dft,
-            RPAConfig(n_eig=40, n_quadrature=3, seed=4, trace_method="block_lanczos"),
-            coulomb=toy_coulomb,
-        )
-        assert est.energy == pytest.approx(ref.energy, rel=0.25)
+    def test_block_lanczos_trace_method(self, toy_dft, toy_coulomb,
+                                        stochastic_sweep_energy):
+        cfg = RPAConfig(n_eig=40, n_quadrature=3, seed=4)
+        ref = compute_rpa_energy(toy_dft, cfg, coulomb=toy_coulomb)
+        est = stochastic_sweep_energy(ref, block_lanczos_trace,
+                                      block_size=max(4, cfg.n_eig // 16))
+        assert est == pytest.approx(ref.energy, rel=0.25)

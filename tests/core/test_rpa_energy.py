@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 from repro.config import RPAConfig
-from repro.core import compute_rpa_energy, compute_rpa_energy_direct
+from repro.core import (
+    block_lanczos_trace,
+    compute_rpa_energy,
+    compute_rpa_energy_direct,
+)
+
+#: Values ``RPAConfig`` must refuse up front: each would otherwise run the
+#: whole SCF and then fail inside the sweep.
+_UNRUNNABLE_CONFIGS = [
+    {"max_filter_iterations": -1},
+    {"tol_subspace": 0.0},
+    {"tol_subspace": (1e-3, -1.0)},
+    {"max_cocg_iterations": 0},
+    {"fixed_block_size": 0},
+    {"max_block_size": 0},
+]
 
 
 @pytest.fixture(scope="module")
@@ -95,12 +110,15 @@ class TestDriverOptions:
                                  coulomb=toy_coulomb)
         assert dyn.energy == pytest.approx(fix.energy, abs=5e-4)
 
-    def test_lanczos_trace_method(self, toy_dft, toy_coulomb):
-        base = RPAConfig(n_eig=40, n_quadrature=3, seed=4)
-        ref = compute_rpa_energy(toy_dft, base, coulomb=toy_coulomb)
-        slq = RPAConfig(n_eig=40, n_quadrature=3, seed=4, trace_method="lanczos")
-        est = compute_rpa_energy(toy_dft, slq, coulomb=toy_coulomb)
-        assert est.energy == pytest.approx(ref.energy, rel=0.25)
+    def test_lanczos_trace_method(self, toy_dft, toy_coulomb, stochastic_sweep_energy):
+        # SLQ (block Lanczos at block size 1) on the symmetrized operator at
+        # the sweep's own points lands near the Ritz-value energy.
+        cfg = RPAConfig(n_eig=40, n_quadrature=3, seed=4)
+        ref = compute_rpa_energy(toy_dft, cfg, coulomb=toy_coulomb)
+        est = stochastic_sweep_energy(ref, block_lanczos_trace, block_size=1,
+                                      n_blocks=max(8, cfg.n_eig // 16),
+                                      lanczos_steps=30)
+        assert est == pytest.approx(ref.energy, rel=0.25)
 
     def test_initial_vectors_accepted(self, toy_dft, toy_coulomb, iterative_result):
         cfg = RPAConfig(n_eig=60, n_quadrature=2, seed=5)
@@ -121,8 +139,9 @@ class TestDriverOptions:
             RPAConfig(n_eig=0)
         with pytest.raises(ValueError):
             RPAConfig(n_eig=10, tol_sternheimer=-1.0)
-        with pytest.raises(ValueError):
-            RPAConfig(n_eig=10, trace_method="magic")
+        for bad in _UNRUNNABLE_CONFIGS:
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                RPAConfig(n_eig=10, **bad)
         with pytest.raises(ValueError, match="requires batched_sternheimer"):
             RPAConfig(n_eig=10, solve_dtype="float32_ir")
         cfg = RPAConfig(n_eig=10, n_quadrature=4, tol_subspace=(1e-3, 1e-4))

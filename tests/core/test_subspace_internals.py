@@ -141,5 +141,5 @@ class TestFrequencyPointStats:
         p = FrequencyPointStats(index=1, omega=0.69, weight=0.518,
                                 energy_term=-2.0, eigenvalues=np.array([-1.0]),
                                 filter_iterations=1, error=1e-4, converged=True,
-                                elapsed_seconds=0.1, skipped_filtering=False)
+                                elapsed_seconds=0.1)
         assert p.energy_contribution == pytest.approx(0.518 * -2.0 / (2 * np.pi))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    block_lanczos_trace,
     hutchinson_trace,
     rpa_integrand,
-    stochastic_lanczos_trace,
     trace_from_eigenvalues,
 )
 
@@ -51,17 +51,22 @@ class TestEigenvalueTrace:
 
 
 class TestStochasticLanczos:
+    """Plain SLQ: block Lanczos quadrature at block size 1, one probe per
+    block."""
+
     def test_approximates_exact_trace(self):
         A, mu = _negdef_matrix(seed=1)
         exact = trace_from_eigenvalues(mu)
-        est = stochastic_lanczos_trace(lambda v: A @ v, n=A.shape[0],
-                                       n_probes=40, lanczos_steps=40, seed=2)
+        est = block_lanczos_trace(lambda v: A @ v, n=A.shape[0], block_size=1,
+                                  n_blocks=40, lanczos_steps=40, seed=2)
         assert est == pytest.approx(exact, rel=0.08)
 
     def test_deterministic_with_seed(self):
         A, _ = _negdef_matrix(seed=3)
-        a = stochastic_lanczos_trace(lambda v: A @ v, n=A.shape[0], n_probes=5, seed=4)
-        b = stochastic_lanczos_trace(lambda v: A @ v, n=A.shape[0], n_probes=5, seed=4)
+        a = block_lanczos_trace(lambda v: A @ v, n=A.shape[0], block_size=1,
+                                n_blocks=5, seed=4)
+        b = block_lanczos_trace(lambda v: A @ v, n=A.shape[0], block_size=1,
+                                n_blocks=5, seed=4)
         assert a == b
 
     def test_error_decreases_with_probes(self):
@@ -69,8 +74,8 @@ class TestStochasticLanczos:
         exact = trace_from_eigenvalues(mu)
         errs = []
         for probes in (4, 64):
-            est = stochastic_lanczos_trace(lambda v: A @ v, n=A.shape[0],
-                                           n_probes=probes, lanczos_steps=40, seed=6)
+            est = block_lanczos_trace(lambda v: A @ v, n=A.shape[0], block_size=1,
+                                      n_blocks=probes, lanczos_steps=40, seed=6)
             errs.append(abs(est - exact))
         assert errs[1] < errs[0] + 1e-12
 
@@ -78,13 +83,14 @@ class TestStochasticLanczos:
         # With f(x) = x, SLQ with full Krylov depth returns z^T A z exactly;
         # averaging Rademacher probes estimates Tr[A].
         A, mu = _negdef_matrix(n=60, seed=7)
-        est = stochastic_lanczos_trace(lambda v: A @ v, n=60, f=lambda x: x,
-                                       n_probes=200, lanczos_steps=60, seed=8)
+        est = block_lanczos_trace(lambda v: A @ v, n=60, f=lambda x: x,
+                                  block_size=1, n_blocks=200, lanczos_steps=60,
+                                  seed=8)
         assert est == pytest.approx(mu.sum(), rel=0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            stochastic_lanczos_trace(lambda v: v, n=5, n_probes=0)
+            block_lanczos_trace(lambda v: v, n=5, block_size=1, n_blocks=0)
 
 
 class TestHutchinson:

@@ -50,6 +50,16 @@ class TestMain:
         # Two omega blocks only.
         assert out.read_text().count("0~1 value") == 2
 
+    def test_bad_input_value_exits_2_before_the_scf(self, tmp_path, capsys):
+        rpa = tmp_path / "bad.rpa"
+        rpa.write_text("N_NUCHI_EIGS: 16\nMAXIT_FILTERING: -1\n")
+        rc = main(["--system", "toy", "--input", str(rpa)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "max_filter_iterations" in errors[0]
+        assert "SCF done" not in err
+
     def test_simulated_ranks_path(self, capsys):
         rc = main(["--system", "toy", "--n-eig", "16", "--ranks", "4"])
         assert rc == 0

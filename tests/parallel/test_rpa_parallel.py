@@ -142,9 +142,6 @@ class TestOneSweep:
 
     @pytest.mark.parametrize("field, value", [
         ("use_warm_start", False),
-        ("trace_method", "lanczos"),
-        ("trace_method", "block_lanczos"),
-        ("trace_method", "hutchinson"),
     ])
     def test_config_fields_reach_the_simulated_backend(self, toy_dft, toy_coulomb,
                                                        field, value):

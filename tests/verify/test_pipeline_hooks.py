@@ -91,6 +91,37 @@ BACKEND_CELLS = {
 }
 
 
+@pytest.mark.parametrize("backend", ["serial", "simulated"])
+class TestEveryPointEnergyIsChecked:
+    """Each point's energy term goes through the Eq. 1 <-> dielectric trace
+    identity, whichever scheduler placed the point's chi0 applies."""
+
+    def _sweep(self, toy_dft, toy_coulomb, backend):
+        from repro.parallel import compute_rpa_energy_parallel
+
+        cfg = _config(verify_level="cheap", n_quadrature=3)
+        with use_tracer(Tracer()) as tracer:
+            res = compute_rpa_energy_parallel(toy_dft, cfg, coulomb=toy_coulomb,
+                                              **BACKEND_CELLS[backend])
+        return res, tracer
+
+    def test_one_check_per_point(self, toy_dft, toy_coulomb, backend):
+        res, tracer = self._sweep(toy_dft, toy_coulomb, backend)
+        assert tracer.counters["verify_trace_identity_checks"] == 3
+        assert res.verify["failures"] == []
+
+    def test_a_wrong_point_term_is_caught(self, toy_dft, toy_coulomb, backend,
+                                          monkeypatch):
+        import repro.core.rpa_energy as rpa_energy
+
+        honest = rpa_energy.trace_from_eigenvalues
+        monkeypatch.setattr(rpa_energy, "trace_from_eigenvalues",
+                            lambda mu: 1.01 * honest(mu))
+        res, tracer = self._sweep(toy_dft, toy_coulomb, backend)
+        caught = [f for f in res.verify["failures"] if f["check"] == "trace_identity"]
+        assert len(caught) == tracer.counters["verify_trace_identity_failures"] == 3
+
+
 @needs_fork
 @pytest.mark.parametrize("batched", [False, True],
                          ids=["per_orbital", "batched"])
