@@ -5,7 +5,6 @@ the design decisions DESIGN.md calls out:
 
 * block COCG vs single-vector COCG vs GMRES (Section III-B),
 * the Eq. 13 Galerkin deflating guess (Section III-F),
-* the shifted inverse-Laplacian preconditioner (Section V future work),
 * the seed-projection method the paper dismisses (Section II).
 """
 
@@ -15,7 +14,6 @@ import pytest
 from repro.analysis import format_table
 from repro.core import transformed_gauss_legendre
 from repro.solvers import (
-    ShiftedLaplacianPreconditioner,
     block_cocg_solve,
     cocg_solve,
     galerkin_initial_guess,
@@ -73,11 +71,6 @@ def test_ablation_solver_stack(benchmark, hard_system):
         record("block COCG s=4 + Galerkin (Eq. 13)",
                block_cocg_solve(apply_a, B, x0=y0, tol=TOL,
                                 max_iterations=MAXIT, n=n))
-        M = ShiftedLaplacianPreconditioner.for_shift(dft.grid, lam_j, omega,
-                                                     radius=dft.hamiltonian.radius)
-        record("block COCG s=4 + inv-Laplacian precond",
-               block_cocg_solve(apply_a, B, tol=TOL, max_iterations=MAXIT,
-                                n=n, preconditioner=M))
         _, seed_results = seed_solve(apply_a, B.astype(complex), tol=TOL,
                                      max_iterations=MAXIT, n=n)
         record("seed projection + COCG", seed_results)

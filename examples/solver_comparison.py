@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Solver study on real Sternheimer systems (Sections II / III-B / V).
+"""Solver study on real Sternheimer systems (Sections II / III-B).
 
 Builds the coefficient matrices ``A_{j,k} = H - lambda_j I + i omega_k I``
 from an actual silicon Hamiltonian and compares, across easy and hard
@@ -8,8 +8,7 @@ from an actual silicon Hamiltonian and compares, across easy and hard
 * single-vector COCG vs block COCG at several block sizes,
 * GMRES (no short recurrence) as the general-purpose baseline,
 * the seed-projection method the paper dismisses,
-* the effect of the Eq. 13 Galerkin deflating guess,
-* the future-work shifted inverse-Laplacian preconditioner.
+* the effect of the Eq. 13 Galerkin deflating guess.
 
 Run:  python examples/solver_comparison.py
 """
@@ -22,7 +21,6 @@ from repro.analysis import format_table
 from repro.core import transformed_gauss_legendre
 from repro.dft import run_scf, scaled_silicon_crystal
 from repro.solvers import (
-    ShiftedLaplacianPreconditioner,
     block_cocg_solve,
     cocg_solve,
     galerkin_initial_guess,
@@ -80,10 +78,6 @@ def main() -> None:
         bench("block COCG (s=8) + Galerkin guess",
               lambda: block_cocg_solve(apply_a, B, x0=y0, tol=TOL,
                                        max_iterations=4000, n=grid.n_points))
-        M = ShiftedLaplacianPreconditioner.for_shift(grid, lam_j, omega, radius=3)
-        bench("block COCG (s=8) + inv-Laplacian precond",
-              lambda: block_cocg_solve(apply_a, B, tol=TOL, max_iterations=4000,
-                                       n=grid.n_points, preconditioner=M))
 
         print()
         print(format_table(

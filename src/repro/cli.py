@@ -168,10 +168,6 @@ def main(argv: list[str] | None = None) -> int:
                              "omega), rotate them through Rayleigh-Ritz and reuse "
                              "them as initial guesses across iterations and "
                              "quadrature points")
-    parser.add_argument("--precondition", action="store_true",
-                        help="apply the shifted inverse-Laplacian preconditioner "
-                             "to the difficult (indefinite, small-omega) "
-                             "Sternheimer systems")
     parser.add_argument("--batched", action="store_true",
                         help="fuse all occupied orbitals' Sternheimer systems at "
                              "each quadrature point into one wide batched COCG "
@@ -250,7 +246,6 @@ def _resilience_from_args(args) -> ResilienceConfig | None:
 
 def _run(args, tracer, recorder) -> int:
     crystal, grid, scf_kwargs, default_n_eig = build_system(args.system)
-    n_eig = min(args.n_eig or default_n_eig, grid.n_points)
     if args.input is not None:
         overrides = {} if args.n_eig is None else {"n_eig": args.n_eig}
         try:
@@ -259,14 +254,18 @@ def _run(args, tracer, recorder) -> int:
             print(f"error: {args.input}: {exc}", file=sys.stderr)
             return 2
     else:
-        config = RPAConfig(n_eig=n_eig, seed=args.seed)
+        # Only the per-system default is clamped to the grid; a requested
+        # n_eig that cannot fit is refused below.
+        config = RPAConfig(n_eig=args.n_eig or min(default_n_eig, grid.n_points),
+                           seed=args.seed)
+    if config.n_eig > grid.n_points:
+        print(f"error: n_eig = {config.n_eig} exceeds n_d = {grid.n_points} "
+              f"grid points of system {args.system}", file=sys.stderr)
+        return 2
     flags: dict = {}
-    if args.recycle or args.precondition:
-        flags.update(use_recycling=args.recycle,
-                     use_preconditioner=args.precondition)
-        modes = [m for m, on in (("recycling", args.recycle),
-                                 ("preconditioning", args.precondition)) if on]
-        print(f"sternheimer: {' + '.join(modes)} enabled", file=sys.stderr)
+    if args.recycle:
+        flags["use_recycling"] = True
+        print("sternheimer: recycling enabled", file=sys.stderr)
     if args.solve_dtype != "float64" and not args.batched:
         print("error: --solve-dtype float32_ir requires --batched", file=sys.stderr)
         return 2
@@ -325,8 +324,7 @@ def _run(args, tracer, recorder) -> int:
     if result.recycle is not None:
         r = result.recycle
         print(f"recycling: {r.hits} hits, {r.omega_seeds} cross-omega seeds, "
-              f"{r.misses} misses; {result.stats.n_matvec} matvecs, "
-              f"{result.stats.n_preconditioned_solves} preconditioned solve(s)",
+              f"{r.misses} misses; {result.stats.n_matvec} matvecs",
               file=sys.stderr)
     log = format_output_log(
         result,

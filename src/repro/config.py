@@ -146,10 +146,6 @@ class RPAConfig:
         quadrature/trace identities) or ``"full"`` (every solve re-verified,
         basis orthonormality, rotation conditioning). Failures surface as
         ``verify_*`` tracer counters and on the installed verifier.
-    use_preconditioner:
-        Apply the Section V shifted inverse-Laplacian preconditioner
-        selectively, to the difficult (indefinite spectrum, small omega)
-        Sternheimer systems only.
     telemetry_level:
         Convergence telemetry (``repro.obs.telemetry``): ``"off"`` (default;
         the null recorder, bit-identical to an uninstrumented run),
@@ -214,7 +210,6 @@ class RPAConfig:
     fixed_block_size: int = 1
     max_block_size: int = 16
     use_recycling: bool = False
-    use_preconditioner: bool = False
     seed: int | None = None
     resilience: ResilienceConfig | None = None  # None = plain solver, no escalation
     verify_level: str = "off"  # "off" | "cheap" | "full" (repro.verify)

@@ -207,7 +207,6 @@ def chi0_operator_from_config(
         escalation=_escalation_from(config),
         on_failure=(config.resilience.on_failure
                     if config.resilience is not None else "degrade"),
-        use_preconditioner=config.use_preconditioner,
         use_batched=config.batched_sternheimer,
         solve_dtype=config.solve_dtype,
         recycler=(SolveRecycler(width=config.n_eig)

@@ -17,7 +17,6 @@ deflating guess (Eq. 13) and per-system dynamic block-size selection
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -35,7 +34,6 @@ from repro.solvers.batched import (
 from repro.solvers.block_cocg import block_cocg_solve
 from repro.solvers.block_size import CostFn, flop_cost_model, solve_with_dynamic_block_size
 from repro.solvers.galerkin_guess import galerkin_initial_guess
-from repro.solvers.preconditioner import ShiftedLaplacianPreconditioner, should_precondition
 from repro.solvers.recycle import SolveRecycler
 from repro.solvers.stats import SolveResult, SolveSummary
 from repro.utils.timing import KernelTimers
@@ -58,7 +56,6 @@ class _PreparedSolve:
     x0: np.ndarray | None
     guess: str
     exact_hit: bool
-    preconditioner: object | None
 
 
 @dataclass
@@ -88,23 +85,20 @@ class SternheimerStats:
     stage_counts: dict[str, int] = field(default_factory=dict)
     n_degraded_solves: int = 0
     degraded_error_bound: float = 0.0
-    # Hot-path accelerators: orbital solves that ran with the selective
-    # shifted-Laplacian preconditioner, and Galerkin guesses skipped
-    # because the projected operator was singular (degenerate lambda_j at
-    # tiny omega) — the solve proceeds from x0 = None instead of dying.
-    n_preconditioned_solves: int = 0
+    # Galerkin guesses skipped because the projected operator was singular
+    # (degenerate lambda_j at tiny omega) — the solve proceeds from
+    # x0 = None instead of dying.
     n_guess_singular_skips: int = 0
     # Batched-kernel accounting: fused multi-orbital solves, fused operator
     # applications (each pushes every active column through H at once),
     # mixed-precision refinement rounds, float64 fallbacks (batches whose
-    # refinement budget ran out), orbitals re-solved on the cold path after
-    # a batched non-convergence, and preconditioner-cache evictions.
+    # refinement budget ran out), and orbitals re-solved on the cold path
+    # after a batched non-convergence.
     n_batched_solves: int = 0
     n_batched_applies: int = 0
     n_ir_refinements: int = 0
     n_ir_fallbacks: int = 0
     n_batched_fallback_orbitals: int = 0
-    n_preconditioner_evictions: int = 0
 
     def merge(self, other: "SternheimerStats") -> None:
         """Add every field of ``other`` (a worker task's statistics) in."""
@@ -178,11 +172,6 @@ class Chi0Operator:
         guesses for later solves (falling back to the Eq. 13 Galerkin
         guess on a miss); the driver keeps the cache aligned with the
         subspace iteration through the ``on_rotation`` hook.
-    use_preconditioner:
-        Apply the Section V shifted inverse-Laplacian preconditioner to
-        the *difficult* ``(j, omega)`` systems only (the
-        ``should_precondition`` heuristic: indefinite spectrum at small
-        imaginary shift); easy systems keep the unpreconditioned fast path.
     use_batched:
         Kernel choice. Off (default): block COCG per orbital. On: all
         orbitals' systems at a quadrature point are fused into one wide
@@ -197,11 +186,6 @@ class Chi0Operator:
         iterative refinement until the true residual meets ``tol``; a
         float64 fallback finishes any column the refinement budget cannot).
         ``"float32_ir"`` requires ``use_batched``.
-    max_cached_preconditioners:
-        Bound on the ``(lambda_j, omega)`` preconditioner cache (LRU
-        eviction, counted in ``stats.n_preconditioner_evictions``). A full
-        sweep touches ``n_s * n_quadrature`` distinct shifts, so an
-        unbounded cache grows with both.
     """
 
     def __init__(
@@ -221,10 +205,8 @@ class Chi0Operator:
         escalation=None,
         on_failure: str = "degrade",
         recycler: SolveRecycler | None = None,
-        use_preconditioner: bool = False,
         use_batched: bool = False,
         solve_dtype: str = "float64",
-        max_cached_preconditioners: int = 64,
     ) -> None:
         psi_occ = np.asarray(psi_occ, dtype=float)
         eps_occ = np.asarray(eps_occ, dtype=float)
@@ -252,7 +234,6 @@ class Chi0Operator:
         self.on_failure = on_failure
         self.solver = escalation if escalation is not None else solver
         self.recycler = recycler
-        self.use_preconditioner = bool(use_preconditioner)
         if solve_dtype not in ("float64", "float32_ir"):
             raise ValueError(
                 f"solve_dtype must be 'float64' or 'float32_ir', got {solve_dtype!r}"
@@ -262,20 +243,8 @@ class Chi0Operator:
                 "solve_dtype='float32_ir' requires use_batched: the float32 "
                 "iterations run inside the batched kernel only"
             )
-        if max_cached_preconditioners < 1:
-            raise ValueError("max_cached_preconditioners must be >= 1")
         self.use_batched = bool(use_batched)
         self.solve_dtype = solve_dtype
-        self.max_cached_preconditioners = int(max_cached_preconditioners)
-        self._lambda_min = float(eps_occ.min())
-        # Preconditioners are spectral factorizations of the shifted
-        # Laplacian — one FFT/Kronecker plan per distinct (lambda_j, omega)
-        # shift, reused across every subspace iteration at that frequency.
-        # The cache is LRU-bounded: a sweep visits n_s * n_quadrature
-        # distinct shifts, and long parameter scans visit many sweeps.
-        self._preconditioners: OrderedDict[
-            tuple[float, float], ShiftedLaplacianPreconditioner
-        ] = OrderedDict()
         apply_cost = (6.0 * hamiltonian.radius + 1.0) * hamiltonian.n_points
         if hamiltonian.nonlocal_part is not None:
             apply_cost += 4.0 * hamiltonian.nonlocal_part.projectors.nnz
@@ -334,8 +303,8 @@ class Chi0Operator:
 
         Every orbital goes :meth:`_prepare` -> kernel -> :meth:`_finish`, in
         orbital order. The block kernel runs the three steps orbital by
-        orbital (one ``Y_j`` live at a time; preconditioner-cache touches
-        and recycler stores interleave with the solves); the batched kernel
+        orbital (one ``Y_j`` live at a time; recycler stores interleave
+        with the solves); the batched kernel
         prepares every orbital first and solves them as one fused batch.
         Backends relocate this call (an SPMD worker runs it on a column
         slice, fault hooks wrap it); none re-implements a step.
@@ -352,7 +321,7 @@ class Chi0Operator:
     def _prepare(self, j: int, V: np.ndarray, omega: float) -> _PreparedSolve:
         """Orbital ``j``'s system: RHS, best available guess (recycled
         solution -> Eq. 13 Galerkin projection -> none) with its provenance,
-        selective preconditioner, operator-symmetry probe."""
+        operator-symmetry probe."""
         lam_j = float(self.eps[j])
         apply_a = self.h.shifted(lam_j, omega)
         B = -(V * self.psi[:, j : j + 1])
@@ -374,7 +343,6 @@ class Chi0Operator:
                     tracer.incr("galerkin_guess_singular_skips")
                     tracer.event("galerkin_guess_skipped", orbital=j, omega=omega,
                                  reason="singular_projected_operator")
-        preconditioner = self._preconditioner_for(lam_j, omega)
         verifier = get_verifier()
         if verifier.enabled:
             # The COCG recurrences assume A = A^T (unconjugated); probe it on
@@ -384,7 +352,7 @@ class Chi0Operator:
                 apply_a, self.n_points, key=(j, float(omega)),
                 orbital=j, omega=float(omega),
             )
-        return _PreparedSolve(j, apply_a, B, x0, guess, exact_hit, preconditioner)
+        return _PreparedSolve(j, apply_a, B, x0, guess, exact_hit)
 
     def _recycled_guess(self, j: int, omega: float,
                         n_cols: int) -> tuple[np.ndarray, bool] | None:
@@ -409,29 +377,6 @@ class Chi0Operator:
             )
         return x0, exact_hit
 
-    def _preconditioner_for(self, lam_j: float, omega: float):
-        """Selective preconditioning: shifted inverse Laplacian, hard pairs only."""
-        if not self.use_preconditioner:
-            return None
-        if not should_precondition(lam_j, self._lambda_min, omega):
-            return None
-        key = (lam_j, omega)
-        M = self._preconditioners.get(key)
-        if M is None:
-            M = ShiftedLaplacianPreconditioner.for_shift(
-                self.h.grid, lam_j, omega, radius=self.h.radius
-            )
-            self._preconditioners[key] = M
-            if len(self._preconditioners) > self.max_cached_preconditioners:
-                self._preconditioners.popitem(last=False)
-                self.stats.n_preconditioner_evictions += 1
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.incr("preconditioner_evictions")
-        else:
-            self._preconditioners.move_to_end(key)
-        return M
-
     # -- the two kernels ---------------------------------------------------------
 
     def _block_kernel(self, p: _PreparedSolve, omega: float):
@@ -442,8 +387,7 @@ class Chi0Operator:
         with get_recorder().solve_scope(orbital=j, omega=float(omega),
                                         guess=p.guess), \
              tracer.span("sternheimer_solve", orbital=j, omega=omega,
-                         n_rhs=n_v, guess=p.guess,
-                         preconditioned=p.preconditioner is not None) as sp:
+                         n_rhs=n_v, guess=p.guess) as sp:
             if self.dynamic_block_size and n_v > 1:
                 res = solve_with_dynamic_block_size(
                     p.apply_a,
@@ -455,7 +399,6 @@ class Chi0Operator:
                     solver=self.solver,
                     cost_fn=self.cost_fn,
                     n=self.n_points,
-                    preconditioner=p.preconditioner,
                 )
                 Y, results = res.solution, res.chunk_results
             else:
@@ -463,8 +406,6 @@ class Chi0Operator:
                 s = min(self.fixed_block_size, n_v)
                 Y = np.empty((self.n_points, n_v), dtype=complex)
                 results = []
-                extra = ({} if p.preconditioner is None
-                         else {"preconditioner": p.preconditioner})
                 for start in range(0, n_v, s):
                     sl = slice(start, min(start + s, n_v))
                     r = self.solver(
@@ -474,14 +415,9 @@ class Chi0Operator:
                         tol=self.tol,
                         max_iterations=self.max_iterations,
                         n=self.n_points,
-                        **extra,
                     )
                     Y[:, sl] = r.solution if r.solution.ndim == 2 else r.solution[:, None]
                     results.append(r)
-            if p.preconditioner is not None:
-                self.stats.n_preconditioned_solves += 1
-                if tracer.enabled:
-                    tracer.incr("preconditioned_solves")
             return j, Y, self._finish(p, omega, Y, results, sp)
 
     def _make_batched_operator(self, shifts: np.ndarray) -> BatchedShiftedOperator:
@@ -511,7 +447,6 @@ class Chi0Operator:
         B = np.empty((self.n_points, n_cols), dtype=float)
         shifts = np.empty(n_cols, dtype=complex)
         X0: np.ndarray | None = None
-        groups: list[tuple[np.ndarray, object]] = []
         for g, p in enumerate(prepared):
             sl = slice(g * n_v, (g + 1) * n_v)
             B[:, sl] = p.B
@@ -522,8 +457,6 @@ class Chi0Operator:
                     X0 = np.zeros((self.n_points, n_cols), dtype=complex)
                 X0[:, sl] = p.x0
                 p.x0 = X0[:, sl]
-            if p.preconditioner is not None:
-                groups.append((np.arange(sl.start, sl.stop), p.preconditioner))
 
         op = self._make_batched_operator(shifts)
         if verifier.enabled:
@@ -541,11 +474,9 @@ class Chi0Operator:
                  else batched_cocg_solve)
         with tracer.span("sternheimer_batched_solve", omega=omega,
                          n_orbitals=len(prepared), n_columns=n_cols,
-                         dtype=self.solve_dtype,
-                         preconditioned=len(groups)) as sp:
+                         dtype=self.solve_dtype) as sp:
             res = solve(op, B, x0=X0, tol=self.tol,
-                        max_iterations=self.max_iterations,
-                        preconditioner_groups=groups)
+                        max_iterations=self.max_iterations)
             if sp is not None:
                 sp.set(iterations=res.iterations,
                        batched_applies=res.n_batched_applies,
@@ -557,13 +488,10 @@ class Chi0Operator:
         self.stats.n_ir_refinements += res.n_refinements
         if res.n_fallback_columns:
             self.stats.n_ir_fallbacks += 1
-        self.stats.n_preconditioned_solves += len(groups)
         if tracer.enabled:
             tracer.incr("batched_solves")
             tracer.incr("batched_applies", res.n_batched_applies)
             tracer.incr("batched_columns", n_cols)
-            if groups:
-                tracer.incr("preconditioned_solves", len(groups))
             if res.n_refinements:
                 tracer.incr("batched_ir_refinements", res.n_refinements)
             if res.n_fallback_columns:

@@ -67,7 +67,6 @@ RECYCLE_COUNTERS = (
     "recycle_misses",
     "recycle_stores",
     "recycle_rotations",
-    "preconditioned_solves",
     "galerkin_guess_singular_skips",
 )
 
@@ -79,7 +78,7 @@ RECYCLE_GAUGES = ("recycle_guess_residual",)
 def recycle_table(summary: dict) -> str | None:
     """Solve-recycling counter table from a trace's summary record.
 
-    Returns None when the run had no recycling/preconditioning activity,
+    Returns None when the run had no recycling activity,
     so cold traces render exactly as before. When the summary carries
     ``gauge_stats`` (newer traces), gauges like ``recycle_guess_residual``
     render as min/max/mean/count aggregate rows instead of a misleading
@@ -106,7 +105,7 @@ def recycle_table(summary: dict) -> str | None:
         rows.append([f"{gauge}.max", f"{st['max']:.3e}"])
         rows.append([f"{gauge}.count", int(st["count"])])
     return format_table(["counter", "value"], rows,
-                        title="Sternheimer solve recycling / preconditioning")
+                        title="Sternheimer solve recycling")
 
 
 def kernel_breakdown(events: list[dict], kernels: tuple[str, ...] | None = None,
@@ -209,7 +208,7 @@ def _html_table(headers: list[str], rows: list[list], title: str) -> str:
 
 #: Counter prefixes surfaced in the HTML run-health section.
 HEALTH_COUNTER_GROUPS = ("escalat", "retry", "retried", "degraded", "recycle",
-                         "precondition", "verify", "worker_pool", "solves",
+                         "verify", "worker_pool", "solves",
                          "matvecs", "unconverged", "breakdown")
 
 

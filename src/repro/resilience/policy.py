@@ -155,7 +155,6 @@ def resilient_solve(
     tol: float = 1e-8,
     max_iterations: int = 1000,
     n: int | None = None,
-    preconditioner=None,
 ) -> EscalatedSolveResult:
     """Solve ``A Y = B`` through ``policy``'s escalation chain.
 
@@ -223,7 +222,6 @@ def resilient_solve(
         def _run_stage() -> SolveResult:
             return stage.solver(
                 op, B, x0=guess, tol=tol, max_iterations=stage_cap, n=n_rows,
-                **({"preconditioner": preconditioner} if preconditioner is not None else {}),
             )
 
         if idx == 0 or not tracer.enabled:

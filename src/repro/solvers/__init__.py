@@ -4,8 +4,7 @@ The paper's contribution lives here: the short-term-recurrence block COCG
 method for complex symmetric systems (Algorithm 3), the dynamic block-size
 selection (Algorithm 4) and the Galerkin deflating initial guess (Eq. 13) —
 plus the baselines they are measured against (single-vector COCG, restarted
-GMRES, classical CG, a seed-projection method) and the future-work shifted
-inverse-Laplacian preconditioner.
+GMRES, classical CG and a seed-projection method).
 """
 
 from repro.solvers.batched import (
@@ -22,7 +21,6 @@ from repro.solvers.cocg import cocg_solve
 from repro.solvers.galerkin_guess import galerkin_initial_guess, residual_after_deflation
 from repro.solvers.gmres import gmres_solve
 from repro.solvers.linear_operator import CountingOperator, as_operator
-from repro.solvers.preconditioner import ShiftedLaplacianPreconditioner, should_precondition
 from repro.solvers.recycle import RecycleStats, SolveRecycler
 from repro.solvers.seed import seed_solve
 from repro.solvers.stats import (
@@ -47,8 +45,6 @@ __all__ = [
     "flop_cost_model",
     "galerkin_initial_guess",
     "residual_after_deflation",
-    "ShiftedLaplacianPreconditioner",
-    "should_precondition",
     "SolveRecycler",
     "RecycleStats",
     "CountingOperator",

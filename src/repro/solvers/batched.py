@@ -40,7 +40,6 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -185,7 +184,6 @@ def batched_cocg_solve(
     x0: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iterations: int = 1000,
-    preconditioner_groups: Sequence[tuple[np.ndarray, Callable]] = (),
     cols: np.ndarray | None = None,
     stagnation_window: int = _STAGNATION_WINDOW,
 ) -> BatchedSolveResult:
@@ -202,11 +200,6 @@ def batched_cocg_solve(
         Optional initial block guess.
     tol:
         Per-column relative residual tolerance (``||r_c|| <= tol ||b_c||``).
-    preconditioner_groups:
-        ``(global_column_indices, M)`` pairs; each ``M`` is applied to its
-        group's residual columns every iteration (the Sternheimer layer
-        groups columns by orbital so the selective shifted-Laplacian
-        preconditioner keys off ``(lambda_j, omega)``).
     cols:
         Global operator column index per RHS column (``arange(C)`` when
         omitted).
@@ -264,18 +257,6 @@ def batched_cocg_solve(
     residuals[zero] = 0.0
     X[:, zero] = 0.0
 
-    groups = [(np.asarray(g, dtype=int), M) for g, M in preconditioner_groups]
-
-    def precondition(Rblk: np.ndarray, active_global: np.ndarray) -> np.ndarray:
-        if not groups:
-            return Rblk
-        Z = Rblk.copy()
-        for gcols, M in groups:
-            sel = np.flatnonzero(np.isin(active_global, gcols))
-            if sel.size:
-                Z[:, sel] = np.asarray(M(Rblk[:, sel])).astype(wdtype, copy=False)
-        return Z
-
     def aggregate(res: np.ndarray) -> float:
         # Block-Frobenius relative residual over *all* columns (converged
         # ones contribute their frozen final residuals).
@@ -326,9 +307,8 @@ def batched_cocg_solve(
 
     best_rel = rel.copy()
     since_improvement = np.zeros(idx.size, dtype=np.int64)
-    Z = precondition(R, cols[idx])
-    rho = np.einsum("ij,ij->j", R, Z)
-    P = Z.copy() if Z is R else Z
+    rho = np.einsum("ij,ij->j", R, R)
+    P = R.copy()
 
     for it in range(1, max_iterations + 1):
         U = op.apply(P, cols[idx])
@@ -363,22 +343,20 @@ def batched_cocg_solve(
         if idx.size == 0:
             return result(it)
 
-        Z = precondition(R, cols[idx])
-        rho_new = np.einsum("ij,ij->j", R, Z)
+        rho_new = np.einsum("ij,ij->j", R, R)
         bad_beta = ~np.isfinite(rho_new) | (np.abs(rho) < tiny)
         with np.errstate(all="ignore"):
             beta = np.where(bad_beta, 0.0, rho_new / np.where(bad_beta, 1.0, rho))
         if bad_beta.any():
             broken[idx[bad_beta]] = True
             keep = ~bad_beta
-            idx, R, bn, rho_new, beta = (idx[keep], R[:, keep], bn[keep],
-                                         rho_new[keep], beta[keep])
-            Z, P = Z[:, keep], P[:, keep]
+            idx, R, P, bn, rho_new, beta = (idx[keep], R[:, keep], P[:, keep],
+                                            bn[keep], rho_new[keep], beta[keep])
             best_rel = best_rel[keep]
             since_improvement = since_improvement[keep]
             if idx.size == 0:
                 return result(it)
-        P = Z + P * beta
+        P = R + P * beta
         rho = rho_new
 
     return result(max_iterations)
@@ -390,7 +368,6 @@ def batched_cocg_ir_solve(
     x0: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iterations: int = 1000,
-    preconditioner_groups: Sequence[tuple[np.ndarray, Callable]] = (),
     inner_tol: float = _IR_INNER_TOL,
     max_refinements: int = _IR_MAX_REFINEMENTS,
     stagnation_window: int = _STAGNATION_WINDOW,
@@ -491,7 +468,6 @@ def batched_cocg_ir_solve(
             (R / scale).astype(np.complex64),
             tol=inner_tol,
             max_iterations=max_iterations,
-            preconditioner_groups=preconditioner_groups,
             cols=rem,
             stagnation_window=stagnation_window,
         )
@@ -510,7 +486,6 @@ def batched_cocg_ir_solve(
             x0=X[:, fallback_cols],
             tol=tol,
             max_iterations=max_iterations,
-            preconditioner_groups=preconditioner_groups,
             cols=fallback_cols,
             stagnation_window=stagnation_window,
         )

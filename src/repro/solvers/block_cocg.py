@@ -28,8 +28,6 @@ block size.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.obs.telemetry import get_recorder, record_solves
@@ -51,7 +49,6 @@ def block_cocg_solve(
     tol: float = 1e-8,
     max_iterations: int = 1000,
     n: int | None = None,
-    preconditioner: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SolveResult:
     """Solve the complex symmetric block system ``A Y = B`` (Algorithm 3).
 
@@ -68,8 +65,6 @@ def block_cocg_solve(
         Relative block-Frobenius residual tolerance (Eq. 10).
     max_iterations:
         Iteration cap.
-    preconditioner:
-        Optional ``M^{-1}`` application for real SPD ``M`` (applied blockwise).
 
     Returns
     -------
@@ -105,8 +100,6 @@ def block_cocg_solve(
     if b_norm == 0.0:
         out = np.zeros_like(b)
         return SolveResult(out[:, 0] if squeeze else out, True, 0, 0.0, [0.0], block_size=s)
-
-    M = preconditioner if preconditioner is not None else (lambda v: v)
 
     best_Y = Y.copy()
     best_res = np.inf
@@ -170,9 +163,8 @@ def block_cocg_solve(
     if history[-1] <= tol:
         return _result(True, 0, history)
 
-    Z = M(W)
-    rho = W.T @ Z  # unconjugated s x s
-    P = Z.copy()
+    rho = W.T @ W  # unconjugated s x s
+    P = W.copy()
     since_improvement = 0
 
     for it in range(1, max_iterations + 1):
@@ -203,12 +195,11 @@ def block_cocg_solve(
             return _result(True, it, history)
         if since_improvement >= _STAGNATION_WINDOW:
             return _result(False, it, history, breakdown=True)
-        Z = M(W)
-        rho_new = W.T @ Z
+        rho_new = W.T @ W
         beta = _small_solve(rho, rho_new)
         if beta is None:
             return _result(False, it, history, breakdown=True)
-        P = Z + P @ beta
+        P = W + P @ beta
         rho = rho_new
 
     return _result(False, max_iterations, history)

@@ -18,8 +18,6 @@ machine-precision cross-checks).
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.obs.telemetry import get_recorder, record_solves
@@ -35,7 +33,6 @@ def block_cocg_bf_solve(
     tol: float = 1e-10,
     max_iterations: int = 1000,
     n: int | None = None,
-    preconditioner: Callable[[np.ndarray], np.ndarray] | None = None,
     deflation_rcond: float = 1e-12,
 ) -> SolveResult:
     """Solve complex symmetric ``A Y = B`` by breakdown-free block COCG.
@@ -73,8 +70,6 @@ def block_cocg_bf_solve(
         out = np.zeros_like(b)
         return SolveResult(out[:, 0] if squeeze else out, True, 0, 0.0, [0.0], block_size=s)
 
-    M = preconditioner if preconditioner is not None else (lambda v: v)
-
     # Full-level telemetry: per-column first tolerance crossing (read-only
     # on the residual block, numerics untouched).
     recorder = get_recorder()
@@ -110,7 +105,7 @@ def block_cocg_bf_solve(
     if history[-1] <= tol:
         return _result(True, 0, history)
 
-    P = _orth(M(R), deflation_rcond)
+    P = _orth(R, deflation_rcond)
     if P is None:
         return _result(False, 0, history, breakdown=True)
 
@@ -131,11 +126,10 @@ def block_cocg_bf_solve(
             _mark_columns(it, R)
         if rel <= tol:
             return _result(True, it, history)
-        Z = M(R)
-        beta = _robust_solve(mu, Q.T @ Z)
+        beta = _robust_solve(mu, Q.T @ R)
         if beta is None:
             return _result(False, it, history, breakdown=True)
-        P_new = _orth(Z - P @ beta, deflation_rcond)
+        P_new = _orth(R - P @ beta, deflation_rcond)
         if P_new is None:
             return _result(False, it, history, breakdown=True)
         P = P_new

@@ -63,13 +63,12 @@ def solve_with_dynamic_block_size(
     solver=block_cocg_solve,
     cost_fn: CostFn | None = None,
     n: int | None = None,
-    preconditioner=None,
 ) -> DynamicSolveResult:
     """Solve ``A Y = B`` choosing the COCG block size on the fly (Algorithm 4).
 
     Parameters
     ----------
-    a, b, tol, max_iterations, n, preconditioner:
+    a, b, tol, max_iterations, n:
         As in :func:`repro.solvers.block_cocg.block_cocg_solve`.
     x0:
         Optional initial guess for the *whole* block (columns are sliced to
@@ -123,11 +122,9 @@ def solve_with_dynamic_block_size(
         cols = min(s, n_rhs - next_col)
         sl = slice(next_col, next_col + cols)
         guess = x0[:, sl] if x0 is not None else None
-        kwargs = {"x0": guess, "tol": tol, "max_iterations": max_iterations, "n": n}
-        if preconditioner is not None:
-            kwargs["preconditioner"] = preconditioner
         start = perf_counter()
-        res = solver(a, b[:, sl], **kwargs)
+        res = solver(a, b[:, sl], x0=guess, tol=tol,
+                     max_iterations=max_iterations, n=n)
         wall = perf_counter() - start
         sol = res.solution if res.solution.ndim == 2 else res.solution[:, None]
         Y[:, sl] = sol

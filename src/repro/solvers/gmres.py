@@ -128,7 +128,6 @@ def gmres_block_solve(
     max_iterations: int = 1000,
     restart: int = 50,
     n: int | None = None,
-    preconditioner=None,
 ) -> SolveResult:
     """Column-by-column GMRES with the block-solver calling convention.
 
@@ -137,8 +136,7 @@ def gmres_block_solve(
     right-hand sides. Each column is solved independently to the *block*
     Frobenius criterion's column share; the aggregate result reports the
     block-relative Frobenius residual (Eq. 10), total iterations and total
-    matvecs. ``preconditioner`` is accepted for signature compatibility and
-    ignored (GMRES here runs unpreconditioned).
+    matvecs.
     """
     squeeze = False
     b = np.asarray(b, dtype=complex)

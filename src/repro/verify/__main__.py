@@ -30,8 +30,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--level", choices=("cheap", "full"), default="cheap",
                         help="invariant-check level installed for every run")
     parser.add_argument("--quick", action="store_true",
-                        help="run a covering subset of the matrix instead of "
-                             "the full 24-configuration cross product")
+                        help="run a 10-cell covering subset instead of the "
+                             "full 23-cell matrix")
     parser.add_argument("--no-faults", action="store_true",
                         help="skip the fault-injection phase")
     parser.add_argument("--out", default=None, metavar="FILE",

@@ -2,10 +2,10 @@
 
 Runs the full Krylov RPA pipeline on a tiny dense-verifiable system across
 the configuration matrix — every backend (serial, simulated-MPI,
-shared-memory SPMD) crossed with recycling, preconditioning and
-resilience — and cross-checks each configuration's energy against the
-dense Adler-Wiser oracle (``compute_rpa_energy_direct`` truncated to the
-same ``n_eig``) to a pinned tolerance. Every run executes under an installed
+shared-memory SPMD) crossed with recycling and resilience, plus the
+batched, solve-dtype and SSA axes — and cross-checks each configuration's
+energy against the dense Adler-Wiser oracle (``compute_rpa_energy_direct``
+truncated to the same ``n_eig``) to a pinned tolerance. Every run executes under an installed
 :class:`repro.verify.Verifier`, so the runtime invariant layer is
 exercised on every code path at the same time.
 
@@ -66,10 +66,10 @@ HARNESS_TOL_STERNHEIMER = 1e-10
 HARNESS_TOL_SUBSPACE = 1e-8
 HARNESS_SEED = 7
 
-#: The full configuration matrix: backend x recycling x preconditioner x
-#: resilience (24 runs), plus the batched x solve-dtype axes (each backend
-#: run with the fused multi-orbital kernel at float64 and float32+IR) and
-#: the SSA axis (each backend with the frequency-shared eigenbasis on).
+#: The full configuration matrix: backend x recycling x resilience (12
+#: runs), plus the batched x solve-dtype axes (each backend run with the
+#: fused multi-orbital kernel at float64 and float32+IR) and the SSA axis
+#: (each backend with the frequency-shared eigenbasis on): 23 cells.
 #: ``--quick`` keeps one covering subset per backend.
 BACKENDS = ("serial", "mpi", "spmd")
 SOLVE_DTYPES = ("float64", "float32_ir")
@@ -91,9 +91,9 @@ def build_tiny_system():
     return dft, coulomb
 
 
-def harness_config(recycling: bool, preconditioner: bool,
-                   resilience: bool, batched: bool = False,
-                   dtype: str = "float64", ssa: bool = False) -> RPAConfig:
+def harness_config(recycling: bool = False, resilience: bool = False,
+                   batched: bool = False, solve_dtype: str = "float64",
+                   ssa: bool = False) -> RPAConfig:
     """One cell of the matrix, at oracle-grade tolerances.
 
     SSA cells keep the config's default refresh settings (tol 1e-6 with a
@@ -111,42 +111,48 @@ def harness_config(recycling: bool, preconditioner: bool,
         max_filter_iterations=80,
         max_cocg_iterations=2000,
         use_recycling=recycling,
-        use_preconditioner=preconditioner,
         resilience=ResilienceConfig() if resilience else None,
         batched_sternheimer=batched,
-        solve_dtype=dtype,
+        solve_dtype=solve_dtype,
         use_ssa=ssa,
         seed=HARNESS_SEED,
     )
 
 
-def configuration_matrix(quick: bool = False):
-    """``(backend, recycling, precond, resilience, batched, dtype, ssa)``."""
+def _cell(backend: str, recycling: bool = False, resilience: bool = False,
+          batched: bool = False, solve_dtype: str = "float64",
+          ssa: bool = False) -> dict:
+    """One matrix cell: its backend and every :func:`harness_config` flag."""
+    return dict(backend=backend, recycling=recycling, resilience=resilience,
+                batched=batched, solve_dtype=solve_dtype, ssa=ssa)
+
+
+def configuration_matrix(quick: bool = False) -> list[dict]:
+    """The cells to run, each a :func:`_cell` dict."""
     if quick:
         return [
-            ("serial", False, False, False, False, "float64", False),
-            ("serial", True, True, True, False, "float64", False),
-            ("serial", True, False, False, True, "float32_ir", False),
-            ("serial", True, False, False, True, "float64", True),
-            ("mpi", False, False, False, False, "float64", False),
-            ("mpi", True, False, True, False, "float64", False),
-            ("mpi", True, False, False, True, "float64", True),
-            ("spmd", False, False, False, False, "float64", False),
-            ("spmd", True, False, True, False, "float64", False),
-            ("spmd", True, False, False, True, "float64", True),
+            _cell("serial"),
+            _cell("serial", recycling=True, resilience=True),
+            _cell("serial", recycling=True, batched=True, solve_dtype="float32_ir"),
+            _cell("serial", recycling=True, batched=True, ssa=True),
+            _cell("mpi"),
+            _cell("mpi", recycling=True, resilience=True),
+            _cell("mpi", recycling=True, batched=True, ssa=True),
+            _cell("spmd"),
+            _cell("spmd", recycling=True, resilience=True),
+            _cell("spmd", recycling=True, batched=True, ssa=True),
         ]
     matrix = [
-        (backend, recycling, precond, resilience, False, "float64", False)
+        _cell(backend, recycling=recycling, resilience=resilience)
         for backend in BACKENDS
         for recycling in (False, True)
-        for precond in (False, True)
         for resilience in (False, True)
     ]
     # The batched kernel crossed with both working precisions on every
     # backend (recycling on: the batched route must keep feeding the
     # per-orbital recycler for these to pass).
     matrix += [
-        (backend, True, False, False, True, dtype, False)
+        _cell(backend, recycling=True, batched=True, solve_dtype=dtype)
         for backend in BACKENDS
         for dtype in SOLVE_DTYPES
     ]
@@ -156,12 +162,13 @@ def configuration_matrix(quick: bool = False):
     # float32+IR and an SSA-without-recycling cell to cover both rotation
     # paths.
     matrix += [
-        (backend, True, False, False, True, "float64", True)
+        _cell(backend, recycling=True, batched=True, ssa=True)
         for backend in BACKENDS
     ]
     matrix += [
-        ("serial", True, False, False, True, "float32_ir", True),
-        ("serial", False, False, False, True, "float64", True),
+        _cell("serial", recycling=True, batched=True,
+              solve_dtype="float32_ir", ssa=True),
+        _cell("serial", batched=True, ssa=True),
     ]
     return matrix
 
@@ -184,24 +191,17 @@ def _run_backend(dft, coulomb, backend: str, config: RPAConfig):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def run_one(dft, coulomb, backend: str, recycling: bool, preconditioner: bool,
-            resilience: bool, batched: bool = False, dtype: str = "float64",
-            ssa: bool = False, level: str = "cheap") -> dict:
-    """Run one configuration under a fresh verifier; return its record."""
-    config = harness_config(recycling, preconditioner, resilience,
-                            batched=batched, dtype=dtype, ssa=ssa)
+def run_one(dft, coulomb, backend: str, level: str = "cheap",
+            **flags) -> dict:
+    """Run one cell (``flags`` as in :func:`harness_config`) under a fresh
+    verifier; return its record, which starts with the cell itself."""
+    config = harness_config(**flags)
     verifier = Verifier(level=level)
     t0 = time.perf_counter()
     with use_verifier(verifier):
         result = _run_backend(dft, coulomb, backend, config)
     return {
-        "backend": backend,
-        "recycling": recycling,
-        "preconditioner": preconditioner,
-        "resilience": resilience,
-        "batched": batched,
-        "solve_dtype": dtype,
-        "ssa": ssa,
+        **_cell(backend, **flags),
         "energy": float(result.energy),
         "converged": bool(result.converged),
         "n_matvec": int(result.stats.n_matvec),
@@ -321,8 +321,7 @@ def _inject_broken_rotation(dft, coulomb, level: str) -> dict:
     for kernel, batched in (("per_orbital", False), ("batched", True)):
         verifier = Verifier(level=level)
         tracer = Tracer()
-        config = harness_config(recycling=True, preconditioner=False,
-                                resilience=False, batched=batched)
+        config = harness_config(recycling=True, batched=batched)
         with use_tracer(tracer), use_verifier(verifier):
             op = Chi0Operator(
                 dft.hamiltonian, dft.occupied_orbitals, dft.occupied_energies,
@@ -391,8 +390,7 @@ def _inject_stale_ssa_basis(dft, coulomb, level: str) -> dict:
     cell — they all run the one ``repro.core.ssa._frozen_rayleigh_ritz``."""
     import repro.core.ssa as ssa_mod
 
-    config = harness_config(recycling=True, preconditioner=False,
-                            resilience=False, batched=True, ssa=True)
+    config = harness_config(recycling=True, batched=True, ssa=True)
     per_backend = {}
     original = ssa_mod._frozen_rayleigh_ritz
     ssa_mod._frozen_rayleigh_ritz = _stale_ssa_rayleigh_ritz
@@ -470,11 +468,8 @@ def run_harness(level: str = "cheap", quick: bool = False,
 
     configs = []
     all_ok = True
-    for (backend, recycling, precond, resilience, batched, dtype,
-         ssa) in configuration_matrix(quick):
-        record = run_one(dft, coulomb, backend, recycling, precond,
-                         resilience, batched=batched, dtype=dtype,
-                         ssa=ssa, level=level)
+    for cell in configuration_matrix(quick):
+        record = run_one(dft, coulomb, level=level, **cell)
         record["oracle_energy"] = float(oracle.energy)
         record["abs_error"] = abs(record["energy"] - oracle.energy)
         record["tolerance"] = tolerance
@@ -484,9 +479,9 @@ def run_harness(level: str = "cheap", quick: bool = False,
             and not record["verify"]["failures"]
         )
         all_ok = all_ok and record["ok"]
-        say(f"{backend:8s} recycle={int(recycling)} precond={int(precond)} "
-            f"resilience={int(resilience)} batched={int(batched)} "
-            f"dtype={dtype} ssa={int(ssa)}: E={record['energy']:+.9e} "
+        flags = " ".join(f"{k}={int(v) if isinstance(v, bool) else v}"
+                         for k, v in cell.items() if k != "backend")
+        say(f"{cell['backend']:8s} {flags}: E={record['energy']:+.9e} "
             f"|dE|={record['abs_error']:.2e} "
             f"checks={record['verify']['checks_run']} "
             f"{'ok' if record['ok'] else 'FAIL'}")

@@ -203,65 +203,3 @@ class TestSternheimerRoute:
         assert a.block_size_counts == {1: 3, 2: 2}
         assert a.iterations_per_orbital == {0: 5, 1: 3}
 
-
-class TestPreconditionerCacheBound:
-    """The `(lambda_j, omega)` preconditioner cache must not grow unbounded.
-
-    A full quadrature sweep touches n_s * n_quad distinct hard pairs; before
-    the LRU bound the cache kept every one alive for the operator's
-    lifetime. Eviction must be counted and must not change numerics: a
-    re-requested evicted key is rebuilt deterministically.
-    """
-
-    def _op(self, toy_dft, toy_coulomb, bound):
-        return Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                            toy_dft.occupied_energies, toy_coulomb,
-                            use_preconditioner=True,
-                            max_cached_preconditioners=bound)
-
-    def test_cache_size_is_bounded_and_evictions_counted(self, toy_dft, toy_coulomb):
-        op = self._op(toy_dft, toy_coulomb, bound=3)
-        lam_hard = float(toy_dft.occupied_energies.max())  # indefinite system
-        omegas = [0.01 * (k + 1) for k in range(8)]        # all below 0.5
-        for w in omegas:
-            assert op._preconditioner_for(lam_hard, w) is not None
-        assert len(op._preconditioners) <= 3
-        assert op.stats.n_preconditioner_evictions == len(omegas) - 3
-
-    def test_lru_order_hits_keep_entries_alive(self, toy_dft, toy_coulomb):
-        op = self._op(toy_dft, toy_coulomb, bound=2)
-        lam = float(toy_dft.occupied_energies.max())
-        m1 = op._preconditioner_for(lam, 0.01)
-        op._preconditioner_for(lam, 0.02)
-        # Touch 0.01 again: it becomes most-recent, so inserting a third
-        # key must evict 0.02, not 0.01.
-        assert op._preconditioner_for(lam, 0.01) is m1
-        op._preconditioner_for(lam, 0.03)
-        assert (lam, 0.01) in op._preconditioners
-        assert (lam, 0.02) not in op._preconditioners
-        assert op.stats.n_preconditioner_evictions == 1
-
-    def test_evicted_entry_rebuilds_identically(self, toy_dft, toy_coulomb, rng=None):
-        op = self._op(toy_dft, toy_coulomb, bound=1)
-        lam = float(toy_dft.occupied_energies.max())
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((toy_dft.grid.n_points, 2)) + 0j
-        first = op._preconditioner_for(lam, 0.01)(x)
-        op._preconditioner_for(lam, 0.02)  # evicts the 0.01 entry
-        rebuilt = op._preconditioner_for(lam, 0.01)(x)
-        assert np.array_equal(first, rebuilt)
-
-    def test_easy_pairs_never_enter_the_cache(self, toy_dft, toy_coulomb):
-        op = self._op(toy_dft, toy_coulomb, bound=4)
-        lam_easy = float(toy_dft.occupied_energies.min())
-        assert op._preconditioner_for(lam_easy, 0.01) is None   # definite
-        lam_hard = float(toy_dft.occupied_energies.max())
-        assert op._preconditioner_for(lam_hard, 1.5) is None    # omega large
-        assert len(op._preconditioners) == 0
-        assert op.stats.n_preconditioner_evictions == 0
-
-    def test_bound_validation(self, toy_dft, toy_coulomb):
-        with pytest.raises(ValueError):
-            Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                         toy_dft.occupied_energies, toy_coulomb,
-                         max_cached_preconditioners=0)

@@ -60,6 +60,22 @@ class TestMain:
         assert len(errors) == 1 and "max_filter_iterations" in errors[0]
         assert "SCF done" not in err
 
+    @pytest.mark.parametrize("source", ["--n-eig", "--input"])
+    def test_oversized_n_eig_exits_2_before_the_scf(self, source, tmp_path, capsys):
+        # The toy grid has n_d = 216: a requested n_eig = 768 can never be
+        # met, whether it comes from the command line or from the file.
+        if source == "--n-eig":
+            argv = ["--system", "toy", "--n-eig", "768"]
+        else:
+            rpa = tmp_path / "big.rpa"
+            rpa.write_text("N_NUCHI_EIGS: 768\n")
+            argv = ["--system", "toy", "--input", str(rpa)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "n_eig = 768 exceeds n_d = 216" in errors[0]
+        assert "SCF done" not in err
+
     def test_simulated_ranks_path(self, capsys):
         rc = main(["--system", "toy", "--n-eig", "16", "--ranks", "4"])
         assert rc == 0

@@ -88,13 +88,13 @@ class TestEndToEnd:
         # Seed, then an identical run must pass (matvecs are deterministic).
         assert regress.main(argv + ["--update-baseline"]) == 0
         assert regress.main(argv) == 0
-        # Disabling the recycle cache plants a >=20 % matvec regression.
+        # Disabling the recycle cache plants a matvec regression past the gate.
         assert regress.main(argv + ["--disable-recycling"]) == 1
 
         trajectory = json.loads(open(out).read())
         assert len(trajectory["records"]) == 4
         with_cache, without = trajectory["records"][2], trajectory["records"][3]
-        assert without["matvecs"] > 1.2 * with_cache["matvecs"]
+        assert without["matvecs"] > (1 + regress.MATVEC_TOLERANCE) * with_cache["matvecs"]
         assert abs(without["energy_per_atom_ha"]
                    - with_cache["energy_per_atom_ha"]) <= 1e-6
         assert with_cache["kernel_seconds"].get("chi0_apply", 0) > 0
