@@ -244,63 +244,79 @@ def _resilience_from_args(args) -> ResilienceConfig | None:
     return ResilienceConfig(**kwargs)
 
 
-def _run(args, tracer, recorder) -> int:
-    crystal, grid, scf_kwargs, default_n_eig = build_system(args.system)
+def _config_from_args(args, grid, default_n_eig: int) -> tuple[RPAConfig, str]:
+    """The run's config and backend; ``ValueError`` for a refused command line."""
     if args.input is not None:
         overrides = {} if args.n_eig is None else {"n_eig": args.n_eig}
         try:
             config = load_rpa_config(path=args.input, seed=args.seed, **overrides)
-        except ValueError as exc:  # bad value or unknown keyword: refuse before the SCF
-            print(f"error: {args.input}: {exc}", file=sys.stderr)
-            return 2
+        except ValueError as exc:  # bad value or unknown keyword in the file
+            raise ValueError(f"{args.input}: {exc}") from None
     else:
         # Only the per-system default is clamped to the grid; a requested
         # n_eig that cannot fit is refused below.
         config = RPAConfig(n_eig=args.n_eig or min(default_n_eig, grid.n_points),
                            seed=args.seed)
     if config.n_eig > grid.n_points:
-        print(f"error: n_eig = {config.n_eig} exceeds n_d = {grid.n_points} "
-              f"grid points of system {args.system}", file=sys.stderr)
-        return 2
+        raise ValueError(f"n_eig = {config.n_eig} exceeds n_d = {grid.n_points} "
+                         f"grid points of system {args.system}")
+    if args.solve_dtype != "float64" and not args.batched:
+        raise ValueError("--solve-dtype float32_ir requires --batched")
+    if args.ssa_refresh_tol is not None and not args.ssa:
+        raise ValueError("--ssa-refresh-tol requires --ssa")
+    if args.ranks < 1:
+        raise ValueError(f"--ranks must be >= 1, got {args.ranks}")
+    backend = args.backend or ("simulated" if args.ranks > 1 else "serial")
+    if backend == "serial" and args.ranks != 1:
+        raise ValueError("--backend serial runs on one rank; drop --ranks or "
+                         "pick --backend simulated/spmd")
     flags: dict = {}
     if args.recycle:
         flags["use_recycling"] = True
-        print("sternheimer: recycling enabled", file=sys.stderr)
-    if args.solve_dtype != "float64" and not args.batched:
-        print("error: --solve-dtype float32_ir requires --batched", file=sys.stderr)
-        return 2
     if args.batched:
         flags.update(batched_sternheimer=True, solve_dtype=args.solve_dtype)
-        print(f"sternheimer: batched multi-orbital solves enabled "
-              f"(solve_dtype={args.solve_dtype})", file=sys.stderr)
-    if args.ssa_refresh_tol is not None and not args.ssa:
-        print("error: --ssa-refresh-tol requires --ssa", file=sys.stderr)
-        return 2
     if args.ssa:
         flags["use_ssa"] = True
         if args.ssa_refresh_tol is not None:
             flags["ssa_refresh_tol"] = args.ssa_refresh_tol
-        refresh_tol = flags.get("ssa_refresh_tol", config.ssa_refresh_tol)
-        refresh_desc = ("per-point subspace tol" if refresh_tol is None
-                        else f"{refresh_tol:g}")
-        print(f"ssa: frequency-shared eigenbasis enabled "
-              f"(refresh tol {refresh_desc})", file=sys.stderr)
     resilience = _resilience_from_args(args)
     if resilience is not None:
         flags["resilience"] = resilience
-        print(f"resilience: chain={' -> '.join(resilience.escalation_chain)}, "
-              f"budget={resilience.matvec_budget or 'none'}, "
-              f"retries={resilience.max_solve_attempts}, "
-              f"on_failure={resilience.on_failure}", file=sys.stderr)
     if args.verify != "off":
         flags["verify_level"] = args.verify
-        print(f"verify: runtime invariant checks at level '{args.verify}'",
-              file=sys.stderr)
     if args.telemetry != "off":
         # The CLI-installed recorder stays authoritative (install-unless-
         # active); the config field keeps the manifest/provenance truthful.
         flags["telemetry_level"] = args.telemetry
-    config = replace(config, **flags)
+    return replace(config, **flags), backend
+
+
+def _run(args, tracer, recorder) -> int:
+    crystal, grid, scf_kwargs, default_n_eig = build_system(args.system)
+    try:
+        config, backend = _config_from_args(args, grid, default_n_eig)
+    except ValueError as exc:  # refuse before the SCF, with the usage status
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.recycle:
+        print("sternheimer: recycling enabled", file=sys.stderr)
+    if args.batched:
+        print(f"sternheimer: batched multi-orbital solves enabled "
+              f"(solve_dtype={config.solve_dtype})", file=sys.stderr)
+    if args.ssa:
+        refresh_desc = ("per-point subspace tol" if config.ssa_refresh_tol is None
+                        else f"{config.ssa_refresh_tol:g}")
+        print(f"ssa: frequency-shared eigenbasis enabled "
+              f"(refresh tol {refresh_desc})", file=sys.stderr)
+    if config.resilience is not None:
+        r = config.resilience
+        print(f"resilience: chain={' -> '.join(r.escalation_chain)}, "
+              f"budget={r.matvec_budget or 'none'}, "
+              f"retries={r.max_solve_attempts}, "
+              f"on_failure={r.on_failure}", file=sys.stderr)
+    if args.verify != "off":
+        print(f"verify: runtime invariant checks at level '{args.verify}'",
+              file=sys.stderr)
 
     print(f"system {crystal.label}: {crystal.n_atoms} atoms, grid {grid.shape} "
           f"(n_d = {grid.n_points}), n_eig = {config.n_eig}", file=sys.stderr)
@@ -313,11 +329,6 @@ def _run(args, tracer, recorder) -> int:
           f"n_s = {dft.n_occupied}", file=sys.stderr)
 
     coulomb = CoulombOperator(grid, radius=dft.hamiltonian.radius)
-    backend = args.backend or ("simulated" if args.ranks > 1 else "serial")
-    if backend == "serial" and args.ranks != 1:
-        print("error: --backend serial runs on one rank; drop --ranks or pick "
-              "--backend simulated/spmd", file=sys.stderr)
-        return 2
     result = compute_rpa_energy_parallel(dft, config, n_ranks=args.ranks,
                                          coulomb=coulomb, backend=backend)
     _print_resilience_summary(result.stats)

@@ -164,8 +164,8 @@ class RPAConfig:
         historical behaviour.
     solve_dtype:
         Working precision of the batched Sternheimer solves:
-        ``"float64"`` (default) or ``"float32_ir"`` (float32 COCG
-        iterations polished by float64 iterative refinement until the true
+        ``"float64"`` (default) or ``"float32_ir"`` (one float32 COCG
+        pass, then the float64 recurrence from its iterate until the true
         residual meets ``tol_sternheimer``). ``"float32_ir"`` requires
         ``batched_sternheimer``.
     use_ssa:

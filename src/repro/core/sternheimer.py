@@ -91,12 +91,11 @@ class SternheimerStats:
     n_guess_singular_skips: int = 0
     # Batched-kernel accounting: fused multi-orbital solves, fused operator
     # applications (each pushes every active column through H at once),
-    # mixed-precision refinement rounds, float64 fallbacks (batches whose
-    # refinement budget ran out), and orbitals re-solved on the cold path
-    # after a batched non-convergence.
+    # float64 fallbacks (float32_ir batches with a column the complex64
+    # pass left above the float64 gate), and orbitals re-solved on the
+    # cold path after a batched non-convergence.
     n_batched_solves: int = 0
     n_batched_applies: int = 0
-    n_ir_refinements: int = 0
     n_ir_fallbacks: int = 0
     n_batched_fallback_orbitals: int = 0
 
@@ -182,9 +181,8 @@ class Chi0Operator:
         kernel. Both kernels sit inside the same prepare/finish protocol.
     solve_dtype:
         Working precision of batched solves: ``"float64"`` (default) or
-        ``"float32_ir"`` (complex64 COCG iterations polished by float64
-        iterative refinement until the true residual meets ``tol``; a
-        float64 fallback finishes any column the refinement budget cannot).
+        ``"float32_ir"`` (one complex64 COCG pass, then the float64
+        recurrence from its iterate until the true residual meets ``tol``).
         ``"float32_ir"`` requires ``use_batched``.
     """
 
@@ -430,7 +428,7 @@ class Chi0Operator:
         return BatchedShiftedOperator(self.h, shifts, n=self.n_points)
 
     def _batched_kernel(self, prepared: list[_PreparedSolve], omega: float):
-        """Lockstep batched COCG (or float32+IR) over all prepared orbitals.
+        """Lockstep batched COCG (or float32_ir) over all prepared orbitals.
 
         Yields ``(j, Y_j, converged)``. Orbitals whose columns the batched
         recurrence could not converge are re-solved by the block kernel
@@ -485,15 +483,12 @@ class Chi0Operator:
 
         self.stats.n_batched_solves += 1
         self.stats.n_batched_applies += res.n_batched_applies
-        self.stats.n_ir_refinements += res.n_refinements
         if res.n_fallback_columns:
             self.stats.n_ir_fallbacks += 1
         if tracer.enabled:
             tracer.incr("batched_solves")
             tracer.incr("batched_applies", res.n_batched_applies)
             tracer.incr("batched_columns", n_cols)
-            if res.n_refinements:
-                tracer.incr("batched_ir_refinements", res.n_refinements)
             if res.n_fallback_columns:
                 tracer.incr("batched_ir_fallback_columns", res.n_fallback_columns)
 

@@ -27,19 +27,18 @@ down / stagnate) are *masked out*: the active set is compressed so
 finished columns drop out of the fused matvec without desynchronizing the
 surviving recurrences, which never read any cross-column quantity.
 
-A mixed-precision fast path (:func:`batched_cocg_ir_solve`) runs the COCG
-iterations in complex64 and polishes with classical iterative refinement:
-the residual is recomputed in float64, columns above tolerance get a
-float32 correction solve on the (column-normalized) residual, and the loop
-repeats until the *float64* true residual meets the requested tolerance.
-Columns that stall or exhaust the refinement budget fall back to a full
-float64 solve, so the result always satisfies the same gate as the cold
-path.
+A mixed-precision fast path (:func:`batched_cocg_ir_solve`) is the same
+recurrence run twice: one complex64 pass to ``max(tol, 1e-5)``, then the
+float64 recurrence started from its iterate. The float64 pass recomputes
+``b - A x`` with the exact operator at iteration 0, so a column the
+complex64 pass really finished exits there, and one that stalled (or
+whose float32 residual estimate lied) is finished in float64 — the result
+always satisfies the same true-residual gate as the cold path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,18 +47,10 @@ import numpy as np
 from repro.solvers.block_cocg import _STAGNATION_WINDOW
 from repro.solvers.linear_operator import as_operator
 
-#: Default inner tolerance for the float32 correction solves. Single
-#: precision bottoms out near 1e-6 relative residual; stopping well above
-#: that keeps every inner iteration productive.
-_IR_INNER_TOL = 1e-4
-
-#: Default refinement-round budget before the float64 fallback engages.
-_IR_MAX_REFINEMENTS = 8
-
-#: A refinement round must shrink the worst remaining residual by at least
-#: this factor, else the f32 solves have hit their precision floor and the
-#: driver falls back to float64 immediately instead of burning the budget.
-_IR_MIN_PROGRESS = 0.3
+#: Floor on the complex64 pass's tolerance. Single precision bottoms out
+#: near 1e-6 relative residual; asking it for less only burns iterations
+#: the float64 pass has to redo anyway.
+_IR_INNER_TOL = 1e-5
 
 
 class BatchedShiftedOperator:
@@ -152,8 +143,7 @@ class BatchedSolveResult:
     broken: np.ndarray              # (C,) bool: breakdown / stagnation
     residual_history: list[float] = field(default_factory=list)
     dtype: str = "float64"
-    n_refinements: int = 0          # IR rounds performed (f32 path only)
-    n_fallback_columns: int = 0     # columns polished by the f64 fallback
+    n_fallback_columns: int = 0     # f32 path: columns the f64 pass iterated on
 
     @property
     def all_converged(self) -> bool:
@@ -368,156 +358,33 @@ def batched_cocg_ir_solve(
     x0: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iterations: int = 1000,
-    inner_tol: float = _IR_INNER_TOL,
-    max_refinements: int = _IR_MAX_REFINEMENTS,
     stagnation_window: int = _STAGNATION_WINDOW,
 ) -> BatchedSolveResult:
-    """float32 batched COCG with float64 iterative-refinement polish.
+    """One complex64 pass finished by the float64 recurrence.
 
-    Classical iterative refinement: the defect ``R = B - A X`` is computed
-    in float64 with the *exact* operator; each unconverged column gets a
-    complex64 correction solve on its normalized defect (normalization
-    keeps tiny late-round defects inside float32's dynamic range); the
-    correction is accumulated into the float64 iterate. Rounds repeat until
-    every column's float64 relative residual meets ``tol`` — the same true
-    residual ``repro.verify`` recomputes — or the budget/progress guard
-    trips, at which point the remaining columns are re-solved in float64
-    from the current iterate (counted in ``n_fallback_columns``).
+    The complex64 pass runs on ``op.single_precision()`` to ``max(tol,
+    1e-5)``; the float64 pass restarts from its iterate. Its
+    iteration 0 computes ``b - A x`` in float64 with the exact operator —
+    the same true residual ``repro.verify`` recomputes — so a column the
+    complex64 pass finished exits there, and a column that stalled, broke
+    down or was misjudged by its float32 residual estimate is finished in
+    float64 (counted in ``n_fallback_columns``).
     """
-    b = np.asarray(b)
-    if b.ndim != 2:
-        raise ValueError(f"b must be (n, C), got shape {b.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n, C = b.shape
-    if op.n != n:
-        raise ValueError(f"operator dim {op.n} != rhs rows {n}")
-    if C != op.n_columns:
-        raise ValueError(f"rhs has {C} columns but operator carries {op.n_columns} shifts")
-    if max_refinements < 0:
-        raise ValueError("max_refinements must be non-negative")
-    op32 = op.single_precision()
-
-    if x0 is None:
-        X = np.zeros((n, C), dtype=np.complex128)
-    else:
-        X = np.asarray(x0).astype(np.complex128, copy=True)
-        if X.shape != (n, C):
-            raise ValueError(f"x0 shape {X.shape} != rhs shape {(n, C)}")
-
-    b_norms = _column_norms(np.asarray(b, dtype=complex))
-    converged = np.zeros(C, dtype=bool)
-    broken = np.zeros(C, dtype=bool)
-    col_iterations = np.full(C, -1, dtype=np.int64)
-    col_applies = np.zeros(C, dtype=np.int64)
-    residuals = np.full(C, np.inf)
-    history: list[float] = []
-    n_batched_applies = 0
-    total_iterations = 0
-    n_refinements = 0
-    b_frob = float(np.linalg.norm(b_norms))
-
-    zero = b_norms == 0.0
-    converged[zero] = True
-    col_iterations[zero] = 0
-    residuals[zero] = 0.0
-    X[:, zero] = 0.0
-
-    rem = np.flatnonzero(~zero)
-    initial_residuals = np.zeros(C)
-    prev_worst = np.inf
-    fallback_cols = np.zeros(0, dtype=int)
-
-    while rem.size:
-        # float64 defect with the exact operator — the gate is the true
-        # residual, never the f32 recurrence's own estimate.
-        R = b[:, rem].astype(np.complex128) - op.apply(X[:, rem], rem)
-        n_batched_applies += 1
-        col_applies[rem] += 1
-        rel = _column_norms(R) / b_norms[rem]
-        residuals[rem] = rel
-        if n_batched_applies == 1:  # first defect: the residual of x0
-            initial_residuals[rem] = rel
-        if b_frob > 0.0:
-            history.append(float(np.linalg.norm(residuals * b_norms)) / b_frob)
-
-        done = rel <= tol
-        newly = rem[done]
-        converged[newly] = True
-        col_iterations[newly] = np.where(
-            col_iterations[newly] < 0, total_iterations, col_iterations[newly]
-        )
-        rem = rem[~done]
-        R = R[:, ~done]
-        rel = rel[~done]
-        if rem.size == 0:
-            break
-
-        worst = float(rel.max())
-        stalled = n_refinements > 0 and worst > _IR_MIN_PROGRESS * prev_worst
-        if n_refinements >= max_refinements or stalled:
-            fallback_cols = rem.copy()
-            break
-        prev_worst = worst
-
-        # Column-normalized f32 correction solve: A dX = R / ||R_c||.
-        scale = _column_norms(R)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        inner = batched_cocg_solve(
-            op32,
-            (R / scale).astype(np.complex64),
-            tol=inner_tol,
-            max_iterations=max_iterations,
-            cols=rem,
-            stagnation_window=stagnation_window,
-        )
-        X[:, rem] += inner.solution.astype(np.complex128) * scale
-        n_batched_applies += inner.n_batched_applies
-        col_applies[rem] += inner.col_applies[: rem.size]
-        total_iterations += inner.iterations
-        n_refinements += 1
-
-    if fallback_cols.size:
-        # Budget exhausted or f32 hit its precision floor: finish the
-        # stragglers with the float64 recurrence from the current iterate.
-        res64 = batched_cocg_solve(
-            op,
-            b[:, fallback_cols],
-            x0=X[:, fallback_cols],
-            tol=tol,
-            max_iterations=max_iterations,
-            cols=fallback_cols,
-            stagnation_window=stagnation_window,
-        )
-        X[:, fallback_cols] = res64.solution
-        converged[fallback_cols] = res64.converged[: fallback_cols.size]
-        broken[fallback_cols] = res64.broken[: fallback_cols.size]
-        residuals[fallback_cols] = res64.residual_norms[: fallback_cols.size]
-        settled = res64.col_iterations[: fallback_cols.size] >= 0
-        col_iterations[fallback_cols[settled]] = (
-            total_iterations + res64.col_iterations[: fallback_cols.size][settled]
-        )
-        n_batched_applies += res64.n_batched_applies
-        col_applies[fallback_cols] += res64.col_applies[: fallback_cols.size]
-        total_iterations += res64.iterations
-        history.extend(res64.residual_history)
-    elif rem.size:
-        # Unreachable by construction (rem empties or becomes fallback_cols),
-        # but keep the accounting honest if the loop is ever restructured.
-        broken[rem] = True
-
-    return BatchedSolveResult(
-        solution=X,
-        converged=converged,
-        residual_norms=np.where(np.isfinite(residuals), residuals, np.inf),
-        initial_residual_norms=initial_residuals,
-        col_iterations=col_iterations,
-        iterations=total_iterations,
-        n_batched_applies=n_batched_applies,
-        col_applies=col_applies,
-        broken=broken,
-        residual_history=history,
+    kw = dict(max_iterations=max_iterations, stagnation_window=stagnation_window)
+    fast = batched_cocg_solve(op.single_precision(), b, x0=x0,
+                              tol=max(tol, _IR_INNER_TOL), **kw)
+    res = batched_cocg_solve(op, b, x0=fast.solution, tol=tol, **kw)
+    handed_over = res.col_iterations == 0  # passed the float64 gate at once
+    crossing32 = np.where(fast.col_iterations >= 0, fast.col_iterations, fast.iterations)
+    crossing64 = np.where(res.col_iterations > 0, fast.iterations + res.col_iterations, -1)
+    return replace(
+        res,
+        initial_residual_norms=fast.initial_residual_norms,
+        col_iterations=np.where(handed_over, crossing32, crossing64),
+        iterations=fast.iterations + res.iterations,
+        n_batched_applies=fast.n_batched_applies + res.n_batched_applies,
+        col_applies=fast.col_applies + res.col_applies,
+        residual_history=fast.residual_history + res.residual_history,
         dtype="float32_ir",
-        n_refinements=n_refinements,
-        n_fallback_columns=int(fallback_cols.size),
+        n_fallback_columns=int((~handed_over).sum()),
     )

@@ -38,7 +38,7 @@ class SolveResult:
     dtype:
         Working precision of the solve: ``"float64"`` (default),
         ``"float32"`` (a raw single-precision recurrence) or
-        ``"float32_ir"`` (f32 iterations + f64 iterative refinement).
+        ``"float32_ir"`` (a complex64 pass finished by the f64 recurrence).
     """
 
     solution: np.ndarray

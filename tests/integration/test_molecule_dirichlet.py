@@ -106,4 +106,4 @@ class TestMoleculeRPA:
         ref = per_orbital.apply_chi0(V, omega=0.7)
         out = mixed.apply_chi0(V, omega=0.7)
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 5e-8
-        assert mixed.stats.n_ir_refinements > 0
+        assert mixed.stats.n_ir_fallbacks > 0

@@ -76,6 +76,24 @@ class TestMain:
         assert len(errors) == 1 and "n_eig = 768 exceeds n_d = 216" in errors[0]
         assert "SCF done" not in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--ssa", "--ssa-refresh-tol", "-1"],
+        ["--matvec-budget", "-5"],
+        ["--solve-retries", "0"],
+        ["--escalation-chain", "bogus"],
+        ["--ranks", "0"],
+        ["--ranks", "-1", "--backend", "spmd"],
+    ], ids=["ssa-refresh-tol", "matvec-budget", "solve-retries",
+            "escalation-chain", "ranks-0", "spmd-ranks-negative"])
+    def test_bad_flag_value_exits_2_before_the_scf(self, flags, capsys):
+        # A value the config (or the backend) refuses is a usage error:
+        # one error line and status 2, never a traceback or a wasted SCF.
+        assert main(["--system", "toy", *flags]) == 2
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1
+        assert "SCF done" not in err
+
     def test_simulated_ranks_path(self, capsys):
         rc = main(["--system", "toy", "--n-eig", "16", "--ranks", "4"])
         assert rc == 0

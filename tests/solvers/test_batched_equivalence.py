@@ -152,6 +152,21 @@ class TestSolveEquivalence:
         rel = np.linalg.norm(true_res, axis=0) / np.linalg.norm(B, axis=0)
         assert rel.max() <= 1e-8
 
+    def test_float32_ir_does_not_over_solve_a_loose_tolerance(self):
+        # At the paper's 1e-2 the complex64 pass must stop at 1e-2 too, not
+        # at a fixed tighter inner tolerance: float32_ir may not cost much
+        # more than the float64 recurrence it is meant to undercut.
+        n, n_orb, n_v = 32, 3, 2
+        S, lam, shifts, B = _sternheimer_batch(n, n_orb, n_v, seed=5, omega=0.8)
+        op = BatchedShiftedOperator(S, shifts)
+        mixed = batched_cocg_ir_solve(op, B, tol=1e-2, max_iterations=10 * n)
+        f64 = batched_cocg_solve(op, B, tol=1e-2, max_iterations=10 * n)
+        assert mixed.all_converged
+        assert mixed.n_matvec <= 1.5 * f64.n_matvec
+        true_res = B - op.apply(mixed.solution)
+        rel = np.linalg.norm(true_res, axis=0) / np.linalg.norm(B, axis=0)
+        assert rel.max() <= 1e-2
+
 
 class TestConvergenceMasks:
     @given(params=batch_params)
@@ -222,7 +237,7 @@ class TestChi0Agreement:
         assert batched.stats.n_batched_applies > 0
         assert batched.stats.n_batched_fallback_orbitals == 0
         if dtype == "float32_ir":
-            assert batched.stats.n_ir_refinements > 0
+            assert batched.stats.n_ir_fallbacks > 0
 
     def test_straggler_is_prepared_once_and_solved_by_the_block_kernel(
             self, toy_dft, toy_coulomb, monkeypatch):
