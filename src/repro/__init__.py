@@ -27,8 +27,8 @@ Subpackages
     Complexity fits and paper-style reporting helpers.
 """
 
-from repro.config import PAPER_PARAMS, PaperParams, ResilienceConfig, RPAConfig
+from repro.config import PAPER_PARAMS, PaperParams, RPAConfig
 
 __version__ = "1.0.0"
 
-__all__ = ["RPAConfig", "ResilienceConfig", "PaperParams", "PAPER_PARAMS", "__version__"]
+__all__ = ["RPAConfig", "PaperParams", "PAPER_PARAMS", "__version__"]

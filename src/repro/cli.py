@@ -28,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.config import KNOWN_ESCALATION_STAGES, ResilienceConfig, RPAConfig
+from repro.config import RPAConfig
 from repro.dft import GaussianPseudopotential, run_scf, scaled_silicon_crystal, silicon_crystal
 from repro.dft.atoms import Crystal
 from repro.grid import CoulombOperator
@@ -188,20 +188,6 @@ def main(argv: list[str] | None = None) -> int:
                              "runs one cheap Chebyshev refresh pass before being "
                              "accepted (requires --ssa; default: each point's "
                              "own subspace tolerance)")
-    parser.add_argument("--resilience", action="store_true",
-                        help="route every Sternheimer solve through the escalation "
-                             "chain (block COCG -> BF block COCG -> regularized GMRES)")
-    parser.add_argument("--escalation-chain", default=None, metavar="S1,S2,...",
-                        help="comma-separated stage names for --resilience "
-                             f"(known: {', '.join(KNOWN_ESCALATION_STAGES)})")
-    parser.add_argument("--matvec-budget", type=int, default=None, metavar="N",
-                        help="per-solve deadline in matvec-equivalents (--resilience)")
-    parser.add_argument("--solve-retries", type=int, default=None, metavar="N",
-                        help="maximum escalation attempts per solve (--resilience)")
-    parser.add_argument("--on-solve-failure", choices=("degrade", "raise"),
-                        default="degrade",
-                        help="when a solve exhausts its chain: 'degrade' reports an "
-                             "explicit error bound, 'raise' aborts the run")
     parser.add_argument("--verify", choices=("off", "cheap", "full"), default="off",
                         help="runtime invariant checking (repro.verify): 'cheap' "
                              "probes operator symmetry, spot-checks solve residuals "
@@ -224,24 +210,6 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             if monitor is not None:
                 monitor.stop()
-
-
-def _resilience_from_args(args) -> ResilienceConfig | None:
-    """Translate the --resilience knob family into a ResilienceConfig."""
-    wants = (args.resilience or args.escalation_chain is not None
-             or args.matvec_budget is not None or args.solve_retries is not None)
-    if not wants:
-        return None
-    kwargs = {"on_failure": args.on_solve_failure}
-    if args.escalation_chain is not None:
-        kwargs["escalation_chain"] = tuple(
-            s.strip() for s in args.escalation_chain.split(",") if s.strip()
-        )
-    if args.matvec_budget is not None:
-        kwargs["matvec_budget"] = args.matvec_budget
-    if args.solve_retries is not None:
-        kwargs["max_solve_attempts"] = args.solve_retries
-    return ResilienceConfig(**kwargs)
 
 
 def _config_from_args(args, grid, default_n_eig: int) -> tuple[RPAConfig, str]:
@@ -279,9 +247,6 @@ def _config_from_args(args, grid, default_n_eig: int) -> tuple[RPAConfig, str]:
         flags["use_ssa"] = True
         if args.ssa_refresh_tol is not None:
             flags["ssa_refresh_tol"] = args.ssa_refresh_tol
-    resilience = _resilience_from_args(args)
-    if resilience is not None:
-        flags["resilience"] = resilience
     if args.verify != "off":
         flags["verify_level"] = args.verify
     if args.telemetry != "off":
@@ -308,12 +273,6 @@ def _run(args, tracer, recorder) -> int:
                         else f"{config.ssa_refresh_tol:g}")
         print(f"ssa: frequency-shared eigenbasis enabled "
               f"(refresh tol {refresh_desc})", file=sys.stderr)
-    if config.resilience is not None:
-        r = config.resilience
-        print(f"resilience: chain={' -> '.join(r.escalation_chain)}, "
-              f"budget={r.matvec_budget or 'none'}, "
-              f"retries={r.max_solve_attempts}, "
-              f"on_failure={r.on_failure}", file=sys.stderr)
     if args.verify != "off":
         print(f"verify: runtime invariant checks at level '{args.verify}'",
               file=sys.stderr)
@@ -376,7 +335,13 @@ def _run(args, tracer, recorder) -> int:
               + ", ".join(f"#{p.index} {p.error:.2e} > "
                           f"{config.tol_subspace_for(p.index):.1e}" for p in late)
               + "; the energy above is not converged", file=sys.stderr)
-    return status or (3 if late else 0)
+    degraded = result.stats.n_degraded_solves
+    if degraded:
+        print(f"WARNING: {degraded} Sternheimer solve(s) degraded (unconverged "
+              f"after the escalation chain); energy error bound "
+              f"{result.skipped_solve_error_bound:.3e} Ha on the energy above",
+              file=sys.stderr)
+    return status or (3 if late or degraded else 0)
 
 
 def _verify_exit_code(verify: dict | None) -> int:

@@ -8,7 +8,7 @@ EXPERIMENTS.md for the scaling factors used by each benchmark).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -28,76 +28,6 @@ class PaperParams:
         if not 1 <= k <= len(self.tol_subspace):
             raise ValueError(f"quadrature index {k} out of range 1..{len(self.tol_subspace)}")
         return self.tol_subspace[k - 1]
-
-
-#: Solver names an escalation chain may reference, in the order the
-#: production policy tries them (cheapest / most fragile first).
-KNOWN_ESCALATION_STAGES = ("block_cocg", "block_cocg_bf", "gmres")
-
-
-@dataclass
-class ResilienceConfig:
-    """Fault-tolerance policy for the Sternheimer solve orchestration.
-
-    Parameters
-    ----------
-    enabled:
-        Run every Sternheimer solve through the escalation chain. When
-        False the plain single-solver path is used; degradation accounting
-        (``on_failure``) still applies.
-    escalation_chain:
-        Ordered solver stages to try. Each stage runs only when every
-        earlier stage failed (breakdown, non-convergence, or budget left).
-    matvec_budget:
-        Deadline-style cap per block solve, expressed in matvec-equivalents
-        (operator applications counted per column). ``None`` means
-        unlimited; a stage is only attempted while budget remains, and its
-        iteration cap is trimmed so the budget cannot be exceeded.
-    max_solve_attempts:
-        At-most-N cap on solver attempts per block solve (chain truncation;
-        also bounds retries after worker reassignment).
-    on_failure:
-        ``"degrade"`` — a solve that exhausts the chain keeps its best
-        iterate and contributes an explicit error bound to the energy
-        (``SternheimerStats.degraded_error_bound``) instead of raising;
-        ``"raise"`` — raise :class:`repro.resilience.SternheimerSolveError`.
-    gmres_regularization:
-        Imaginary shift ``i * eps`` added to the operator for the GMRES
-        fallback stage, regularizing (near-)singular Sternheimer shifts.
-        Convergence is always re-verified against the *unregularized*
-        system before the stage may claim success.
-    gmres_restart:
-        Krylov basis size for the GMRES fallback.
-    """
-
-    enabled: bool = True
-    escalation_chain: tuple[str, ...] = KNOWN_ESCALATION_STAGES
-    matvec_budget: int | None = None
-    max_solve_attempts: int = 3
-    on_failure: str = "degrade"
-    gmres_regularization: float = 1e-8
-    gmres_restart: int = 50
-
-    def __post_init__(self) -> None:
-        self.escalation_chain = tuple(self.escalation_chain)
-        if not self.escalation_chain:
-            raise ValueError("escalation_chain must name at least one stage")
-        for stage in self.escalation_chain:
-            if stage not in KNOWN_ESCALATION_STAGES:
-                raise ValueError(
-                    f"unknown escalation stage {stage!r} "
-                    f"(known: {', '.join(KNOWN_ESCALATION_STAGES)})"
-                )
-        if self.matvec_budget is not None and self.matvec_budget < 1:
-            raise ValueError("matvec_budget must be >= 1 (or None)")
-        if self.max_solve_attempts < 1:
-            raise ValueError("max_solve_attempts must be >= 1")
-        if self.on_failure not in ("degrade", "raise"):
-            raise ValueError(f"on_failure must be 'degrade' or 'raise', got {self.on_failure!r}")
-        if self.gmres_regularization < 0:
-            raise ValueError("gmres_regularization must be non-negative")
-        if self.gmres_restart < 1:
-            raise ValueError("gmres_restart must be >= 1")
 
 
 @dataclass
@@ -152,10 +82,6 @@ class RPAConfig:
         ``"summary"`` (compact per-solve records and per-(orbital, omega)
         aggregates) or ``"full"`` (adds residual histories, per-column
         convergence iterations and per-solve tracer events).
-    resilience:
-        Optional :class:`ResilienceConfig` enabling the escalation chain,
-        per-solve matvec budgets and graceful degradation. ``None`` keeps
-        the historical single-solver behaviour.
     batched_sternheimer:
         Fuse all occupied orbitals' Sternheimer systems at a quadrature
         point into one wide batched COCG solve (one shared Hamiltonian
@@ -211,7 +137,6 @@ class RPAConfig:
     max_block_size: int = 16
     use_recycling: bool = False
     seed: int | None = None
-    resilience: ResilienceConfig | None = None  # None = plain solver, no escalation
     verify_level: str = "off"  # "off" | "cheap" | "full" (repro.verify)
     telemetry_level: str = "off"  # "off" | "summary" | "full" (repro.obs.telemetry)
     batched_sternheimer: bool = False  # fuse all orbitals into one wide COCG solve

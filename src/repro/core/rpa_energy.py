@@ -174,23 +174,14 @@ class RPAEnergyResult:
         return "\n".join(lines)
 
 
-def _escalation_from(config: RPAConfig):
-    """Build the escalation policy requested by ``config.resilience`` (or None)."""
-    if config.resilience is None or not config.resilience.enabled:
-        return None
-    from repro.resilience.policy import EscalationPolicy
-
-    return EscalationPolicy.from_config(config.resilience)
-
-
 def chi0_operator_from_config(
     dft: DFTResult,
     config: RPAConfig,
     coulomb: CoulombOperator,
     max_block_size: int | None = None,
 ) -> Chi0Operator:
-    """The Sternheimer operator ``config`` asks for (solver policy,
-    resilience, recycler). ``max_block_size`` overrides the config's cap —
+    """The Sternheimer operator ``config`` asks for (tolerances, block
+    sizing, kernel, recycler). ``max_block_size`` overrides the config's cap —
     the distributed backends pass Section III-D's ``n_eig / p``."""
     return Chi0Operator(
         dft.hamiltonian,
@@ -204,9 +195,6 @@ def chi0_operator_from_config(
         fixed_block_size=config.fixed_block_size,
         max_block_size=(config.max_block_size if max_block_size is None
                         else max_block_size),
-        escalation=_escalation_from(config),
-        on_failure=(config.resilience.on_failure
-                    if config.resilience is not None else "degrade"),
         use_batched=config.batched_sternheimer,
         solve_dtype=config.solve_dtype,
         recycler=(SolveRecycler(width=config.n_eig)

@@ -8,7 +8,8 @@ solving the ``n_s`` complex symmetric block systems
 followed by ``chi0 V = 4 Re( sum_j Psi_j . Y_j )``. The solver policy is
 the paper's production stack: block COCG (Algorithm 3) with the Galerkin
 deflating guess (Eq. 13) and per-system dynamic block-size selection
-(Algorithm 4).
+(Algorithm 4); a solve that breaks down or stalls continues through
+:mod:`repro.resilience`'s escalation chain.
 
 ``Chi0Operator.apply_symmetrized`` wraps the product with the two
 ``nu^{1/2}`` applications of Section III-A, giving the Hermitian operator
@@ -26,12 +27,12 @@ from repro.dft.hamiltonian import Hamiltonian
 from repro.grid.coulomb import CoulombOperator
 from repro.obs.telemetry import get_recorder
 from repro.obs.tracer import get_tracer
+from repro.resilience.policy import EscalationPolicy, default_stages
 from repro.solvers.batched import (
     BatchedShiftedOperator,
     batched_cocg_ir_solve,
     batched_cocg_solve,
 )
-from repro.solvers.block_cocg import block_cocg_solve
 from repro.solvers.block_size import CostFn, flop_cost_model, solve_with_dynamic_block_size
 from repro.solvers.galerkin_guess import galerkin_initial_guess
 from repro.solvers.recycle import SolveRecycler
@@ -155,16 +156,16 @@ class Chi0Operator:
     cost_fn:
         Cost measure for Algorithm 4; ``None`` uses wall-clock time,
         ``"flops"`` selects the deterministic FLOP model.
-    escalation:
-        Optional :class:`repro.resilience.EscalationPolicy`; when given,
-        every block solve runs through its chain (budgets, retries and
-        fallbacks) instead of the single ``solver``.
-    on_failure:
-        What to do when a solve finishes unconverged after all recovery:
-        ``"degrade"`` (default) keeps the best iterate and accumulates
-        ``stats.degraded_error_bound`` (the rigorous ``4 ||r|| / omega``
-        contribution bound); ``"raise"`` raises
-        :class:`repro.resilience.SternheimerSolveError`.
+    solver:
+        Block solver of every per-orbital solve (``block_cocg_solve``
+        calling convention). The default, ``EscalationPolicy(
+        default_stages())`` from :mod:`repro.resilience`, is one plain block
+        COCG call whenever that converges; a solve that breaks down or
+        stalls continues through breakdown-free block COCG, then
+        shift-regularized GMRES. A solve the chain cannot rescue is
+        degraded, never fatal: its best iterate is kept and
+        ``stats.degraded_error_bound`` grows by the rigorous
+        ``4 ||r|| / omega`` bound on its contribution.
     recycler:
         Optional :class:`repro.solvers.recycle.SolveRecycler`. Converged
         solutions are cached per (orbital, omega) and served as initial
@@ -199,9 +200,7 @@ class Chi0Operator:
         fixed_block_size: int = 1,
         max_block_size: int = 16,
         cost_fn: CostFn | str | None = "flops",
-        solver=block_cocg_solve,
-        escalation=None,
-        on_failure: str = "degrade",
+        solver=EscalationPolicy(default_stages()),
         recycler: SolveRecycler | None = None,
         use_batched: bool = False,
         solve_dtype: str = "float64",
@@ -224,13 +223,9 @@ class Chi0Operator:
         self.max_iterations = int(max_iterations)
         self.use_galerkin_guess = bool(use_galerkin_guess)
         self.dynamic_block_size = bool(dynamic_block_size)
-        if on_failure not in ("degrade", "raise"):
-            raise ValueError(f"on_failure must be 'degrade' or 'raise', got {on_failure!r}")
         self.fixed_block_size = int(fixed_block_size)
         self.max_block_size = int(max_block_size)
-        self.escalation = escalation
-        self.on_failure = on_failure
-        self.solver = escalation if escalation is not None else solver
+        self.solver = solver
         self.recycler = recycler
         if solve_dtype not in ("float64", "float32_ir"):
             raise ValueError(
@@ -586,25 +581,16 @@ class Chi0Operator:
         ``A = (H - lambda_j) + i omega I`` has ``||A^{-1}||_2 <= 1/omega``,
         so a chunk left with relative residual ``rho`` (w.r.t. its own RHS,
         hence also w.r.t. ``||B||_F``) perturbs this orbital's contribution
-        to ``chi0 V`` by at most ``4 rho ||B||_F / omega`` in l2 norm. In
-        ``"degrade"`` mode the bound is accumulated and reported; in
-        ``"raise"`` mode the solve failure is fatal.
+        to ``chi0 V`` by at most ``4 rho ||B||_F / omega`` in l2 norm. The
+        bound is accumulated and reported; the run goes on.
         """
         failed = [r for r in chunk_results if not r.converged]
         if not failed:
             return
-        from repro.resilience.policy import SternheimerSolveError
-
         b_norm = float(np.linalg.norm(B))
         bound = 4.0 * sum(r.residual_norm for r in failed) * b_norm / omega
         if not np.isfinite(bound):
             bound = 4.0 * len(failed) * b_norm / omega
-        if self.on_failure == "raise":
-            raise SternheimerSolveError(
-                f"{len(failed)} Sternheimer solve(s) for orbital {j} at omega "
-                f"= {omega:g} failed to converge (error bound {bound:.3e}); "
-                f"rerun with on_failure='degrade' or enable escalation"
-            )
         self.stats.n_degraded_solves += len(failed)
         self.stats.degraded_error_bound += bound
         tracer = get_tracer()

@@ -167,8 +167,8 @@ class ConvergenceRecorder:
     def attempt_scope(self, attempt: int, stage: str | None = None):
         """Label records with an escalation attempt index and stage name.
 
-        The resilience layer wraps each escalation-chain stage in one of
-        these, so chunked solves within one stage share an attempt number
+        The escalation chain wraps each stage it runs itself (those after a
+        failed first stage) in one of these, so chunked solves within one stage share an attempt number
         while retries are distinguishable. No-op outside a solve scope.
         """
         frame = self._frame()

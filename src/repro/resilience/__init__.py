@@ -1,12 +1,13 @@
-"""Fault-tolerant solve orchestration (escalation chains, budgets, faults).
+"""The Sternheimer solve's failure path and fault injection.
 
-``repro.resilience`` wraps every Sternheimer solve in a configurable
-escalation policy (block COCG -> breakdown-free block COCG -> shift
-regularized GMRES) with per-solve matvec budgets, and provides the fault
-injection hooks the recovery tests drive. The worker-recovery pieces live
-next to the runtimes they extend (``repro.parallel.manager_worker``,
-``repro.parallel.spmd``); this package deliberately does not
-import them, so ``core`` can depend on the policy without a cycle.
+``repro.resilience`` holds the escalation policy every ``Chi0Operator``
+solves through by default — block COCG -> breakdown-free block COCG ->
+shift-regularized GMRES, nothing to configure; a converged first stage is
+the plain solver call — and the fault injection hooks the recovery tests
+drive. The worker-recovery pieces live next to the runtimes they extend
+(``repro.parallel.manager_worker``, ``repro.parallel.spmd``); this package
+deliberately does not import them, so ``core`` can depend on the policy
+without a cycle.
 """
 
 from repro.resilience.faults import DieOnceFile, breakdown_injector
@@ -15,8 +16,6 @@ from repro.resilience.policy import (
     EscalationPolicy,
     EscalationStage,
     SolveAttempt,
-    SternheimerSolveError,
-    chain_of,
     default_stages,
     resilient_solve,
 )
@@ -26,8 +25,6 @@ __all__ = [
     "EscalationStage",
     "EscalatedSolveResult",
     "SolveAttempt",
-    "SternheimerSolveError",
-    "chain_of",
     "default_stages",
     "resilient_solve",
     "breakdown_injector",

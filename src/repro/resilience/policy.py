@@ -1,17 +1,24 @@
-"""Escalation policies for fault-tolerant Sternheimer solves.
+"""The Sternheimer solve's failure path: escalation chains and budgets.
 
 The paper's Sternheimer systems ``(H - lambda_j + i omega_k)`` span widely
-varying difficulty, and the short-recurrence block COCG (Algorithm 3) can
-break down on hard ``(j, k)`` pairs. This module turns breakdown *detection*
-(``SolveResult.breakdown``) into *recovery*: every solve runs through a
-configurable chain of stages
+varying difficulty, and the short-recurrence block COCG (Algorithm 3) "may
+require deflation if the residual vectors become linearly dependent". This
+module turns breakdown *detection* (``SolveResult.breakdown``) into
+*recovery*. ``EscalationPolicy(default_stages())`` is the solver of every
+:class:`repro.core.sternheimer.Chi0Operator` not given another; it runs the
+chain
 
     block COCG  ->  breakdown-free block COCG  ->  shift-regularized GMRES
 
-under a per-solve budget expressed in matvec-equivalents. Each attempt is
-recorded as a structured :class:`SolveAttempt` and mirrored into the active
-tracer (``escalation`` spans, ``resilience_*`` counters), so retry behaviour
-is visible in the same trace/metrics files the observability layer exports.
+only as far as a solve needs. A solve whose first stage converges is that
+stage's plain call on the caller's operator and nothing more. The chain's
+bookkeeping — a counting operator per attempt, the ``||B||`` norm,
+telemetry attempt scopes, structured :class:`SolveAttempt` records and the
+tracer's ``escalation`` spans and ``resilience_*`` counters — runs only
+once the first stage has failed, or on every solve of a policy with a
+``matvec_budget``. A solve the whole chain cannot rescue comes back
+unconverged with its best iterate; ``Chi0Operator`` keeps that iterate and
+charges the rigorous ``4 ||r|| / omega`` degraded-solve bound.
 
 The chain is *verified*: a stage may only claim convergence when the true
 relative residual of the original (unregularized) system meets the
@@ -22,12 +29,13 @@ system into a silently wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from repro.config import ResilienceConfig
 from repro.obs.telemetry import get_recorder
 from repro.obs.tracer import get_tracer
 from repro.solvers.block_cocg import block_cocg_solve
@@ -36,9 +44,10 @@ from repro.solvers.gmres import gmres_block_solve
 from repro.solvers.linear_operator import CountingOperator, as_operator
 from repro.solvers.stats import SolveResult
 
-
-class SternheimerSolveError(RuntimeError):
-    """A Sternheimer solve exhausted its escalation chain in ``"raise"`` mode."""
+#: The last-resort GMRES stage: its Krylov basis size, and the imaginary
+#: shift ``i * eps`` that regularizes (near-)singular Sternheimer shifts.
+GMRES_RESTART = 50
+GMRES_REGULARIZATION = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,28 +104,23 @@ class EscalationStage:
     matvecs_per_iteration: int = 1
 
 
-def default_stages(config: ResilienceConfig | None = None) -> tuple[EscalationStage, ...]:
+def default_stages() -> tuple[EscalationStage, ...]:
     """The production chain: block COCG -> BF block COCG -> regularized GMRES."""
-    cfg = config if config is not None else ResilienceConfig()
-    by_name = {
-        "block_cocg": EscalationStage("block_cocg", block_cocg_solve),
-        "block_cocg_bf": EscalationStage("block_cocg_bf", block_cocg_bf_solve),
-        "gmres": EscalationStage(
-            "gmres",
-            lambda a, b, **kw: gmres_block_solve(a, b, restart=cfg.gmres_restart, **kw),
-            regularization=cfg.gmres_regularization,
-        ),
-    }
-    return tuple(by_name[name] for name in cfg.escalation_chain)
+    return (
+        EscalationStage("block_cocg", block_cocg_solve),
+        EscalationStage("block_cocg_bf", block_cocg_bf_solve),
+        EscalationStage("gmres", partial(gmres_block_solve, restart=GMRES_RESTART),
+                        regularization=GMRES_REGULARIZATION),
+    )
 
 
 @dataclass
 class EscalationPolicy:
-    """Chain of solver stages with per-solve budgets (the tentpole policy).
+    """Chain of solver stages with an optional per-solve matvec budget.
 
-    Use :meth:`from_config` for the production chain, or construct with
-    explicit :class:`EscalationStage` objects (tests inject faulty stages
-    this way). The policy object is itself a valid ``solver`` for
+    ``EscalationPolicy(default_stages())`` is the production solver; tests
+    build chains from explicit :class:`EscalationStage` objects (faulty or
+    truncated chains). The policy object is itself a valid ``solver`` for
     :class:`repro.core.sternheimer.Chi0Operator` and
     :func:`repro.solvers.block_size.solve_with_dynamic_block_size` — calling
     it solves one block system through the chain.
@@ -124,7 +128,6 @@ class EscalationPolicy:
 
     stages: tuple[EscalationStage, ...]
     matvec_budget: int | None = None
-    max_attempts: int | None = None
 
     def __post_init__(self) -> None:
         self.stages = tuple(self.stages)
@@ -132,18 +135,8 @@ class EscalationPolicy:
             raise ValueError("an escalation policy needs at least one stage")
         if self.matvec_budget is not None and self.matvec_budget < 1:
             raise ValueError("matvec_budget must be >= 1 (or None)")
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1 (or None)")
 
-    @classmethod
-    def from_config(cls, config: ResilienceConfig) -> "EscalationPolicy":
-        return cls(
-            stages=default_stages(config),
-            matvec_budget=config.matvec_budget,
-            max_attempts=config.max_solve_attempts,
-        )
-
-    def __call__(self, a, b, **kwargs) -> EscalatedSolveResult:
+    def __call__(self, a, b, **kwargs) -> SolveResult:
         return resilient_solve(a, b, policy=self, **kwargs)
 
 
@@ -155,15 +148,25 @@ def resilient_solve(
     tol: float = 1e-8,
     max_iterations: int = 1000,
     n: int | None = None,
-) -> EscalatedSolveResult:
+) -> SolveResult:
     """Solve ``A Y = B`` through ``policy``'s escalation chain.
 
-    Stages run in order until one converges, the attempt cap is reached, or
-    the matvec budget is exhausted. Later stages warm-start from the best
-    iterate seen so far. The returned result aggregates iterations and
-    matvecs over *all* attempts, so existing accounting (``SolveSummary``,
-    FLOP estimates, Table IV histograms) stays truthful under escalation.
+    Without a matvec budget the first stage is a plain call on ``a``, and
+    its converged result is returned exactly as the stage produced it.
+    Otherwise stages run in order until one converges or the budget is
+    exhausted; later stages warm-start from the best iterate seen so far.
+    The :class:`EscalatedSolveResult` returned then aggregates iterations
+    and matvecs over *all* attempts, so existing accounting
+    (``SolveSummary``, FLOP estimates, Table IV histograms) stays truthful
+    under escalation.
     """
+    first = None
+    if policy.matvec_budget is None and not policy.stages[0].regularization:
+        first = policy.stages[0].solver(a, b, x0=x0, tol=tol,
+                                        max_iterations=max_iterations, n=n)
+        if first.converged:
+            return first
+
     b_arr = np.asarray(b, dtype=complex)
     squeeze = b_arr.ndim == 1
     B = b_arr[:, None] if squeeze else b_arr
@@ -181,7 +184,6 @@ def resilient_solve(
 
     tracer = get_tracer()
     budget = policy.matvec_budget
-    max_attempts = policy.max_attempts or len(policy.stages)
     attempts: list[SolveAttempt] = []
     history: list[float] = []
     best_solution: np.ndarray | None = None
@@ -194,44 +196,35 @@ def resilient_solve(
     if guess is not None and guess.ndim == 1:
         guess = guess[:, None]
 
-    for idx, stage in enumerate(policy.stages[:max_attempts]):
-        remaining = None if budget is None else budget - total_matvec
-        if remaining is not None and remaining < s * stage.matvecs_per_iteration:
-            budget_exhausted = True
-            break
-        stage_cap = max_iterations
-        if remaining is not None:
-            stage_cap = min(stage_cap, remaining // (s * stage.matvecs_per_iteration))
-        # Fresh counter per attempt: `res.n_matvec` must be the attempt's own
-        # applications, not a cumulative total across the chain.
-        if stage.regularization:
-            eps = stage.regularization
-            op = CountingOperator(lambda x, _e=eps: A(x) + 1j * _e * x, A.n)
+    for idx, stage in enumerate(policy.stages):
+        if idx == 0 and first is not None:
+            res = first
         else:
-            op = CountingOperator(A, A.n)
-
-        def _run() -> SolveResult:
+            remaining = None if budget is None else budget - total_matvec
+            if remaining is not None and remaining < s * stage.matvecs_per_iteration:
+                budget_exhausted = True
+                break
+            stage_cap = max_iterations
+            if remaining is not None:
+                stage_cap = min(stage_cap, remaining // (s * stage.matvecs_per_iteration))
+            # Fresh counter per attempt: `res.n_matvec` must be the attempt's own
+            # applications, not a cumulative total across the chain.
+            if stage.regularization:
+                eps = stage.regularization
+                op = CountingOperator(lambda x, _e=eps: A(x) + 1j * _e * x, A.n)
+            else:
+                op = CountingOperator(A, A.n)
             # Label the stage's solver records with this chain position so
             # telemetry can distinguish retries from first attempts.
-            recorder = get_recorder()
-            if not recorder.enabled:
-                return _run_stage()
-            with recorder.attempt_scope(idx, stage.name):
-                return _run_stage()
-
-        def _run_stage() -> SolveResult:
-            return stage.solver(
-                op, B, x0=guess, tol=tol, max_iterations=stage_cap, n=n_rows,
-            )
-
-        if idx == 0 or not tracer.enabled:
-            res = _run()
-        else:
-            with tracer.span("escalation", stage=stage.name, attempt=idx,
-                             block_size=s) as sp:
-                res = _run()
-                sp.set(converged=res.converged, breakdown=res.breakdown,
-                       residual=res.residual_norm)
+            span = (tracer.span("escalation", stage=stage.name, attempt=idx,
+                                block_size=s) if idx else nullcontext())
+            with get_recorder().attempt_scope(idx, stage.name), span as sp:
+                res = stage.solver(
+                    op, B, x0=guess, tol=tol, max_iterations=stage_cap, n=n_rows,
+                )
+                if sp is not None:
+                    sp.set(converged=res.converged, breakdown=res.breakdown,
+                           residual=res.residual_norm)
 
         sol = res.solution if res.solution.ndim == 2 else res.solution[:, None]
         converged = res.converged
@@ -262,7 +255,7 @@ def resilient_solve(
                 tracer.incr(f"resilience_stage_success.{stage.name}")
         if converged:
             break
-        if tracer.enabled and idx + 1 < min(len(policy.stages), max_attempts):
+        if tracer.enabled and idx + 1 < len(policy.stages):
             tracer.event("solve_escalated", from_stage=stage.name,
                          residual=residual, breakdown=res.breakdown)
         if best_solution is not None:
@@ -295,10 +288,3 @@ def resilient_solve(
         escalated=escalated,
         budget_exhausted=budget_exhausted,
     )
-
-
-def chain_of(names: Sequence[str], config: ResilienceConfig | None = None) -> EscalationPolicy:
-    """Convenience: build a policy from stage names (subset of the defaults)."""
-    base = config if config is not None else ResilienceConfig()
-    cfg = replace(base, escalation_chain=tuple(names))
-    return EscalationPolicy.from_config(cfg)

@@ -74,9 +74,10 @@ class SolveSummary:
     n_breakdowns: int = 0
     n_unconverged: int = 0
     block_size_counts: dict[int, int] = field(default_factory=dict)
-    # Resilience-layer totals (zero unless solves ran through an
-    # EscalationPolicy): extra attempts beyond the first, solves whose
-    # winning stage was not the first, and successes per stage name.
+    # Escalation-chain totals (zero unless a solve left its first stage or
+    # ran under a matvec budget: a converged first stage comes back as the
+    # plain solver's result): extra attempts beyond the first, solves
+    # whose winning stage was not the first, and returned stage per name.
     n_retries: int = 0
     n_escalations: int = 0
     stage_counts: dict[str, int] = field(default_factory=dict)

@@ -22,8 +22,8 @@ Two layers:
   so ``--verify off`` runs are bit-identical to an unverified build.
 * :mod:`repro.verify.harness` — the differential harness behind
   ``python -m repro.verify``: runs the full Krylov pipeline on a tiny grid
-  across the configuration matrix (backends x recycling x resilience,
-  plus the batched, solve-dtype and SSA axes), cross-checks every
+  across the configuration matrix (backends x recycling, plus the
+  batched, solve-dtype and SSA axes), cross-checks every
   configuration against the dense Adler-Wiser oracle to a pinned
   tolerance, exercises deliberate fault
   injections (asymmetric operator, fake-converged solve, broken rotation),

@@ -31,7 +31,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="invariant-check level installed for every run")
     parser.add_argument("--quick", action="store_true",
                         help="run a 10-cell covering subset instead of the "
-                             "full 23-cell matrix")
+                             "full 17-cell matrix")
     parser.add_argument("--no-faults", action="store_true",
                         help="skip the fault-injection phase")
     parser.add_argument("--out", default=None, metavar="FILE",

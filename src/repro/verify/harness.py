@@ -2,8 +2,8 @@
 
 Runs the full Krylov RPA pipeline on a tiny dense-verifiable system across
 the configuration matrix — every backend (serial, simulated-MPI,
-shared-memory SPMD) crossed with recycling and resilience, plus the
-batched, solve-dtype and SSA axes — and cross-checks each configuration's
+shared-memory SPMD) crossed with recycling, plus the batched,
+solve-dtype and SSA axes — and cross-checks each configuration's
 energy against the dense Adler-Wiser oracle (``compute_rpa_energy_direct``
 truncated to the same ``n_eig``) to a pinned tolerance. Every run executes under an installed
 :class:`repro.verify.Verifier`, so the runtime invariant layer is
@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from repro.config import ResilienceConfig, RPAConfig
+from repro.config import RPAConfig
 from repro.core.direct_rpa import compute_rpa_energy_direct
 from repro.core.rpa_energy import compute_rpa_energy
 from repro.core.scheduler import SerialScheduler
@@ -66,10 +66,10 @@ HARNESS_TOL_STERNHEIMER = 1e-10
 HARNESS_TOL_SUBSPACE = 1e-8
 HARNESS_SEED = 7
 
-#: The full configuration matrix: backend x recycling x resilience (12
-#: runs), plus the batched x solve-dtype axes (each backend run with the
-#: fused multi-orbital kernel at float64 and float32+IR) and the SSA axis
-#: (each backend with the frequency-shared eigenbasis on): 23 cells.
+#: The full configuration matrix: backend x recycling (6 runs), plus the
+#: batched x solve-dtype axes (each backend run with the fused
+#: multi-orbital kernel at float64 and float32+IR) and the SSA axis (each
+#: backend with the frequency-shared eigenbasis on): 17 cells.
 #: ``--quick`` keeps one covering subset per backend.
 BACKENDS = ("serial", "mpi", "spmd")
 SOLVE_DTYPES = ("float64", "float32_ir")
@@ -91,9 +91,8 @@ def build_tiny_system():
     return dft, coulomb
 
 
-def harness_config(recycling: bool = False, resilience: bool = False,
-                   batched: bool = False, solve_dtype: str = "float64",
-                   ssa: bool = False) -> RPAConfig:
+def harness_config(recycling: bool = False, batched: bool = False,
+                   solve_dtype: str = "float64", ssa: bool = False) -> RPAConfig:
     """One cell of the matrix, at oracle-grade tolerances.
 
     SSA cells keep the config's default refresh settings (tol 1e-6 with a
@@ -111,7 +110,6 @@ def harness_config(recycling: bool = False, resilience: bool = False,
         max_filter_iterations=80,
         max_cocg_iterations=2000,
         use_recycling=recycling,
-        resilience=ResilienceConfig() if resilience else None,
         batched_sternheimer=batched,
         solve_dtype=solve_dtype,
         use_ssa=ssa,
@@ -119,12 +117,11 @@ def harness_config(recycling: bool = False, resilience: bool = False,
     )
 
 
-def _cell(backend: str, recycling: bool = False, resilience: bool = False,
-          batched: bool = False, solve_dtype: str = "float64",
-          ssa: bool = False) -> dict:
+def _cell(backend: str, recycling: bool = False, batched: bool = False,
+          solve_dtype: str = "float64", ssa: bool = False) -> dict:
     """One matrix cell: its backend and every :func:`harness_config` flag."""
-    return dict(backend=backend, recycling=recycling, resilience=resilience,
-                batched=batched, solve_dtype=solve_dtype, ssa=ssa)
+    return dict(backend=backend, recycling=recycling, batched=batched,
+                solve_dtype=solve_dtype, ssa=ssa)
 
 
 def configuration_matrix(quick: bool = False) -> list[dict]:
@@ -132,21 +129,20 @@ def configuration_matrix(quick: bool = False) -> list[dict]:
     if quick:
         return [
             _cell("serial"),
-            _cell("serial", recycling=True, resilience=True),
+            _cell("serial", recycling=True),
             _cell("serial", recycling=True, batched=True, solve_dtype="float32_ir"),
             _cell("serial", recycling=True, batched=True, ssa=True),
             _cell("mpi"),
-            _cell("mpi", recycling=True, resilience=True),
+            _cell("mpi", recycling=True),
             _cell("mpi", recycling=True, batched=True, ssa=True),
             _cell("spmd"),
-            _cell("spmd", recycling=True, resilience=True),
+            _cell("spmd", recycling=True),
             _cell("spmd", recycling=True, batched=True, ssa=True),
         ]
     matrix = [
-        _cell(backend, recycling=recycling, resilience=resilience)
+        _cell(backend, recycling=recycling)
         for backend in BACKENDS
         for recycling in (False, True)
-        for resilience in (False, True)
     ]
     # The batched kernel crossed with both working precisions on every
     # backend (recycling on: the batched route must keep feeding the

@@ -1,8 +1,11 @@
 """Session-wide fixtures: the tiny dense-verifiable model system."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.core import Chi0Operator
 from repro.core.rpa_energy import chi0_operator_from_config
 from repro.dft import GaussianPseudopotential, run_scf
 from repro.dft.atoms import Crystal
@@ -35,6 +38,14 @@ def toy_dense_eigen(toy_dft):
 
     h = toy_dft.hamiltonian.to_dense()
     return scipy.linalg.eigh(h)
+
+
+@pytest.fixture
+def default_chain():
+    """The escalation policy every ``Chi0Operator`` solves through unless
+    handed a ``solver=``; tests plant faulty chains by monkeypatching its
+    ``stages``."""
+    return inspect.signature(Chi0Operator).parameters["solver"].default
 
 
 @pytest.fixture(scope="session")

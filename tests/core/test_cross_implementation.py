@@ -5,18 +5,17 @@ iterative Sternheimer two-step product (Eqs. 4-5, what production runs use)
 and the dense Adler-Wiser assembly from full eigenpairs (Eq. 2, the quartic
 validation anchor). This module pins them against each other at *every*
 frequency of the production quadrature — exactly the systems an RPA energy
-run solves — both with the plain solver stack and with the full escalation
-policy active, so a resilience regression that bends the numerics anywhere
-on the frequency grid cannot land silently.
+run solves — through the default solver (the escalation chain) and through
+plain block COCG, so a failure-path regression that bends the numerics
+anywhere on the frequency grid cannot land silently.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import ResilienceConfig
 from repro.core import Chi0Operator, build_chi0_dense
 from repro.core.quadrature import transformed_gauss_legendre
-from repro.resilience import EscalationPolicy
+from repro.solvers import block_cocg_solve
 
 pytestmark = pytest.mark.resilience
 
@@ -73,11 +72,10 @@ class TestSternheimerVsDenseOnProductionQuadrature:
     def test_escalation_policy_preserves_the_numbers(
         self, toy_dft, toy_coulomb, quad_frequencies, dense_chi0_per_frequency
     ):
-        # The resilient path must be a pure superset: on healthy systems it
-        # returns the same solves, bit-for-bit within solver tolerance.
-        policy = EscalationPolicy.from_config(ResilienceConfig())
-        op = _operator(toy_dft, toy_coulomb, escalation=policy)
-        plain = _operator(toy_dft, toy_coulomb)
+        # The default solver is the escalation chain, a pure superset of
+        # plain block COCG: on healthy systems it returns the same solves.
+        op = _operator(toy_dft, toy_coulomb)
+        plain = _operator(toy_dft, toy_coulomb, solver=block_cocg_solve)
         rng = np.random.default_rng(43)
         v = rng.standard_normal(toy_dft.grid.n_points)
         for omega in quad_frequencies:
@@ -90,7 +88,7 @@ class TestSternheimerVsDenseOnProductionQuadrature:
             np.testing.assert_array_equal(resilient, baseline)
         assert op.stats.n_escalations == 0
         assert op.stats.n_degraded_solves == 0
-        assert op.stats.stage_counts.get("block_cocg", 0) > 0
+        assert op.stats.n_matvec == plain.stats.n_matvec
 
     def test_block_apply_matches_dense_on_extreme_frequencies(
         self, toy_dft, toy_coulomb, quad_frequencies, dense_chi0_per_frequency

@@ -78,13 +78,9 @@ class TestMain:
 
     @pytest.mark.parametrize("flags", [
         ["--ssa", "--ssa-refresh-tol", "-1"],
-        ["--matvec-budget", "-5"],
-        ["--solve-retries", "0"],
-        ["--escalation-chain", "bogus"],
         ["--ranks", "0"],
         ["--ranks", "-1", "--backend", "spmd"],
-    ], ids=["ssa-refresh-tol", "matvec-budget", "solve-retries",
-            "escalation-chain", "ranks-0", "spmd-ranks-negative"])
+    ], ids=["ssa-refresh-tol", "ranks-0", "spmd-ranks-negative"])
     def test_bad_flag_value_exits_2_before_the_scf(self, flags, capsys):
         # A value the config (or the backend) refuses is a usage error:
         # one error line and status 2, never a traceback or a wasted SCF.
@@ -127,6 +123,27 @@ class TestMain:
         assert len(warnings) == 1
         assert "did not converge" in warnings[0]
         assert "#8 " in warnings[0] and "> 5.0e-04" in warnings[0]
+
+    def test_degraded_sweep_exits_3_with_a_warning(self, capsys, monkeypatch,
+                                                   default_chain):
+        # A one-stage chain whose first three solves break down: nothing can
+        # rescue them, so they degrade while every quadrature point still
+        # converges. The energy is printed, and so is its bound.
+        from repro.resilience import EscalationStage, breakdown_injector
+        from repro.solvers import block_cocg_solve
+
+        broken = breakdown_injector(block_cocg_solve, when=lambda idx: idx < 3)
+        monkeypatch.setattr(default_chain, "stages",
+                            (EscalationStage("block_cocg", broken),))
+        rc = main(["--system", "toy", "--n-eig", "24"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "Total RPA correlation energy" in captured.out
+        warnings = [ln for ln in captured.err.splitlines()
+                    if ln.startswith("WARNING:")]
+        assert len(warnings) == 1
+        assert "3 Sternheimer solve(s) degraded" in warnings[0]
+        assert "energy error bound" in warnings[0]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="spmd backend requires the fork start method")

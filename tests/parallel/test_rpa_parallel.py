@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import ResilienceConfig, RPAConfig
+from repro.config import RPAConfig
 from repro.core import compute_rpa_energy
 from repro.dft import GaussianPseudopotential, run_scf
 from repro.dft.atoms import Crystal
@@ -169,13 +169,13 @@ class TestOneSweep:
         # Warm-started from converged vectors: less filtering at point 1.
         assert again.points[0].filter_iterations < first.points[0].filter_iterations
 
-    def test_point_records_complete_on_degraded_run(self, toy_dft, toy_coulomb):
-        # Two COCG iterations cannot converge; the one-stage chain degrades
+    def test_point_records_complete_on_degraded_run(self, toy_dft, toy_coulomb,
+                                                     monkeypatch, default_chain):
+        # Two COCG iterations cannot converge; a one-stage chain degrades
         # every solve, and the per-point record must say so on any backend.
+        monkeypatch.setattr(default_chain, "stages", default_chain.stages[:1])
         cfg = RPAConfig(n_eig=8, n_quadrature=2, seed=1, max_cocg_iterations=2,
-                        max_filter_iterations=1,
-                        resilience=ResilienceConfig(escalation_chain=("block_cocg",),
-                                                    max_solve_attempts=1))
+                        max_filter_iterations=1)
         par = compute_rpa_energy_parallel(toy_dft, cfg, n_ranks=2,
                                           coulomb=toy_coulomb)
         assert par.stats.n_degraded_solves > 0

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.resilience import chain_of
+from repro.resilience import EscalationPolicy, default_stages
 from repro.solvers import (
     block_cocg_bf_solve,
     block_cocg_solve,
@@ -39,7 +39,7 @@ BLOCK_SOLVERS = {
     "block_cocg": block_cocg_solve,
     "block_cocg_bf": block_cocg_bf_solve,
     "gmres_block": gmres_block_solve,
-    "escalation_policy": chain_of(["block_cocg", "block_cocg_bf", "gmres"]),
+    "escalation_policy": EscalationPolicy(default_stages()),
 }
 SINGLE_SOLVERS = {"cocg": cocg_solve, "gmres": gmres_solve}
 
@@ -124,8 +124,7 @@ def test_definite_systems_always_converge_through_escalation(params):
     n, seed, omega, _ = params
     a = _system(n, seed, omega, definite=True)
     B = np.random.default_rng(seed + 1).standard_normal((n, 2)) + 0j
-    policy = chain_of(["block_cocg", "block_cocg_bf", "gmres"])
-    res = policy(a, B, tol=TOL, max_iterations=6 * n)
+    res = EscalationPolicy(default_stages())(a, B, tol=TOL, max_iterations=6 * n)
     assert res.converged, f"escalation chain failed on a definite system ({res.stage})"
     true_residual = np.linalg.norm(B - a @ res.solution) / np.linalg.norm(B)
     assert true_residual <= TOL * SLACK
