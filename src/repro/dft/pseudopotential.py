@@ -22,6 +22,7 @@ from math import gamma as gamma_fn
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from repro.dft.atoms import Crystal
 from repro.grid.mesh import Grid3D
@@ -298,6 +299,8 @@ class NonlocalProjectors:
         # Pre-materialize the transpose: scipy reconstructs `.T` on every
         # access, which dominates small-grid Hamiltonian applies otherwise.
         self._projectors_t = self.projectors.T.tocsr()
+        # (P^T.data, P.data) cast to each result dtype met so far.
+        self._data_as: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def n_projectors(self) -> int:
@@ -305,12 +308,17 @@ class NonlocalProjectors:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``V_nl v`` for a vector or block ``v``."""
-        coeff = self._projectors_t @ v
+        dtype = np.result_type(self.projectors.data, v)
+        data = self._data_as.get(dtype)
+        if data is None:
+            data = self._data_as[dtype] = (self._projectors_t.data.astype(dtype),
+                                           self.projectors.data.astype(dtype))
+        coeff = _csr_matmul(self._projectors_t, data[0], v)
         if coeff.ndim == 1:
             coeff = coeff * self.strengths
         else:
             coeff = coeff * self.strengths[:, None]
-        return self.dv * (self.projectors @ coeff)
+        return self.dv * _csr_matmul(self.projectors, data[1], coeff)
 
     def astype(self, dtype) -> "NonlocalProjectors":
         """The same projector set held in real ``dtype`` (cast once, here):
@@ -322,6 +330,29 @@ class NonlocalProjectors:
     def to_dense(self) -> np.ndarray:
         P = self.projectors.toarray()
         return self.dv * (P * self.strengths) @ P.T
+
+
+def _csr_matmul(a: sp.csr_matrix, data: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` for a dense ``(n,)`` or ``(n, s)`` ``v``, to the last bit.
+
+    Calls the two kernels scipy's ``a @ v`` ends in, with its dispatch:
+    ``(n,)`` and ``(n, 1)`` take ``csr_matvec``, wider blocks
+    ``csr_matvecs``, both on ``v.ravel()``. ``data`` is ``a.data`` already
+    cast to the result dtype, so no call re-casts it; skipping scipy's
+    wrapper saves most of a small-grid nonlocal apply (DESIGN.md section
+    5, "bit-pinned kernels").
+    """
+    m, n = a.shape
+    if v.ndim not in (1, 2) or v.shape[0] != n:
+        raise ValueError(f"matmul: operand shape {v.shape} does not match {a.shape}")
+    if v.ndim == 1 or v.shape[1] == 1:
+        out = np.zeros(m, dtype=data.dtype)
+        _sparsetools.csr_matvec(m, n, a.indptr, a.indices, data, v.ravel(), out)
+        return out if v.ndim == 1 else out.reshape(m, 1)
+    s = v.shape[1]
+    out = np.zeros((m, s), dtype=data.dtype)
+    _sparsetools.csr_matvecs(m, n, s, a.indptr, a.indices, data, v.ravel(), out.ravel())
+    return out
 
 
 def build_nonlocal_projectors(

@@ -9,6 +9,12 @@ This is the periodic analogue of the paper's Kronecker-product trick
 (reference [35]) and powers the O(n_d log n_d) applications of
 ``f(nabla^2)`` needed for the Coulomb operator ``nu``, its square root, and
 fast Poisson solves.
+
+The two transforms call pocketfft's ``c2c`` directly, with the arguments
+``scipy.fft.fftn`` / ``scipy.fft.ifftn`` would pass it: the same transform
+to the last bit, without the Python dispatch those wrappers add to every
+apply, about half of an s = 1 apply on a 7^3 grid (DESIGN.md section 5,
+"bit-pinned kernels").
 """
 
 from __future__ import annotations
@@ -16,10 +22,13 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
 
 from repro.grid.fd_coefficients import second_derivative_coefficients
 from repro.grid.mesh import Grid3D
+
+
+_AXES = (0, 1, 2)
 
 
 class FourierLaplacian:
@@ -58,9 +67,11 @@ class FourierLaplacian:
         single = field.ndim == 3
         if single:
             field = field[..., None]
-        vhat = scipy.fft.fftn(field, axes=(0, 1, 2))
+        # c2c(a, axes, forward, inorm, out, nthreads): inorm 0 / 2 is
+        # scipy's "backward" norm (unscaled forward, 1/N inverse).
+        vhat = pypocketfft.c2c(field, _AXES, True, 0, None, 1)
         vhat *= mult[..., None]
-        out = scipy.fft.ifftn(vhat, axes=(0, 1, 2), overwrite_x=True)
+        out = pypocketfft.c2c(vhat, _AXES, False, 2, vhat, 1)
         if not np.iscomplexobj(v):
             out = out.real
         if single:

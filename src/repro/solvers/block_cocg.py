@@ -28,6 +28,9 @@ block size.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from repro.obs.telemetry import get_recorder, record_solves
@@ -156,7 +159,7 @@ def block_cocg_solve(
         )
 
     W = b - A(Y) if x0 is not None else b.copy()
-    history = [float(np.linalg.norm(W)) / b_norm]
+    history = [_frobenius(W) / b_norm]
     best_res = history[-1]
     if track_cols:
         _mark_columns(0, W)
@@ -176,14 +179,15 @@ def block_cocg_solve(
             return _result(False, it - 1, history, breakdown=True)
         Y += P @ alpha
         W -= U @ alpha
-        rel = float(np.linalg.norm(W)) / b_norm
+        rel = _frobenius(W) / b_norm
         history.append(rel)
         if tracer.enabled:
             tracer.record("cocg_iteration", t_iter, iteration=it,
                           block_size=s, residual=rel)
-        if track_cols and np.isfinite(rel):
+        finite = math.isfinite(rel)
+        if track_cols and finite:
             _mark_columns(it, W)
-        if not np.isfinite(rel):
+        if not finite:
             return _result(False, it, history, breakdown=True)
         if rel < best_res:
             best_res = rel
@@ -205,6 +209,15 @@ def block_cocg_solve(
     return _result(False, max_iterations, history)
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """``float(np.linalg.norm(x))`` for a complex ``x``, by NumPy's own
+    formula (``ravel('K')``, then ``re.re + im.im``, then ``sqrt``) without
+    its argument handling: the same bits, once per COCG iteration."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _small_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve the ``s x s`` recurrence system with rank-deficiency handling.
 
@@ -212,15 +225,19 @@ def _small_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     directions are truncated via least squares, matching exact-arithmetic
     deflation of converged residual columns.
     """
-    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
-        return None
     if lhs.shape == (1, 1):
-        if abs(lhs[0, 0]) < 1e-300:
+        # s = 1 runs every COCG iteration: check Python scalars, not arrays.
+        pivot = complex(lhs[0, 0])
+        if not (cmath.isfinite(pivot) and all(map(cmath.isfinite, rhs.ravel().tolist()))):
+            return None
+        if abs(pivot) < 1e-300:
             return None
         return rhs / lhs[0, 0]
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        return None
     try:
         sol = np.linalg.solve(lhs, rhs)
-        if np.all(np.isfinite(sol)):
+        if np.isfinite(sol).all():
             # Guard against catastrophic amplification from near-singularity.
             scale = np.linalg.norm(rhs) / max(np.linalg.norm(lhs), 1e-300)
             if np.linalg.norm(sol) < 1e8 * max(scale, 1.0):
@@ -228,6 +245,6 @@ def _small_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         pass
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=_SMALL_RCOND)
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         return None
     return sol

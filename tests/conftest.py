@@ -12,6 +12,25 @@ from repro.dft.atoms import Crystal
 from repro.grid import CoulombOperator
 
 
+def bit_pin_operand(n_points, dtype, width, layout, seed=0):
+    """A random ``(n_points,)`` (``width=None``) or ``(n_points, width)``
+    operand of the bit-pin tests; ``layout="sliced"`` takes it as a strided
+    column view out of a wider block, ``"contiguous"`` as a C-ordered copy."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n_points, 2 * (width or 1) + 1))
+    if np.dtype(dtype).kind == "c":
+        v = v + 1j * rng.standard_normal(v.shape)
+    v = v.astype(dtype)
+    if layout == "contiguous":
+        v = np.ascontiguousarray(v[:, 0] if width is None else v[:, :width])
+    elif width is None:
+        v = v[:, 1]
+    else:
+        v = v[:, 1:2] if width == 1 else v[:, 1::2][:, :width]
+    assert v.flags.c_contiguous == (layout == "contiguous")
+    return v
+
+
 @pytest.fixture(scope="session")
 def toy_dft():
     """4-electron model system on a 6^3 grid: dense-verifiable everywhere."""

@@ -15,6 +15,7 @@ from repro.dft import (
 )
 from repro.dft.atoms import Crystal
 from repro.grid import Grid3D
+from tests.conftest import bit_pin_operand
 
 
 class TestFormFactor:
@@ -168,3 +169,52 @@ class TestNonlocalProjectors:
         assert nl.n_projectors == 0
         v = np.ones(g.n_points)
         assert np.all(nl.apply(v) == 0) if nl.n_projectors else True
+
+
+# Two atoms in a non-cubic box: overlapping supports, 10 projectors.
+_BITS_CRYSTAL = Crystal(["Si", "Si"], np.array([[1.0, 1.5, 2.0], [3.5, 4.0, 5.5]]),
+                        (6.0, 7.0, 8.0))
+_BITS_GRID = _BITS_CRYSTAL.make_grid(1.0)
+_BITS_NL = build_nonlocal_projectors(_BITS_CRYSTAL, _BITS_GRID)
+
+
+def _public_apply(nl, v):
+    """``dv * (P @ (h * (P^T @ v)))`` through scipy's public ``@``."""
+    coeff = nl.projectors.T.tocsr() @ v
+    coeff = coeff * (nl.strengths if coeff.ndim == 1 else nl.strengths[:, None])
+    return nl.dv * (nl.projectors @ coeff)
+
+
+class TestNonlocalApplyBits:
+    """``NonlocalProjectors.apply`` calls scipy's CSR kernels itself; the
+    result must equal the public-operator form to the last bit."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "sliced"])
+    @pytest.mark.parametrize("width", [None, 1, 16], ids=["vector", "one-column", "block16"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.complex64],
+                             ids=lambda d: np.dtype(d).name)
+    def test_apply_matches_public_matmul_bitwise(self, dtype, width, layout):
+        nl = _BITS_NL.astype(np.float32) if dtype == np.complex64 else _BITS_NL
+        assert nl.n_projectors == 10
+        v = bit_pin_operand(_BITS_GRID.n_points, dtype, width, layout, seed=5)
+        out = nl.apply(v)
+        ref = _public_apply(nl, v)
+        assert (out.dtype, out.shape) == (ref.dtype, ref.shape) == (v.dtype, v.shape)
+        assert out.tobytes() == ref.tobytes()
+
+    def test_each_operand_dtype_keeps_its_own_cast(self):
+        nl = build_nonlocal_projectors(_BITS_CRYSTAL, _BITS_GRID)
+        rng = np.random.default_rng(6)
+        v = rng.standard_normal((_BITS_GRID.n_points, 3))
+        z = v + 1j * rng.standard_normal(v.shape)
+        # Interleaved dtypes: a cast kept for one operand dtype never serves another.
+        for x in (z, v, z[:, 0], v[:, :1]):
+            assert nl.apply(x).tobytes() == _public_apply(nl, x).tobytes()
+        single = nl.astype(np.float32)
+        z64 = z.astype(np.complex64)
+        assert single.apply(z64).tobytes() == _public_apply(single, z64).tobytes()
+        assert nl.apply(z).tobytes() == _public_apply(nl, z).tobytes()
+
+    def test_operand_rows_must_match(self):
+        with pytest.raises(ValueError):
+            _BITS_NL.apply(np.ones(_BITS_GRID.n_points + 1))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.solvers import block_cocg_bf_solve, block_cocg_solve, cocg_solve
+from repro.solvers.block_cocg import _small_solve
 from tests.solvers.conftest import (
     make_complex_symmetric,
     make_definite_sternheimer,
@@ -122,6 +123,72 @@ class TestBlockCOCG:
         assert res.residual_norm <= tol
         # Recurrence residual may drift from the true residual only slightly.
         assert true_rel <= 10 * tol
+
+
+class TestSmallSolveVerdicts:
+    """The ``s x s`` recurrence solve: None on a non-finite system or a
+    vanishing 1 x 1 pivot, otherwise the exact quotient at s = 1."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                     complex(np.inf, 1.0)])
+    @pytest.mark.parametrize("where", ["lhs", "rhs"])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_non_finite_system_is_a_breakdown(self, s, where, bad):
+        rng = np.random.default_rng(s)
+        lhs = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)) + 3 * np.eye(s)
+        rhs = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        (lhs if where == "lhs" else rhs)[-1, 0] = bad
+        assert _small_solve(lhs, rhs) is None
+
+    @pytest.mark.parametrize("pivot", [0.0, 1e-301 + 0j, complex(5e-302, -5e-302)])
+    def test_vanishing_scalar_pivot_is_a_breakdown(self, pivot):
+        assert _small_solve(np.array([[pivot]], dtype=complex),
+                            np.array([[1.0 + 2.0j]])) is None
+
+    @pytest.mark.parametrize("pivot", [1e-299 + 0j, 0.3 - 2.5j, -7.0 + 1e-3j])
+    def test_scalar_solve_is_the_exact_quotient(self, pivot):
+        lhs = np.array([[pivot]], dtype=complex)
+        rhs = np.array([[0.7 + 0.1j]])
+        out = _small_solve(lhs, rhs)
+        assert out.shape == (1, 1)
+        assert out.tobytes() == (rhs / lhs[0, 0]).tobytes()
+
+
+def _reference_history(A, B, tol, max_iterations):
+    """Algorithm 3 as a plain loop, residual norms by ``np.linalg.norm``
+    (a well-conditioned system: no deflation, no stagnation)."""
+    Y = np.zeros_like(B)
+    W = B.copy()
+    b_norm = float(np.linalg.norm(B))
+    history = [float(np.linalg.norm(W)) / b_norm]
+    rho = W.T @ W
+    P = W.copy()
+    for _ in range(max_iterations):
+        U = A @ P
+        mu = P.T @ U
+        alpha = rho / mu[0, 0] if mu.shape == (1, 1) else np.linalg.solve(mu, rho)
+        Y += P @ alpha
+        W -= U @ alpha
+        history.append(float(np.linalg.norm(W)) / b_norm)
+        if history[-1] <= tol:
+            break
+        rho_new = W.T @ W
+        beta = rho_new / rho[0, 0] if rho.shape == (1, 1) else np.linalg.solve(rho, rho_new)
+        P = W + P @ beta
+        rho = rho_new
+    return history
+
+
+@pytest.mark.parametrize("s", [1, 4])
+def test_residual_history_matches_linalg_norm_bitwise(s):
+    A = make_definite_sternheimer(60, seed=43, omega=1.0)
+    rng = np.random.default_rng(47)
+    B = rng.standard_normal((60, s)) + 1j * rng.standard_normal((60, s))
+    res = block_cocg_solve(A, B, tol=1e-10, max_iterations=500)
+    ref = _reference_history(A, B, 1e-10, 500)
+    assert res.converged and len(res.residual_history) > 10
+    assert res.residual_history == ref
+    assert all(type(r) is float for r in res.residual_history)
 
 
 class TestAgainstDirectSolve:

@@ -1,7 +1,8 @@
 """Import layering of ``src/repro``, checked on the AST (function-local
 imports count): the solver layer sits below the DFT layer, the grid
-package's underscore names stay inside it, and no module brings its own
-worker pool."""
+package's underscore names stay inside it, private scipy modules are
+imported in two named files only, and no module brings its own worker
+pool."""
 
 import ast
 import pathlib
@@ -54,3 +55,20 @@ def test_nothing_imports_concurrent_futures():
         return module == "concurrent" or module.startswith("concurrent.")
 
     assert _violations(sorted(ROOT.rglob("*.py")), forbidden) == []
+
+
+def test_private_scipy_modules_are_imported_in_two_known_places():
+    # The bit-pinned kernels (DESIGN.md section 5) call pocketfft and the CSR
+    # matvec below scipy's public wrappers. A scipy upgrade that moves either
+    # breaks here, in one named place, and the private surface cannot spread.
+    allowed = {ROOT / "grid" / "fourier.py", ROOT / "dft" / "pseudopotential.py"}
+
+    def forbidden(module, name):
+        if not (module == "scipy" or module.startswith("scipy.")):
+            return False
+        return any(part.startswith("_") for part in (*module.split("."), name or ""))
+
+    everywhere = sorted(ROOT.rglob("*.py"))
+    assert allowed <= set(everywhere)
+    assert _violations([p for p in everywhere if p not in allowed], forbidden) == []
+    assert len(_violations(sorted(allowed), forbidden)) == 2
