@@ -3,8 +3,8 @@
 The paper's contribution lives here: the short-term-recurrence block COCG
 method for complex symmetric systems (Algorithm 3), the dynamic block-size
 selection (Algorithm 4) and the Galerkin deflating initial guess (Eq. 13) —
-plus the baselines they are measured against (single-vector COCG, restarted
-GMRES, classical CG and a seed-projection method).
+plus restarted GMRES, the long-recurrence baseline they are measured
+against. Single-vector COCG is ``block_cocg_solve`` at block size 1.
 """
 
 from repro.solvers.batched import (
@@ -16,13 +16,10 @@ from repro.solvers.batched import (
 from repro.solvers.block_cocg import block_cocg_solve
 from repro.solvers.block_cocg_bf import block_cocg_bf_solve
 from repro.solvers.block_size import flop_cost_model, solve_with_dynamic_block_size
-from repro.solvers.cg import cg_solve
-from repro.solvers.cocg import cocg_solve
 from repro.solvers.galerkin_guess import galerkin_initial_guess, residual_after_deflation
 from repro.solvers.gmres import gmres_solve
 from repro.solvers.linear_operator import CountingOperator, as_operator
 from repro.solvers.recycle import RecycleStats, SolveRecycler
-from repro.solvers.seed import seed_solve
 from repro.solvers.stats import (
     BlockSizeDecision,
     DynamicSolveResult,
@@ -35,12 +32,9 @@ __all__ = [
     "BatchedSolveResult",
     "batched_cocg_solve",
     "batched_cocg_ir_solve",
-    "cg_solve",
-    "cocg_solve",
     "block_cocg_solve",
     "block_cocg_bf_solve",
     "gmres_solve",
-    "seed_solve",
     "solve_with_dynamic_block_size",
     "flop_cost_model",
     "galerkin_initial_guess",

@@ -72,6 +72,7 @@ def gmres_solve(
         V[:, 0] = r / beta
         g[0] = beta
         k_used = 0
+        breakdown = False
         for k in range(m):
             w = A(V[:, k])
             # Modified Gram-Schmidt with one reorthogonalization pass for
@@ -84,7 +85,8 @@ def gmres_solve(
                 H[j, k] += corr
                 w -= corr * V[:, j]
             H[k + 1, k] = np.linalg.norm(w)
-            lucky = abs(H[k + 1, k]) < 1e-14 * abs(H[0, 0] if k == 0 else 1.0)
+            lucky = (H[k + 1, k] == 0
+                     or abs(H[k + 1, k]) < 1e-14 * abs(H[0, 0] if k == 0 else 1.0))
             if not lucky:
                 V[:, k + 1] = w / H[k + 1, k]
             # Apply stored Givens rotations to the new column.
@@ -95,10 +97,13 @@ def gmres_solve(
             # New rotation to annihilate H[k+1, k].
             denom = np.sqrt(abs(H[k, k]) ** 2 + abs(H[k + 1, k]) ** 2)
             if denom == 0.0:
-                cs[k], sn[k] = 1.0, 0.0
-            else:
-                cs[k] = np.conj(H[k, k]) / denom
-                sn[k] = np.conj(H[k + 1, k]) / denom
+                # A maps the new basis vector into the span of the earlier
+                # ones' images: the least-squares system is singular and a
+                # restart would rebuild the same Krylov space.
+                breakdown = True
+                break
+            cs[k] = np.conj(H[k, k]) / denom
+            sn[k] = np.conj(H[k + 1, k]) / denom
             H[k, k] = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
             H[k + 1, k] = 0.0
             g[k + 1] = -np.conj(sn[k]) * g[k]
@@ -116,6 +121,9 @@ def gmres_solve(
         history[-1] = beta / b_norm  # replace estimate with true residual
         if history[-1] <= tol:
             return SolveResult(x, True, total_iters, history[-1], history, n_matvec=A.n_applies)
+        if breakdown:
+            return SolveResult(x, False, total_iters, history[-1], history, A.n_applies,
+                               breakdown=True)
 
     return SolveResult(x, False, total_iters, history[-1], history, n_matvec=A.n_applies)
 
@@ -162,6 +170,7 @@ def gmres_block_solve(
     iterations = 0
     per_column_cap = max(1, max_iterations // s) if s > 1 else max_iterations
     all_converged = True
+    breakdown = False
     for col in range(s):
         col_norm = float(np.linalg.norm(b[:, col]))
         if col_norm == 0.0:
@@ -182,6 +191,7 @@ def gmres_block_solve(
         Y[:, col] = r.solution
         iterations = max(iterations, r.iterations)
         all_converged = all_converged and r.converged
+        breakdown = breakdown or r.breakdown
     residual = float(np.linalg.norm(b - A(Y))) / b_norm
     converged = all_converged and residual <= tol
     return SolveResult(
@@ -192,4 +202,5 @@ def gmres_block_solve(
         [residual],
         n_matvec=A.n_applies,
         block_size=s,
+        breakdown=breakdown,
     )

@@ -267,7 +267,7 @@ class TestDecoratorAndNull:
 
 class TestSolverIntegration:
     def test_real_solvers_record(self):
-        from repro.solvers import cg
+        from repro.solvers import block_cocg_solve
 
         rng = np.random.default_rng(0)
         A = rng.standard_normal((12, 12))
@@ -275,9 +275,9 @@ class TestSolverIntegration:
         b = rng.standard_normal(12)
         rec = ConvergenceRecorder(level="full")
         with use_recorder(rec):
-            res = cg.cg_solve(lambda x: A @ x, b, tol=1e-10, n=12)
+            res = block_cocg_solve(lambda x: A @ x, b, tol=1e-10, n=12)
         assert res.converged
         (r,) = rec.solves
-        assert r["solver"] == "cg" and r["converged"]
+        assert r["solver"] == "block_cocg" and r["converged"]
         assert r["residual_history"][0] == pytest.approx(1.0)
         assert rec.counters["matvecs"] == r["n_matvec"] > 0

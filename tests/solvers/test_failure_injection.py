@@ -6,6 +6,8 @@ exhaustion to pin down the failure *reporting* contract: no silent wrong
 answers, no crashes on recoverable paths.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,10 @@ from repro.core import Chi0Operator, filtered_subspace_iteration
 from repro.solvers import (
     block_cocg_bf_solve,
     block_cocg_solve,
-    cocg_solve,
     gmres_solve,
     solve_with_dynamic_block_size,
 )
+from repro.solvers.gmres import gmres_block_solve
 from tests.solvers.conftest import make_indefinite_sternheimer
 
 
@@ -29,7 +31,7 @@ class TestSingularShifts:
         H = (q * lam) @ q.T
         A = H - lam[3] * np.eye(n)  # singular, purely real
         b = rng.standard_normal(n) + 0j
-        res = cocg_solve(A, b, tol=1e-10, max_iterations=500)
+        res = block_cocg_solve(A, b, tol=1e-10, max_iterations=500)
         # The failure contract: no silent wrong answer, and the reported
         # state must be usable by a recovery layer (finite best iterate,
         # truthful residual, non-empty history).
@@ -40,6 +42,23 @@ class TestSingularShifts:
         true_res = np.linalg.norm(A @ res.solution - b) / np.linalg.norm(b)
         assert true_res > 1e-10  # genuinely unsolved, matching the report
 
+    @pytest.mark.parametrize("solver, b", [
+        (gmres_solve, np.array([1.0, 0.0, 0.0], dtype=complex)),
+        (gmres_block_solve, np.array([[1.0], [0.0], [0.0]], dtype=complex)),
+    ])
+    def test_gmres_first_direction_in_null_space_reports_breakdown(self, solver, b):
+        # The first Arnoldi vector is an exact null vector of A: H[0, 0] and
+        # H[1, 0] are both zero, so GMRES's least-squares system is singular.
+        # The escalation chain's last stage must report that, not raise.
+        A = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solver(A, b, tol=1e-8, max_iterations=20)
+        assert not res.converged and res.breakdown
+        assert np.all(np.isfinite(res.solution))
+        true_res = np.linalg.norm(A @ res.solution - b) / np.linalg.norm(b)
+        assert res.residual_norm == pytest.approx(true_res) and true_res > 0.5
+
     def test_near_singular_still_converges_slowly(self, rng):
         n = 40
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -47,8 +66,8 @@ class TestSingularShifts:
         H = (q * lam) @ q.T
         A = H - lam[3] * np.eye(n) + 1e-4j * np.eye(n)
         b = rng.standard_normal(n) + 0j
-        easy = cocg_solve(H + 10j * np.eye(n), b, tol=1e-8, max_iterations=10_000)
-        hard = cocg_solve(A, b, tol=1e-8, max_iterations=10_000)
+        easy = block_cocg_solve(H + 10j * np.eye(n), b, tol=1e-8, max_iterations=10_000)
+        hard = block_cocg_solve(A, b, tol=1e-8, max_iterations=10_000)
         assert hard.iterations > easy.iterations
 
     def test_chi0_rejects_omega_zero(self, toy_dft, toy_coulomb):

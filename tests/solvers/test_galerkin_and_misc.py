@@ -1,5 +1,5 @@
-"""Tests for the Galerkin guess (Eq. 13), seed method, a preconditioned
-COCG solve and the operator wrapper."""
+"""Tests for the Galerkin guess (Eq. 13), the shifted inverse-Laplacian
+multiplier and the operator wrapper."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,8 @@ from repro.grid import Grid3D, spectral_laplacian
 from repro.solvers import (
     as_operator,
     block_cocg_solve,
-    cocg_solve,
     galerkin_initial_guess,
     residual_after_deflation,
-    seed_solve,
 )
 from tests.solvers.conftest import make_indefinite_sternheimer
 
@@ -69,9 +67,9 @@ class TestGalerkinGuess:
         omega = 0.05
         A = H - lam_j * np.eye(n) + 1j * omega * np.eye(n)
         b = np.random.default_rng(8).standard_normal(n) + 0j
-        plain = cocg_solve(A, b, tol=1e-8, max_iterations=4000)
+        plain = block_cocg_solve(A, b, tol=1e-8, max_iterations=4000)
         y0 = galerkin_initial_guess(Q[:, :n_s], lam[:n_s], lam_j, omega, b)
-        deflated = cocg_solve(A, b, x0=y0, tol=1e-8, max_iterations=4000)
+        deflated = block_cocg_solve(A, b, x0=y0, tol=1e-8, max_iterations=4000)
         assert deflated.converged
         assert deflated.iterations < plain.iterations
 
@@ -84,70 +82,6 @@ class TestGalerkinGuess:
         with pytest.raises(ValueError):
             # singular projected operator: lambda_j equals a known eigenvalue
             galerkin_initial_guess(psi + 1.0, np.array([1.0, 2.0, 3.0]), 2.0, 0.0, np.zeros(10))
-
-
-class TestSeedMethod:
-    def test_related_rhs_converges_fast(self):
-        n = 60
-        A = make_indefinite_sternheimer(n, seed=9, omega=0.5)
-        rng = np.random.default_rng(10)
-        b0 = rng.standard_normal(n) + 0j
-        # Remaining RHS are small perturbations of the seed: the projection
-        # should nearly solve them outright.
-        B = np.column_stack([b0, b0 + 1e-3 * rng.standard_normal(n), b0 * 1.1])
-        sol, results = seed_solve(A, B, tol=1e-8, max_iterations=2000)
-        assert all(r.converged for r in results)
-        assert np.linalg.norm(A @ sol - B) <= 1e-5 * np.linalg.norm(B)
-        # Polish solves for the related systems need far fewer iterations
-        # than the seed's Krylov dimension.
-        assert results[1].iterations <= results[0].iterations
-
-    def test_unrelated_rhs_gains_little(self):
-        # The paper's reason for dismissing seed methods: random RHS share
-        # little Krylov information.
-        n = 60
-        A = make_indefinite_sternheimer(n, seed=11, omega=0.5)
-        rng = np.random.default_rng(12)
-        B = rng.standard_normal((n, 3)) + 0j
-        _, results_seeded = seed_solve(A, B, tol=1e-8, max_iterations=2000,
-                                       seed_basis_size=20)
-        plain = cocg_solve(A, B[:, 1], tol=1e-8, max_iterations=2000)
-        # Projection from a 20-dim unrelated subspace should not beat plain
-        # COCG by more than a trivial margin.
-        assert results_seeded[1].iterations >= max(plain.iterations - 20, 1)
-
-    def test_validation(self):
-        A = make_indefinite_sternheimer(10, seed=13)
-        with pytest.raises(ValueError):
-            seed_solve(A, np.zeros(10))
-        with pytest.raises(ValueError):
-            seed_solve(A, np.zeros((10, 2)))  # zero seed
-
-    def test_per_solve_matvecs_are_deltas(self):
-        # Each result must report its own solve's applies, not the shared
-        # CountingOperator's cumulative total; the records must partition
-        # the work done inside seed_solve exactly.
-        n = 50
-        A = as_operator(make_indefinite_sternheimer(n, seed=30, omega=0.5))
-        rng = np.random.default_rng(31)
-        B = rng.standard_normal((n, 4)) + 0j
-        _, results = seed_solve(A, B, tol=1e-8, max_iterations=2000)
-        assert sum(r.n_matvec for r in results) == A.n_applies
-        assert all(r.n_matvec >= 0 for r in results)
-        # Cumulative reporting would make the last record carry the whole
-        # run's total; a delta is strictly smaller.
-        assert results[-1].n_matvec < A.n_applies
-
-    def test_matvec_accounting_ignores_prior_operator_use(self):
-        # Applies accumulated on the operator *before* seed_solve must not
-        # leak into any record.
-        n = 40
-        A = as_operator(make_indefinite_sternheimer(n, seed=32, omega=0.5))
-        rng = np.random.default_rng(33)
-        A(rng.standard_normal((n, 7)) + 0j)  # 7 unrelated applies
-        B = rng.standard_normal((n, 3)) + 0j
-        _, results = seed_solve(A, B, tol=1e-8, max_iterations=2000)
-        assert sum(r.n_matvec for r in results) == A.n_applies - 7
 
 
 def _shifted_laplacian_inverse(grid, sigma):
@@ -178,25 +112,6 @@ class TestPreconditioner:
         v = rng.standard_normal(grid.n_points)
         ref = np.linalg.solve(-0.5 * L + sigma * np.eye(grid.n_points), v)
         assert np.allclose(M(v), ref, atol=1e-9)
-
-    def test_accelerates_kinetic_dominated_sternheimer(self):
-        # A Sternheimer-like operator dominated by -1/2 nabla^2: the shifted
-        # inverse Laplacian should cut the iteration count (Section V).
-        grid = Grid3D((8, 8, 8), (2.0, 2.0, 2.0), bc="periodic")
-        from repro.grid import assemble_laplacian
-
-        n = grid.n_points
-        rng = np.random.default_rng(16)
-        L = assemble_laplacian(grid, 2)
-        vloc = rng.uniform(-0.3, 0.3, size=n)
-        omega = 0.4
-        A = (-0.5 * L + sp.diags_array(vloc)).toarray() + 1j * omega * np.eye(n)
-        b = rng.standard_normal(n) + 0j
-        plain = cocg_solve(A, b, tol=1e-8, max_iterations=4000)
-        M = _shifted_laplacian_inverse(grid, omega)
-        pre = cocg_solve(A, b, tol=1e-8, max_iterations=4000, preconditioner=M)
-        assert pre.converged
-        assert pre.iterations < plain.iterations
 
 
 class TestOperatorWrapper:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.solvers import cocg_solve, gmres_solve
+from repro.solvers import block_cocg_solve, gmres_solve
 from tests.solvers.conftest import make_complex_symmetric, make_indefinite_sternheimer
 
 
@@ -77,6 +77,6 @@ class TestGMRES:
         A = make_complex_symmetric(n, seed=9, omega=2.0)
         b = rng.standard_normal(n) + 0j
         r1 = gmres_solve(A, b, tol=1e-10, restart=n)
-        r2 = cocg_solve(A, b, tol=1e-10, max_iterations=2000)
+        r2 = block_cocg_solve(A, b, tol=1e-10, max_iterations=2000)
         assert r1.converged and r2.converged
         assert np.allclose(r1.solution, r2.solution, atol=1e-7)

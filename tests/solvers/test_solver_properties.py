@@ -23,7 +23,6 @@ from repro.resilience import EscalationPolicy, default_stages
 from repro.solvers import (
     block_cocg_bf_solve,
     block_cocg_solve,
-    cocg_solve,
     gmres_solve,
 )
 from repro.solvers.gmres import gmres_block_solve
@@ -41,7 +40,7 @@ BLOCK_SOLVERS = {
     "gmres_block": gmres_block_solve,
     "escalation_policy": EscalationPolicy(default_stages()),
 }
-SINGLE_SOLVERS = {"cocg": cocg_solve, "gmres": gmres_solve}
+SINGLE_SOLVERS = {"cocg": block_cocg_solve, "gmres": gmres_solve}
 
 
 def _system(n: int, seed: int, omega: float, definite: bool):

@@ -2,14 +2,17 @@
 imports count): the solver layer sits below the DFT layer, the grid
 package's underscore names stay inside it, private scipy modules are
 imported in two named files only, and no module brings its own worker
-pool."""
+pool. The examples and benchmarks, which tier-1 never imports, import only
+names the package still has."""
 
 import ast
+import importlib
 import pathlib
 
 import repro
 
 ROOT = pathlib.Path(repro.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _imports(path):
@@ -72,3 +75,29 @@ def test_private_scipy_modules_are_imported_in_two_known_places():
     assert allowed <= set(everywhere)
     assert _violations([p for p in everywhere if p not in allowed], forbidden) == []
     assert len(_violations(sorted(allowed), forbidden)) == 2
+
+
+
+def _resolves(module, name):
+    """Whether ``from module import name`` succeeds."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_examples_and_benchmarks_import_names_that_exist():
+    # Tier-1 never imports these scripts: a deleted name left in one would
+    # surface only when someone runs it.
+    scripts = sorted(REPO.glob("examples/*.py")) + sorted(REPO.glob("benchmarks/**/*.py"))
+    imported = [(path, node.module, alias.name)
+                for path in scripts for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "repro"
+                for alias in node.names]
+    assert len(imported) > 100
+    assert [f"{path.relative_to(REPO)}: {module} {name}"
+            for path, module, name in imported if not _resolves(module, name)] == []
