@@ -23,20 +23,21 @@ from typing import Callable
 
 import numpy as np
 
-from repro.dft.hamiltonian import Hamiltonian
+from repro.dft.hamiltonian import Hamiltonian, ShiftedHamiltonian
 from repro.grid.coulomb import CoulombOperator
 from repro.obs.telemetry import get_recorder
 from repro.obs.tracer import get_tracer
-from repro.resilience.policy import EscalationPolicy, default_stages
+from repro.resilience.policy import EscalationPolicy, default_stages, resilient_solve
 from repro.solvers.batched import (
     BatchedShiftedOperator,
     batched_cocg_ir_solve,
     batched_cocg_solve,
 )
-from repro.solvers.block_size import CostFn, flop_cost_model, solve_with_dynamic_block_size
+from repro.solvers.block_cocg import block_cocg_solve, block_cocg_steps
+from repro.solvers.block_size import block_size_steps, flop_cost_model
 from repro.solvers.galerkin_guess import galerkin_initial_guess
 from repro.solvers.recycle import SolveRecycler
-from repro.solvers.stats import SolveResult, SolveSummary
+from repro.solvers.stats import DynamicSolveResult, SolveResult, SolveSummary
 from repro.utils.timing import KernelTimers
 from repro.verify.invariants import get_verifier
 
@@ -49,14 +50,26 @@ class _PreparedSolve:
     ``none``); ``exact_hit`` marks a recycled guess served from an entry
     solved at this very ``omega`` — the only kind the recycled-guess
     bound applies to (cross-frequency seeds are merely warm starts).
+    The right-hand side ``B = -(V . Psi_j)`` is recomputed where it is
+    needed (:meth:`rhs`) rather than held for every orbital at once.
     """
 
     orbital: int
     apply_a: Callable[[np.ndarray], np.ndarray]  # the raw shifted operator
-    B: np.ndarray  # -(V . Psi_j)
+    V: np.ndarray
+    psi_j: np.ndarray  # (n_d, 1)
     x0: np.ndarray | None
     guess: str
     exact_hit: bool
+
+    @property
+    def n_rhs(self) -> int:
+        return self.V.shape[1]
+
+    def rhs(self, cols: slice = slice(None)) -> np.ndarray:
+        """Columns ``cols`` of ``-(V . Psi_j)`` (each entry one product and
+        a negation, so any slice has the bits of the whole block's)."""
+        return -(self.V[:, cols] * self.psi_j)
 
 
 @dataclass
@@ -152,10 +165,9 @@ class Chi0Operator:
         ``fixed_block_size``.
     max_block_size:
         Cap for Algorithm 4 (the parallel runtime sets this to
-        ``n_eig / p``, Section III-D).
-    cost_fn:
-        Cost measure for Algorithm 4; ``None`` uses wall-clock time,
-        ``"flops"`` selects the deterministic FLOP model.
+        ``n_eig / p``, Section III-D). Algorithm 4 prices a chunk with the
+        deterministic FLOP model (:func:`flop_cost_model`), so an orbital's
+        chunk sequence does not depend on how the orbitals interleave.
     solver:
         Block solver of every per-orbital solve (``block_cocg_solve``
         calling convention). The default, ``EscalationPolicy(
@@ -165,7 +177,10 @@ class Chi0Operator:
         shift-regularized GMRES. A solve the chain cannot rescue is
         degraded, never fatal: its best iterate is kept and
         ``stats.degraded_error_bound`` grows by the rigorous
-        ``4 ||r|| / omega`` bound on its contribution.
+        ``4 ||r|| / omega`` bound on its contribution. A chain whose plain
+        first stage is block COCG runs that stage in lockstep across
+        orbitals (see :meth:`_block_kernel`); any other solver is called
+        per chunk as it is.
     recycler:
         Optional :class:`repro.solvers.recycle.SolveRecycler`. Converged
         solutions are cached per (orbital, omega) and served as initial
@@ -173,7 +188,9 @@ class Chi0Operator:
         guess on a miss); the driver keeps the cache aligned with the
         subspace iteration through the ``on_rotation`` hook.
     use_batched:
-        Kernel choice. Off (default): block COCG per orbital. On: all
+        Kernel choice. Off (default): block COCG per orbital, every
+        orbital's own recurrence advanced in lockstep behind one shared
+        Hamiltonian apply per step. On: all
         orbitals' systems at a quadrature point are fused into one wide
         batch sharing a single Hamiltonian application per Krylov
         iteration (``repro.solvers.batched``), with per-orbital shifts as
@@ -199,7 +216,6 @@ class Chi0Operator:
         dynamic_block_size: bool = True,
         fixed_block_size: int = 1,
         max_block_size: int = 16,
-        cost_fn: CostFn | str | None = "flops",
         solver=EscalationPolicy(default_stages()),
         recycler: SolveRecycler | None = None,
         use_batched: bool = False,
@@ -241,13 +257,9 @@ class Chi0Operator:
         apply_cost = (6.0 * hamiltonian.radius + 1.0) * hamiltonian.n_points
         if hamiltonian.nonlocal_part is not None:
             apply_cost += 4.0 * hamiltonian.nonlocal_part.projectors.nnz
-        # The per-column apply cost also backs the tracer's FLOP counters
-        # when solves are costed by wall clock.
+        # The per-column apply cost also backs the tracer's FLOP counters.
         self._apply_cost = apply_cost
-        if cost_fn == "flops":
-            self.cost_fn: CostFn | None = flop_cost_model(apply_cost)
-        else:
-            self.cost_fn = cost_fn
+        self._cost_fn = flop_cost_model(apply_cost)
         self.stats = SternheimerStats()
 
     @property
@@ -294,20 +306,16 @@ class Chi0Operator:
     def _solve_orbitals(self, orbitals, V: np.ndarray, omega: float):
         """The one Sternheimer solve protocol; yields ``(j, Y_j, converged)``.
 
-        Every orbital goes :meth:`_prepare` -> kernel -> :meth:`_finish`, in
-        orbital order. The block kernel runs the three steps orbital by
-        orbital (one ``Y_j`` live at a time; recycler stores interleave
-        with the solves); the batched kernel
-        prepares every orbital first and solves them as one fused batch.
-        Backends relocate this call (an SPMD worker runs it on a column
-        slice, fault hooks wrap it); none re-implements a step.
+        Every orbital is prepared first (:meth:`_prepare`); one kernel then
+        solves them all, and each is closed by :meth:`_finish` and yielded
+        in orbital order — which fixes the order of the caller's sum, the
+        recycler stores and the verifier checks. Backends relocate this
+        call (an SPMD worker runs it on a column slice, fault hooks wrap
+        it); none re-implements a step.
         """
-        if self.use_batched:
-            yield from self._batched_kernel(
-                [self._prepare(int(j), V, omega) for j in orbitals], omega)
-            return
-        for j in orbitals:
-            yield self._block_kernel(self._prepare(int(j), V, omega), omega)
+        prepared = [self._prepare(int(j), V, omega) for j in orbitals]
+        kernel = self._batched_kernel if self.use_batched else self._block_kernel
+        yield from kernel(prepared, omega)
 
     # -- prepare -----------------------------------------------------------------
 
@@ -317,14 +325,15 @@ class Chi0Operator:
         operator-symmetry probe."""
         lam_j = float(self.eps[j])
         apply_a = self.h.shifted(lam_j, omega)
-        B = -(V * self.psi[:, j : j + 1])
+        psi_j = self.psi[:, j : j + 1]
         x0, guess, exact_hit = None, "none", False
-        served = self._recycled_guess(j, omega, B.shape[1])
+        served = self._recycled_guess(j, omega, V.shape[1])
         if served is not None:
             (x0, exact_hit), guess = served, "recycled"
         elif self.use_galerkin_guess:
             try:
-                x0 = galerkin_initial_guess(self.psi, self.eps, lam_j, omega, B)
+                x0 = galerkin_initial_guess(self.psi, self.eps, lam_j, omega,
+                                            -(V * psi_j))
                 guess = "galerkin"
             except ValueError:
                 # A degenerate lambda_j at tiny omega makes the projected
@@ -345,7 +354,7 @@ class Chi0Operator:
                 apply_a, self.n_points, key=(j, float(omega)),
                 orbital=j, omega=float(omega),
             )
-        return _PreparedSolve(j, apply_a, B, x0, guess, exact_hit)
+        return _PreparedSolve(j, apply_a, V, psi_j, x0, guess, exact_hit)
 
     def _recycled_guess(self, j: int, omega: float,
                         n_cols: int) -> tuple[np.ndarray, bool] | None:
@@ -372,46 +381,132 @@ class Chi0Operator:
 
     # -- the two kernels ---------------------------------------------------------
 
-    def _block_kernel(self, p: _PreparedSolve, omega: float):
-        """Block COCG on one prepared orbital (Algorithm 4 or fixed chunks);
-        returns ``(j, Y_j, converged)``."""
-        j, n_v = p.orbital, p.B.shape[1]
+    def _block_kernel(self, prepared: list[_PreparedSolve], omega: float):
+        """Block COCG on every prepared orbital, in lockstep; yields
+        ``(j, Y_j, converged)`` in orbital order.
+
+        Each orbital runs its own chunk sequence (Algorithm 4, or fixed
+        chunks) and its own Algorithm 3 recurrence as a coroutine
+        (:meth:`_orbital_steps`). All of them advance together: at each step
+        one wide ``self.h.apply`` serves every orbital whose operator is
+        ``self.h`` shifted, each shift then added on its own block exactly
+        as :class:`ShiftedHamiltonian` adds it (``H v + shift * v``); any
+        other operator (a test proxy's closure) applies its own block.
+        Recurrences, chunks and small solves stay per orbital, so every
+        ``Y_j`` has the bits a solve of that orbital alone gives. A chunk
+        solved at once (a custom solver, an escalation) does not wait for a
+        step; when every chunk is, orbitals are solved and yielded one after
+        the other.
+        """
         tracer = get_tracer()
-        with get_recorder().solve_scope(orbital=j, omega=float(omega),
-                                        guess=p.guess), \
-             tracer.span("sternheimer_solve", orbital=j, omega=omega,
-                         n_rhs=n_v, guess=p.guess) as sp:
-            if self.dynamic_block_size and n_v > 1:
-                res = solve_with_dynamic_block_size(
-                    p.apply_a,
-                    p.B,
-                    tol=self.tol,
-                    max_iterations=self.max_iterations,
-                    x0=p.x0,
-                    max_block_size=min(self.max_block_size, n_v),
-                    solver=self.solver,
-                    cost_fn=self.cost_fn,
-                    n=self.n_points,
-                )
-                Y, results = res.solution, res.chunk_results
-            else:
-                # Fixed block size: slice the RHS into chunks.
-                s = min(self.fixed_block_size, n_v)
-                Y = np.empty((self.n_points, n_v), dtype=complex)
-                results = []
-                for start in range(0, n_v, s):
-                    sl = slice(start, min(start + s, n_v))
-                    r = self.solver(
-                        p.apply_a,
-                        p.B[:, sl],
-                        x0=p.x0[:, sl] if p.x0 is not None else None,
-                        tol=self.tol,
-                        max_iterations=self.max_iterations,
-                        n=self.n_points,
-                    )
-                    Y[:, sl] = r.solution if r.solution.ndim == 2 else r.solution[:, None]
-                    results.append(r)
-            return j, Y, self._finish(p, omega, Y, results, sp)
+        recorder = get_recorder()
+        # A NumPy scalar multiplies a block to the same bits as the Python
+        # complex the operator holds, in half the time.
+        shifts = [np.complex128(p.apply_a.shift)
+                  if isinstance(p.apply_a, ShiftedHamiltonian)
+                  and p.apply_a.hamiltonian is self.h else None for p in prepared]
+        steps: list = []
+        started: list[float] = []
+        waiting: dict[int, np.ndarray] = {}  # orbital index -> block to apply
+        solved: dict[int, DynamicSolveResult] = {}
+        n_closed = 0
+
+        def advance(i: int, image: np.ndarray | None) -> None:
+            try:
+                waiting[i] = steps[i].send(image)
+            except StopIteration as stop:
+                solved[i] = stop.value
+
+        def close_finished():
+            # Yield finished orbitals in orbital order, dropping the
+            # kernel's hold on each: only orbitals in flight stay live.
+            nonlocal n_closed
+            while n_closed in solved:
+                i, res = n_closed, solved.pop(n_closed)
+                p, prepared[i], steps[i] = prepared[i], None, None
+                n_closed += 1
+                yield p.orbital, res.solution, self._finish(
+                    p, omega, res.solution, res.chunk_results, started[i])
+
+        for i, p in enumerate(prepared):
+            started.append(tracer.now())
+            steps.append(self._orbital_steps(
+                p, recorder.solve_frame(p.orbital, float(omega), p.guess)))
+            advance(i, None)
+            yield from close_finished()
+        while waiting:
+            step = list(waiting.items())  # in orbital order
+            waiting.clear()
+            fused = [block for i, block in step if shifts[i] is not None]
+            if fused:  # blocks are fresh C-ordered arrays, as block COCG makes them
+                h_wide = self.h.apply(fused[0] if len(fused) == 1
+                                      else np.concatenate(fused, axis=1))
+            col = 0
+            for i, block in step:
+                shift = shifts[i]
+                if shift is None:
+                    image = np.asarray(prepared[i].apply_a(block))
+                    if image.shape != block.shape:
+                        raise ValueError(f"operator returned shape {image.shape} "
+                                         f"for operand {block.shape}")
+                    advance(i, image)
+                else:
+                    s = block.shape[1]
+                    image = shift * block
+                    image += h_wide[:, col:col + s]  # = H v + shift * v, bitwise
+                    advance(i, image)
+                    col += s
+            h_wide = None
+            yield from close_finished()
+
+    def _orbital_steps(self, p: _PreparedSolve, frame):
+        """Orbital ``p``'s whole solve as a coroutine: its chunk schedule
+        over :meth:`_chunk_steps`, each chunk's solution written over its
+        initial guess in ``p.x0``; returns the :class:`DynamicSolveResult`."""
+        n_v = p.n_rhs
+        Y = p.x0 if p.x0 is not None else np.zeros((self.n_points, n_v), dtype=complex)
+
+        def chunk(sl: slice):
+            return self._chunk_steps(p, Y, sl, frame)
+
+        if self.dynamic_block_size and n_v > 1:
+            return (yield from block_size_steps(
+                Y, chunk, max_block_size=min(self.max_block_size, n_v),
+                cost_fn=self._cost_fn))
+        return (yield from block_size_steps(
+            Y, chunk, block_size=min(self.fixed_block_size, n_v)))
+
+    def _chunk_steps(self, p: _PreparedSolve, Y: np.ndarray, sl: slice, frame):
+        """Columns ``sl`` of orbital ``p``, solved into ``Y[:, sl]`` (which
+        holds their initial guess when ``p.x0`` is set).
+
+        Under a chain whose plain first stage is block COCG that stage is
+        :func:`block_cocg_steps`, yielding to the lockstep; a chunk it does
+        not converge continues at once through the rest of the chain,
+        handed the first stage's result. Any other solver is one call. The
+        chunk's telemetry lands in the orbital's own frame.
+        """
+        recorder = get_recorder()
+        x0 = None if p.x0 is None else Y[:, sl]
+        if getattr(self.solver, "plain_first_stage", None) is block_cocg_solve:
+            res = yield from block_cocg_steps(
+                p.rhs(sl).astype(complex), x0, self.tol, self.max_iterations)
+            with recorder.frame_scope(frame):
+                if recorder.enabled:
+                    recorder.record_solve("block_cocg", res)
+                if not res.converged:
+                    res = resilient_solve(
+                        p.apply_a, p.rhs(sl), self.solver, x0=x0, tol=self.tol,
+                        max_iterations=self.max_iterations, n=self.n_points,
+                        first=res)
+        else:
+            with recorder.frame_scope(frame):
+                res = self.solver(p.apply_a, p.rhs(sl), x0=x0, tol=self.tol,
+                                  max_iterations=self.max_iterations,
+                                  n=self.n_points)
+        Y[:, sl] = res.solution if res.solution.ndim == 2 else res.solution[:, None]
+        res.solution = Y[:, sl]  # keep a view, not a second copy
+        return res
 
     def _make_batched_operator(self, shifts: np.ndarray) -> BatchedShiftedOperator:
         """The fused multi-shift operator for one batched solve.
@@ -431,7 +526,7 @@ class Chi0Operator:
         which carries the full recovery stack (escalation chain,
         degradation accounting).
         """
-        n_v = prepared[0].B.shape[1]
+        n_v = prepared[0].n_rhs
         n_cols = len(prepared) * n_v
         tracer = get_tracer()
         verifier = get_verifier()
@@ -442,8 +537,7 @@ class Chi0Operator:
         X0: np.ndarray | None = None
         for g, p in enumerate(prepared):
             sl = slice(g * n_v, (g + 1) * n_v)
-            B[:, sl] = p.B
-            p.B = B[:, sl]  # the wide blocks own the data from here on
+            B[:, sl] = p.rhs()
             shifts[sl] = -float(self.eps[p.orbital]) + 1j * omega
             if p.x0 is not None:
                 if X0 is None:
@@ -495,7 +589,7 @@ class Chi0Operator:
                     tracer.incr("batched_fallback_orbitals")
                     tracer.event("batched_orbital_fallback", orbital=p.orbital,
                                  omega=omega)
-                yield self._block_kernel(p, omega)
+                yield from self._block_kernel([p], omega)
                 continue
             Y_j = res.solution[:, sl]
             final = float(res.residual_norms[sl].max())
@@ -523,23 +617,26 @@ class Chi0Operator:
     # -- finish ------------------------------------------------------------------
 
     def _finish(self, p: _PreparedSolve, omega: float, Y: np.ndarray,
-                results: list[SolveResult], span=None) -> bool:
+                results: list[SolveResult], started: float | None = None) -> bool:
         """Close orbital ``p.orbital``'s solve; returns whether it converged.
 
         Stats/tracer record, true-residual check against the orbital's real
         operator (a kernel that solved the wrong system fails here),
         recycled-guess check and gauge, recycler store, degradation
         accounting — identical whichever kernel produced ``results``.
+        ``started`` (a tracer stamp) closes the orbital's
+        ``sternheimer_solve`` span here, around everything it did.
         """
         j = p.orbital
-        self._record(j, SolveSummary.of(results), span)
+        summary = SolveSummary.of(results)
+        self._record(j, summary)
         converged = all(r.converged for r in results)
         verifier = get_verifier()
         if verifier.enabled:
             claimed = max((r.residual_norm for r in results),
                           default=float("nan"))
             verifier.check_solve_residual(
-                p.apply_a, p.B, Y, self.tol, claimed, converged,
+                p.apply_a, p.rhs(), Y, self.tol, claimed, converged,
                 orbital=j, omega=float(omega),
             )
         if p.guess == "recycled" and results and results[0].residual_history:
@@ -557,7 +654,15 @@ class Chi0Operator:
                 tracer.gauge("recycle_guess_residual", residual0,
                              orbital=j, omega=omega)
         self._store_solution(j, omega, Y, converged)
-        self._account_failures(j, omega, p.B, results)
+        self._account_failures(j, omega, p, results)
+        tracer = get_tracer()
+        if started is not None and tracer.enabled:
+            tracer.record("sternheimer_solve", started, orbital=j, omega=omega,
+                          n_rhs=Y.shape[1], guess=p.guess,
+                          iterations=summary.iterations,
+                          n_matvec=summary.n_matvec,
+                          block_solves=summary.n_solves,
+                          converged=summary.converged)
         return converged
 
     def _store_solution(self, j: int, omega: float, Y: np.ndarray,
@@ -574,7 +679,7 @@ class Chi0Operator:
                 self.recycler.width,
             )
 
-    def _account_failures(self, j: int, omega: float, B: np.ndarray,
+    def _account_failures(self, j: int, omega: float, p: _PreparedSolve,
                           chunk_results) -> None:
         """Degradation accounting for solves that finished unconverged.
 
@@ -587,7 +692,7 @@ class Chi0Operator:
         failed = [r for r in chunk_results if not r.converged]
         if not failed:
             return
-        b_norm = float(np.linalg.norm(B))
+        b_norm = float(np.linalg.norm(p.rhs()))
         bound = 4.0 * sum(r.residual_norm for r in failed) * b_norm / omega
         if not np.isfinite(bound):
             bound = 4.0 * len(failed) * b_norm / omega
@@ -600,8 +705,8 @@ class Chi0Operator:
             tracer.event("solve_degraded", orbital=j, omega=omega,
                          count=len(failed), error_bound=bound)
 
-    def _record(self, j: int, summary: SolveSummary, span=None) -> None:
-        """Fold one orbital's solve totals into stats, tracer and span attrs."""
+    def _record(self, j: int, summary: SolveSummary) -> None:
+        """Fold one orbital's solve totals into stats and tracer counters."""
         self.stats.absorb(j, summary)
         tracer = get_tracer()
         if tracer.enabled:
@@ -619,10 +724,6 @@ class Chi0Operator:
                 tracer.incr("resilience_solve_retries", summary.n_retries)
             if summary.n_escalations:
                 tracer.incr("resilience_solves_escalated", summary.n_escalations)
-            if span is not None:
-                span.set(iterations=summary.iterations, n_matvec=summary.n_matvec,
-                         block_solves=summary.n_solves,
-                         converged=summary.converged)
 
     def _estimate_flops(self, summary: SolveSummary) -> float:
         """Deterministic Section III-B FLOP estimate for an orbital's solves.

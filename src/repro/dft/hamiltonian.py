@@ -14,8 +14,6 @@ block COCG solvers.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.dft.pseudopotential import NonlocalProjectors
@@ -111,18 +109,13 @@ class Hamiltonian:
             out += self.nonlocal_part.apply(v)
         return out
 
-    def shifted(self, lambda_j: float, omega: float) -> Callable[[np.ndarray], np.ndarray]:
+    def shifted(self, lambda_j: float, omega: float) -> "ShiftedHamiltonian":
         """Sternheimer coefficient operator ``H - lambda_j I + i omega I``.
 
         The result is complex symmetric (H is real symmetric, the shift is a
         complex multiple of the identity) — the structure block COCG needs.
         """
-        shift = -lambda_j + 1j * omega
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            return self.apply(v) + shift * v
-
-        return apply
+        return ShiftedHamiltonian(self, -lambda_j + 1j * omega)
 
     def dense_constants(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The parts of :meth:`to_dense` no potential update changes: dense
@@ -148,3 +141,20 @@ class Hamiltonian:
         if nonlocal_dense is not None:
             mat += nonlocal_dense
         return mat
+
+
+class ShiftedHamiltonian:
+    """``v -> H v + shift * v``: the callable :meth:`Hamiltonian.shifted`
+    returns. It exposes ``hamiltonian`` and ``shift`` so a driver holding
+    several of them can push all their blocks through one wide
+    ``hamiltonian.apply`` and add each shift on its own columns — the same
+    bits, since :meth:`Hamiltonian.apply` treats every column alike."""
+
+    __slots__ = ("hamiltonian", "shift")
+
+    def __init__(self, hamiltonian: Hamiltonian, shift: complex) -> None:
+        self.hamiltonian = hamiltonian
+        self.shift = shift
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return self.hamiltonian.apply(v) + self.shift * v

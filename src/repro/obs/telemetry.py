@@ -138,7 +138,6 @@ class ConvergenceRecorder:
         st = self._stack()
         return st[-1] if st else None
 
-    @contextmanager
     def solve_scope(self, orbital: int | None = None, omega: float | None = None,
                     guess: str | None = None):
         """Key subsequent :meth:`record_solve` calls by ``(orbital, omega)``.
@@ -148,7 +147,15 @@ class ConvergenceRecorder:
         Scopes nest; the innermost wins. Thread-local, so concurrent solves
         cannot cross-label.
         """
-        frame = {
+        return self.frame_scope(self.solve_frame(orbital, omega, guess))
+
+    def solve_frame(self, orbital: int | None = None, omega: float | None = None,
+                    guess: str | None = None) -> dict:
+        """The frame :meth:`solve_scope` enters, unentered. A solve that is
+        suspended and resumed (the Sternheimer driver advances many in
+        lockstep) enters its one frame with :meth:`frame_scope` each time it
+        records, so its ``seq`` numbering runs on across the pieces."""
+        return {
             "orbital": orbital,
             "omega": None if omega is None else float(omega),
             "guess": guess,
@@ -156,6 +163,10 @@ class ConvergenceRecorder:
             "stage": None,
             "seq": 0,
         }
+
+    @contextmanager
+    def frame_scope(self, frame: dict):
+        """Label subsequent records with ``frame`` (see :meth:`solve_frame`)."""
         st = self._stack()
         st.append(frame)
         try:
@@ -454,6 +465,12 @@ class NullRecorder:
     open_points: list[dict] = []
 
     def solve_scope(self, orbital=None, omega=None, guess=None) -> _NullScope:
+        return _NULL_SCOPE
+
+    def solve_frame(self, orbital=None, omega=None, guess=None) -> None:
+        return None
+
+    def frame_scope(self, frame) -> _NullScope:
         return _NULL_SCOPE
 
     def attempt_scope(self, attempt, stage=None) -> _NullScope:

@@ -178,18 +178,20 @@ def _install_fault_hook(op: Chi0Operator, hook) -> None:
 
     Lets the ``DieOnceFile`` injectors drive real worker deaths — including
     mid-task, after earlier orbitals in the slice already solved: the
-    protocol is entered once per kernel call (per orbital on the block
-    kernel, per fused batch on the batched one), the hook firing for the
-    call's orbitals right before it.
+    protocol is entered once per call, the hook fires for the first orbital
+    before it and for each later one once the orbital before it has been
+    closed (recorded, staged) and handed to the caller.
     """
     solve = op._solve_orbitals
 
     def hooked(orbitals, V, omega):
         orbitals = [int(j) for j in orbitals]
-        for unit in [orbitals] if op.use_batched else [[j] for j in orbitals]:
-            for j in unit:
-                hook(j)
-            yield from solve(unit, V, omega)
+        if orbitals:
+            hook(orbitals[0])
+        for k, out in enumerate(solve(orbitals, V, omega), start=1):
+            yield out
+            if k < len(orbitals):
+                hook(orbitals[k])
 
     op._solve_orbitals = hooked
 

@@ -136,6 +136,16 @@ class EscalationPolicy:
         if self.matvec_budget is not None and self.matvec_budget < 1:
             raise ValueError("matvec_budget must be >= 1 (or None)")
 
+    @property
+    def plain_first_stage(self) -> Callable[..., SolveResult] | None:
+        """The first stage's solver when it runs as a plain call on the
+        caller's operator (no budget, no regularization); ``None`` when the
+        chain's bookkeeping wraps every attempt."""
+        first = self.stages[0]
+        if self.matvec_budget is None and not first.regularization:
+            return first.solver
+        return None
+
     def __call__(self, a, b, **kwargs) -> SolveResult:
         return resilient_solve(a, b, policy=self, **kwargs)
 
@@ -148,11 +158,15 @@ def resilient_solve(
     tol: float = 1e-8,
     max_iterations: int = 1000,
     n: int | None = None,
+    first: SolveResult | None = None,
 ) -> SolveResult:
     """Solve ``A Y = B`` through ``policy``'s escalation chain.
 
     Without a matvec budget the first stage is a plain call on ``a``, and
     its converged result is returned exactly as the stage produced it.
+    ``first`` hands over that first stage's result when the caller already
+    ran it (the Sternheimer driver runs it in lockstep with other systems):
+    the chain continues from it exactly as if it had run here.
     Otherwise stages run in order until one converges or the budget is
     exhausted; later stages warm-start from the best iterate seen so far.
     The :class:`EscalatedSolveResult` returned then aggregates iterations
@@ -160,12 +174,11 @@ def resilient_solve(
     (``SolveSummary``, FLOP estimates, Table IV histograms) stays truthful
     under escalation.
     """
-    first = None
-    if policy.matvec_budget is None and not policy.stages[0].regularization:
-        first = policy.stages[0].solver(a, b, x0=x0, tol=tol,
-                                        max_iterations=max_iterations, n=n)
-        if first.converged:
-            return first
+    if first is None and policy.plain_first_stage is not None:
+        first = policy.plain_first_stage(a, b, x0=x0, tol=tol,
+                                         max_iterations=max_iterations, n=n)
+    if first is not None and first.converged:
+        return first
 
     b_arr = np.asarray(b, dtype=complex)
     squeeze = b_arr.ndim == 1

@@ -100,7 +100,15 @@ class BatchedShiftedOperator:
             raise ValueError(
                 f"operand has {x.shape[1]} columns but {shifts.size} shifts were selected"
             )
-        return self._op(x) + x * shifts
+        out = self._op(x)
+        shifted = x * shifts
+        # In place when the image is a fresh block of the sum's dtype: the
+        # same sum without a third block. An image of another dtype (a real
+        # operand's) or one overlapping the operand gets the plain sum.
+        if out.dtype == np.result_type(out, shifted) and not np.may_share_memory(out, x):
+            out += shifted
+            return out
+        return out + shifted
 
     def single_precision(self) -> "BatchedShiftedOperator":
         """A complex64 clone over the base demoted to single precision.
@@ -299,6 +307,13 @@ def batched_cocg_solve(
     since_improvement = np.zeros(idx.size, dtype=np.int64)
     rho = np.einsum("ij,ij->j", R, R)
     P = R.copy()
+    # The active columns' iterates live compactly in Xa, updated in place;
+    # a column goes back to X when it retires (and all of them on exit).
+    Xa = X[:, idx]
+
+    def retire(keep: np.ndarray) -> np.ndarray:
+        X[:, idx[~keep]] = Xa[:, ~keep]
+        return Xa[:, keep]
 
     for it in range(1, max_iterations + 1):
         U = op.apply(P, cols[idx])
@@ -308,8 +323,9 @@ def batched_cocg_solve(
         bad = ~np.isfinite(sigma) | (np.abs(sigma) < tiny)
         with np.errstate(all="ignore"):
             alpha = np.where(bad, 0.0, rho / np.where(bad, 1.0, sigma))
-        X[:, idx] += P * alpha
+        Xa += P * alpha
         R -= U * alpha
+        U = None  # not held through the next apply, the kernel's peak
         rel = _column_norms(R) / bn
         residuals[idx] = rel
         history.append(aggregate(residuals))
@@ -327,6 +343,7 @@ def batched_cocg_solve(
         converged[idx[conv_now]] = True
         keep = ~(conv_now | brk_now)
         if not keep.all():
+            Xa = retire(keep)
             idx, R, P, bn, rho = idx[keep], R[:, keep], P[:, keep], bn[keep], rho[keep]
             best_rel = best_rel[keep]
             since_improvement = since_improvement[keep]
@@ -340,6 +357,7 @@ def batched_cocg_solve(
         if bad_beta.any():
             broken[idx[bad_beta]] = True
             keep = ~bad_beta
+            Xa = retire(keep)
             idx, R, P, bn, rho_new, beta = (idx[keep], R[:, keep], P[:, keep],
                                             bn[keep], rho_new[keep], beta[keep])
             best_rel = best_rel[keep]
@@ -349,6 +367,7 @@ def batched_cocg_solve(
         P = R + P * beta
         rho = rho_new
 
+    X[:, idx] = Xa
     return result(max_iterations)
 
 

@@ -14,6 +14,11 @@ trade Algorithm 4 (``repro.solvers.block_size``) navigates dynamically.
 
 Stopping follows Eq. 10: ``||W||_F <= tol * ||B||_F``.
 
+The recurrence is written once, as the coroutine :func:`block_cocg_steps`,
+which yields each block the operator must be applied to;
+:func:`block_cocg_solve` drives it for one system, and the Sternheimer
+kernel drives many at once behind one fused operator apply.
+
 Robustness
 ----------
 As the paper notes, block methods "may require deflation if the residual
@@ -75,21 +80,50 @@ def block_cocg_solve(
         ``solution`` has the same shape as ``b``. ``breakdown=True`` marks a
         non-finite or stagnated recurrence; the best iterate encountered is
         returned in that case.
+
+    This is the single-system driver of :func:`block_cocg_steps`: every
+    block the recurrence asks for goes through ``a`` at once.
     """
-    squeeze = False
     b = np.asarray(b, dtype=complex)
-    if b.ndim == 1:
+    squeeze = b.ndim == 1
+    if squeeze:
         b = b[:, None]
-        squeeze = True
     if b.ndim != 2:
         raise ValueError(f"b must be (n,) or (n, s), got shape {b.shape}")
+    A = as_operator(a, n if n is not None else b.shape[0])
+    if A.n != b.shape[0]:
+        raise ValueError(f"operator dim {A.n} != rhs rows {b.shape[0]}")
+    result = run_steps(block_cocg_steps(b, x0, tol, max_iterations), A)
+    if squeeze:
+        result.solution = result.solution[:, 0]
+    return result
+
+
+def run_steps(steps, apply):
+    """Drive a solver coroutine to its result, applying each block it
+    yields with ``apply`` and sending the image back."""
+    try:
+        block = next(steps)
+        while True:
+            block = steps.send(apply(block))
+    except StopIteration as stop:
+        return stop.value
+
+
+def block_cocg_steps(b: np.ndarray, x0: np.ndarray | None = None,
+                     tol: float = 1e-8, max_iterations: int = 1000):
+    """Algorithm 3 as a coroutine: yields every block ``A`` must be applied
+    to, is sent ``A @ block`` back, and returns the :class:`SolveResult`.
+
+    ``b`` is a complex ``(n, s)`` block and ``x0`` an optional initial
+    guess of the same shape (copied, never written). Whoever sends the images decides
+    how the operator is applied — :func:`block_cocg_solve` one block at a
+    time, the Sternheimer driver many systems' blocks in one fused apply —
+    while the recurrence and its arithmetic stay the same.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n_rows, s = b.shape
-    A = as_operator(a, n if n is not None else n_rows)
-    if A.n != n_rows:
-        raise ValueError(f"operator dim {A.n} != rhs rows {n_rows}")
-
+    s = b.shape[1]
     if x0 is None:
         Y = np.zeros_like(b)
     else:
@@ -101,11 +135,11 @@ def block_cocg_solve(
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        out = np.zeros_like(b)
-        return SolveResult(out[:, 0] if squeeze else out, True, 0, 0.0, [0.0], block_size=s)
+        return SolveResult(np.zeros_like(b), True, 0, 0.0, [0.0], block_size=s)
 
     best_Y = Y.copy()
     best_res = np.inf
+    n_applies = 0
 
     tracer = get_tracer()
     t_solve = tracer.now() if tracer.enabled else 0.0
@@ -133,24 +167,23 @@ def block_cocg_solve(
 
     def _result(converged: bool, iterations: int, history, breakdown: bool = False) -> SolveResult:
         sol = best_Y if breakdown else Y
-        sol_out = sol[:, 0] if squeeze else sol
         final = min(history[-1], best_res) if breakdown else history[-1]
         if tracer.enabled:
             tracer.record(
                 "cocg_solve", t_solve, block_size=s, iterations=iterations,
-                n_matvec=A.n_applies, residual=final, converged=converged,
+                n_matvec=n_applies, residual=final, converged=converged,
                 breakdown=breakdown,
             )
             if breakdown:
                 tracer.event("cocg_breakdown", block_size=s, iteration=iterations)
                 tracer.incr("cocg_breakdowns")
         return SolveResult(
-            sol_out,
+            sol,
             converged,
             iterations,
             final,
             history,
-            n_matvec=A.n_applies,
+            n_matvec=n_applies,
             block_size=s,
             breakdown=breakdown,
             per_column_iterations=(
@@ -158,7 +191,11 @@ def block_cocg_solve(
             ),
         )
 
-    W = b - A(Y) if x0 is not None else b.copy()
+    if x0 is not None:
+        W = b - (yield Y)
+        n_applies += s
+    else:
+        W = b.copy()
     history = [_frobenius(W) / b_norm]
     best_res = history[-1]
     if track_cols:
@@ -172,13 +209,15 @@ def block_cocg_solve(
 
     for it in range(1, max_iterations + 1):
         t_iter = tracer.now() if tracer.enabled else 0.0
-        U = A(P)
+        U = yield P
+        n_applies += s
         mu = P.T @ U
         alpha = _small_solve(mu, rho)
         if alpha is None:
             return _result(False, it - 1, history, breakdown=True)
         Y += P @ alpha
         W -= U @ alpha
+        U = None  # the image is dead; do not hold it across the next yield
         rel = _frobenius(W) / b_norm
         history.append(rel)
         if tracer.enabled:
@@ -218,6 +257,12 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def _all_finite(block: np.ndarray) -> bool:
+    """``np.isfinite(block).all()`` for a small complex block, on Python
+    scalars: cheaper than two ufunc passes at the sizes Algorithm 4 picks."""
+    return all(map(cmath.isfinite, block.ravel().tolist()))
+
+
 def _small_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve the ``s x s`` recurrence system with rank-deficiency handling.
 
@@ -227,20 +272,22 @@ def _small_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """
     if lhs.shape == (1, 1):
         # s = 1 runs every COCG iteration: check Python scalars, not arrays.
-        pivot = complex(lhs[0, 0])
-        if not (cmath.isfinite(pivot) and all(map(cmath.isfinite, rhs.ravel().tolist()))):
+        pivot = lhs.item()
+        if not (cmath.isfinite(pivot) and cmath.isfinite(rhs.item())):
             return None
         if abs(pivot) < 1e-300:
             return None
-        return rhs / lhs[0, 0]
-    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        return rhs / pivot
+    # Finiteness on Python scalars and the guard's norms by NumPy's own
+    # formula (``_frobenius``): the same verdicts at less cost per call.
+    if not (_all_finite(lhs) and _all_finite(rhs)):
         return None
     try:
         sol = np.linalg.solve(lhs, rhs)
-        if np.isfinite(sol).all():
+        if _all_finite(sol):
             # Guard against catastrophic amplification from near-singularity.
-            scale = np.linalg.norm(rhs) / max(np.linalg.norm(lhs), 1e-300)
-            if np.linalg.norm(sol) < 1e8 * max(scale, 1.0):
+            scale = _frobenius(rhs) / max(_frobenius(lhs), 1e-300)
+            if _frobenius(sol) < 1e8 * max(scale, 1.0):
                 return sol
     except np.linalg.LinAlgError:
         pass
