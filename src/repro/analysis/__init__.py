@@ -1,13 +1,5 @@
 """Analysis helpers: complexity fits, efficiency metrics, table rendering."""
 
-from repro.analysis.performance_model import (
-    ApplyCost,
-    SolveCostReport,
-    block_cocg_iteration_flops,
-    cost_report_from_stats,
-    crossover_block_size,
-    hamiltonian_apply_cost,
-)
 from repro.analysis.reporting import format_table
 from repro.analysis.scaling import fit_power_law, parallel_efficiency, speedup
 
@@ -16,10 +8,4 @@ __all__ = [
     "parallel_efficiency",
     "speedup",
     "format_table",
-    "ApplyCost",
-    "hamiltonian_apply_cost",
-    "block_cocg_iteration_flops",
-    "crossover_block_size",
-    "SolveCostReport",
-    "cost_report_from_stats",
 ]

@@ -104,23 +104,17 @@ class RPAConfig:
         bit-identical to an SSA-free build.
     ssa_refresh_tol:
         Eq. 7 threshold on the frozen-basis residual above which an SSA
-        point runs the cheap refresh (one Chebyshev pass per refresh
-        budget slot) before being accepted. ``None`` (the default) tracks
-        each point's own subspace tolerance (``tol_subspace_for``), so an
-        SSA point is held to the same residual standard full filtering
-        would be — a fixed value far below ``tol_subspace`` would make
-        every point exhaust its refresh budget and fall back. Larger
+        point runs the cheap refresh (up to
+        ``repro.core.rpa_energy.SSA_REFRESH_PASSES`` Chebyshev passes)
+        before being accepted. ``None`` (the default) tracks each point's
+        own subspace tolerance (``tol_subspace_for``), so an SSA point is
+        held to the same residual standard full filtering would be — a
+        fixed value far below ``tol_subspace`` would make every point
+        exhaust its refresh budget and fall back. Larger
         values freeze more aggressively (fewer matvecs, larger controlled
         error); the Ritz values are variational, so the energy error of an
         accepted point is *second order* in this residual, and the verify
         layer bounds it per point.
-    ssa_refresh_passes:
-        Refresh budget per SSA point. A point whose frozen-basis residual
-        still exceeds ``ssa_refresh_tol`` after this many passes is not
-        accepted — the driver falls back to full filtering for it — so a
-        generous budget costs nothing on omega-stable spectra (the loop
-        exits as soon as the residual passes) and only bounds how long the
-        cheap path may try before conceding. 0 disables refreshing.
     """
 
     n_eig: int
@@ -143,7 +137,6 @@ class RPAConfig:
     solve_dtype: str = "float64"  # "float64" | "float32_ir" (batched path only)
     use_ssa: bool = False  # frequency-shared eigenbasis (repro.core.ssa)
     ssa_refresh_tol: float | None = None  # Eq. 7 refresh threshold; None = per-point tol_subspace
-    ssa_refresh_passes: int = 12  # refresh budget per SSA point
 
     def __post_init__(self) -> None:
         if self.n_eig <= 0:
@@ -181,8 +174,6 @@ class RPAConfig:
             )
         if self.ssa_refresh_tol is not None and self.ssa_refresh_tol <= 0:
             raise ValueError("ssa_refresh_tol must be positive")
-        if self.ssa_refresh_passes < 0:
-            raise ValueError("ssa_refresh_passes must be >= 0")
         if self.use_ssa and not self.use_warm_start:
             raise ValueError(
                 "use_ssa requires use_warm_start: the frozen reference basis "

@@ -11,12 +11,6 @@ from repro.core.chi0_direct import (
     nu_chi0_eigenvalues_dense,
     symmetrized_chi0_dense,
 )
-from repro.core.dielectric import (
-    DielectricSpectrum,
-    dielectric_matrix_dense,
-    dielectric_spectrum,
-    screened_interaction_dense,
-)
 from repro.core.direct_rpa import DirectRPAResult, compute_rpa_energy_direct
 from repro.core.frequency_grids import (
     double_exponential,
@@ -55,10 +49,6 @@ __all__ = [
     "transformed_clenshaw_curtis",
     "double_exponential",
     "truncated_trapezoid",
-    "DielectricSpectrum",
-    "dielectric_spectrum",
-    "dielectric_matrix_dense",
-    "screened_interaction_dense",
     "build_chi0_dense",
     "symmetrized_chi0_dense",
     "nu_chi0_eigenvalues_dense",

@@ -42,6 +42,12 @@ from repro.utils.rng import default_rng
 from repro.utils.timing import KernelTimers
 from repro.verify.invariants import get_verifier, use_verifier, verifier_for_level
 
+#: Refresh budget per SSA point. A point whose frozen-basis residual still
+#: exceeds the refresh threshold after this many Chebyshev passes falls back
+#: to full filtering, so a generous budget costs nothing on omega-stable
+#: spectra and only bounds how long the cheap path may try.
+SSA_REFRESH_PASSES = 12
+
 
 @dataclass
 class FrequencyPointStats:
@@ -434,7 +440,7 @@ def _subspace_point(
             V,
             refresh_tol=config.ssa_refresh_tol_for(k),
             degree=config.filter_degree,
-            max_refresh_passes=config.ssa_refresh_passes,
+            max_refresh_passes=SSA_REFRESH_PASSES,
             on_rotation=recycler.rotate_frozen if recycler is not None else None,
             bounds_seed=bounds,
             recycler=recycler,

@@ -254,12 +254,8 @@ class Chi0Operator:
             )
         self.use_batched = bool(use_batched)
         self.solve_dtype = solve_dtype
-        apply_cost = (6.0 * hamiltonian.radius + 1.0) * hamiltonian.n_points
-        if hamiltonian.nonlocal_part is not None:
-            apply_cost += 4.0 * hamiltonian.nonlocal_part.projectors.nnz
-        # The per-column apply cost also backs the tracer's FLOP counters.
-        self._apply_cost = apply_cost
-        self._cost_fn = flop_cost_model(apply_cost)
+        # Algorithm 4's chunk prices also back the tracer's FLOP counter.
+        self._cost_fn = flop_cost_model(hamiltonian.apply_cost)
         self.stats = SternheimerStats()
 
     @property
@@ -629,7 +625,7 @@ class Chi0Operator:
         """
         j = p.orbital
         summary = SolveSummary.of(results)
-        self._record(j, summary)
+        self._record(j, summary, results)
         converged = all(r.converged for r in results)
         verifier = get_verifier()
         if verifier.enabled:
@@ -705,15 +701,17 @@ class Chi0Operator:
             tracer.event("solve_degraded", orbital=j, omega=omega,
                          count=len(failed), error_bound=bound)
 
-    def _record(self, j: int, summary: SolveSummary) -> None:
-        """Fold one orbital's solve totals into stats and tracer counters."""
+    def _record(self, j: int, summary: SolveSummary,
+                results: list[SolveResult]) -> None:
+        """Fold one orbital's solve totals into stats and tracer counters;
+        ``flops_est`` prices each chunk with Algorithm 4's own cost model."""
         self.stats.absorb(j, summary)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.incr("matvecs", summary.n_matvec)
             tracer.incr("cocg_iterations", summary.iterations)
             tracer.incr("sternheimer_block_solves", summary.n_solves)
-            tracer.incr("flops_est", self._estimate_flops(summary))
+            tracer.incr("flops_est", sum(self._cost_fn(r, 0.0) for r in results))
             if summary.n_breakdowns:
                 tracer.incr("sternheimer_breakdowns", summary.n_breakdowns)
             if summary.n_unconverged:
@@ -724,20 +722,3 @@ class Chi0Operator:
                 tracer.incr("resilience_solve_retries", summary.n_retries)
             if summary.n_escalations:
                 tracer.incr("resilience_solves_escalated", summary.n_escalations)
-
-    def _estimate_flops(self, summary: SolveSummary) -> float:
-        """Deterministic Section III-B FLOP estimate for an orbital's solves.
-
-        ``n_matvec * apply_cost`` for the operator applications, plus the
-        BLAS-3 terms ``iterations * (5 n s^2 + 2 s^3)`` per block size;
-        iterations are apportioned over the size histogram by system count
-        (exact when every chunk at a size runs the same iteration count, a
-        close approximation otherwise).
-        """
-        total = summary.n_matvec * self._apply_cost
-        n = self.n_points
-        n_systems = max(summary.n_systems, 1)
-        for s, count in summary.block_size_counts.items():
-            iters = summary.iterations * (s * count) / n_systems
-            total += iters * (5.0 * n * s * s + 2.0 * s**3)
-        return total

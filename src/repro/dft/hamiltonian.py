@@ -75,6 +75,18 @@ class Hamiltonian:
     def kinetic_backend(self) -> str:
         return "stencil" if self._kinetic is None else "fft"
 
+    @property
+    def apply_cost(self) -> float:
+        """FLOPs charged per column by the Section III-B cost model.
+
+        The ``(6 r + 1)``-point stencil over ``n_d`` points, plus
+        ``4 nnz(X)`` for the forward and backward nonlocal products.
+        """
+        cost = (6.0 * self.radius + 1.0) * self.n_points
+        if self.nonlocal_part is not None:
+            cost += 4.0 * self.nonlocal_part.projectors.nnz
+        return cost
+
     def update_potential(self, v_local: np.ndarray) -> None:
         v_local = np.asarray(v_local, dtype=self.v_local.dtype)
         if v_local.shape != (self.n_points,):

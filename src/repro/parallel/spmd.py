@@ -208,6 +208,11 @@ def _spmd_worker_main(sched: "SpmdScheduler", rank: int) -> None:
         if kind == "stop":
             return
         if kind == "die":
+            # Flush this worker's queued results first: a feeder thread
+            # killed mid-write would leave the shared result-queue lock
+            # held, and every surviving rank's next put would block.
+            result_q.close()
+            result_q.join_thread()
             os._exit(17)
         tid, gen = msg[1], msg[2]
         try:

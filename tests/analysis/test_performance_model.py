@@ -1,25 +1,28 @@
-"""Tests for the Section III-B/III-C analytic cost model."""
+"""Tests for the Section III-B/III-C cost model: ``Hamiltonian.apply_cost``
+prices one column's apply and :func:`flop_cost_model` prices a block COCG
+solve, the same price Algorithm 4 and the ``flops_est`` counter use."""
 
 import numpy as np
-import pytest
 
-from repro.analysis import (
-    block_cocg_iteration_flops,
-    cost_report_from_stats,
-    crossover_block_size,
-    hamiltonian_apply_cost,
-)
 from repro.core import Chi0Operator
+from repro.obs import Tracer, use_tracer
+from repro.solvers import flop_cost_model
+from repro.solvers.stats import SolveResult
+
+
+def _result(n, s, iterations):
+    """A block solve of ``s`` columns on ``n`` points: one apply per
+    column per iteration, as block COCG counts them."""
+    return SolveResult(solution=np.zeros((n, s), dtype=complex), converged=True,
+                       iterations=iterations, residual_norm=0.0,
+                       n_matvec=iterations * s, block_size=s)
 
 
 class TestApplyCost:
     def test_stencil_term_matches_formula(self, toy_dft):
         h = toy_dft.hamiltonian
-        cost = hamiltonian_apply_cost(h)
-        assert cost.stencil == 2.0 * (6 * h.radius + 1) * h.n_points
-        assert cost.local == 2.0 * h.n_points
-        assert cost.nonlocal_term == 0.0  # Gaussian pseudos: no X X^H term
-        assert cost.total > cost.stencil
+        assert h.nonlocal_part is None  # Gaussian pseudos: no X X^H term
+        assert h.apply_cost == (6 * h.radius + 1) * h.n_points
 
     def test_nonlocal_term_counts_sparsity(self):
         from repro.dft import build_nonlocal_projectors, local_potential_on_grid, silicon_crystal
@@ -30,57 +33,43 @@ class TestApplyCost:
         v = local_potential_on_grid(crystal, grid)
         nl = build_nonlocal_projectors(crystal, grid)
         h = Hamiltonian(grid, v, nl, radius=2)
-        cost = hamiltonian_apply_cost(h)
-        assert cost.nonlocal_term == 4.0 * nl.projectors.nnz
-        assert cost.nonlocal_term > 0
+        local_only = Hamiltonian(grid, v, None, radius=2)
+        assert nl.projectors.nnz > 0
+        assert h.apply_cost == local_only.apply_cost + 4.0 * nl.projectors.nnz
 
 
 class TestIterationModel:
     def test_terms_scale_as_documented(self):
-        base = block_cocg_iteration_flops(1000, 1, 1e5)
-        doubled_s = block_cocg_iteration_flops(1000, 2, 1e5)
-        # Apply term doubles; BLAS-3 quadruples.
-        assert doubled_s > 2 * base * 0.9
-        big_s = block_cocg_iteration_flops(1000, 32, 1e5)
-        blas3_only = 10.0 * 1000 * 32 * 32
-        assert big_s > blas3_only  # BLAS-3 dominates at large s
-
-    def test_crossover_balances_terms(self):
-        n_d, c_apply = 5000, 2e6
-        s_star = crossover_block_size(n_d, c_apply)
-        lhs = s_star * c_apply  # apply term at s*
-        rhs = 10.0 * n_d * s_star**2  # BLAS-3 term at s*
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            block_cocg_iteration_flops(0, 1, 1.0)
-        with pytest.raises(ValueError):
-            crossover_block_size(10, 0.0)
+        n, c_apply, iters = 1000, 1e5, 7
+        cost = flop_cost_model(c_apply)
+        no_apply = flop_cost_model(0.0)
+        for s in (1, 2, 4, 32):
+            r = _result(n, s, iters)
+            apply_term = cost(r, 0.0) - no_apply(r, 0.0)
+            # The apply term is linear in s; the BLAS-3 term dominates as s^2.
+            assert apply_term == iters * s * c_apply
+            assert no_apply(r, 0.0) == iters * (5.0 * n * s * s + 2.0 * s**3)
+        big = _result(n, 32, iters)
+        assert no_apply(big, 0.0) > cost(big, 0.0) - no_apply(big, 0.0)
 
 
 class TestCostReport:
-    def test_from_real_solve_stats(self, toy_dft, toy_coulomb):
+    def test_from_real_solve_stats(self, toy_dft, toy_coulomb, monkeypatch):
         op = Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
                           toy_dft.occupied_energies, toy_coulomb, tol=1e-4)
-        rng = np.random.default_rng(0)
-        V = rng.standard_normal((toy_dft.grid.n_points, 8))
-        import time
+        finished = []
+        finish = op._finish
 
-        t0 = time.perf_counter()
-        op.apply_chi0(V, 0.5)
-        dt = time.perf_counter() - t0
-        report = cost_report_from_stats(op.stats, toy_dft.hamiltonian,
-                                        measured_seconds=dt)
-        assert report.apply_flops > 0
-        assert report.total_flops >= report.apply_flops
-        assert 0.0 <= report.blas3_fraction < 1.0
-        assert report.achieved_gflops is not None and report.achieved_gflops > 0
+        def spy(p, omega, Y, results, started=None):
+            finished.extend(results)
+            return finish(p, omega, Y, results, started)
 
-    def test_no_time_no_gflops(self, toy_dft):
-        from repro.core import SternheimerStats
-
-        stats = SternheimerStats(n_matvec=10, n_block_solves=2, total_iterations=10,
-                                 block_size_counts={1: 2})
-        report = cost_report_from_stats(stats, toy_dft.hamiltonian)
-        assert report.achieved_gflops is None
+        monkeypatch.setattr(op, "_finish", spy)
+        V = np.random.default_rng(0).standard_normal((toy_dft.grid.n_points, 8))
+        tr = Tracer()
+        with use_tracer(tr):
+            op.apply_chi0(V, 0.5)
+        model = flop_cost_model(toy_dft.hamiltonian.apply_cost)
+        assert finished
+        assert tr.counters["flops_est"] == sum(model(r, 0.0) for r in finished)
+        assert tr.counters["flops_est"] > 0

@@ -1,48 +1,40 @@
-"""Tests for the dielectric diagnostics and alternative frequency grids."""
+"""Tests for the dielectric spectrum (the eigenvalues ``mu`` of
+``nu^{1/2} chi0 nu^{1/2}``, whose ``eps = 1 - mu`` Figure 1 plots) and the
+alternative frequency grids."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
     Chi0Operator,
-    DielectricSpectrum,
-    dielectric_matrix_dense,
-    dielectric_spectrum,
+    build_chi0_dense,
     double_exponential,
-    screened_interaction_dense,
+    filtered_subspace_iteration,
+    nu_chi0_eigenvalues_dense,
+    symmetrized_chi0_dense,
+    trace_from_eigenvalues,
     transformed_clenshaw_curtis,
     transformed_gauss_legendre,
     truncated_trapezoid,
 )
+from repro.verify import Verifier
 
 
 class TestDielectricDense:
     def test_eigenvalues_at_least_one(self, toy_dft, toy_dense_eigen, toy_coulomb):
-        # epsilon = I - sym(chi0) with sym(chi0) <= 0 => eigenvalues >= 1.
+        # sym(chi0) <= 0, so every dielectric eigenvalue 1 - mu is >= 1.
         vals, vecs = toy_dense_eigen
-        eps = dielectric_matrix_dense(vals, vecs, toy_dft.n_occupied, 0.3, toy_coulomb)
-        w = np.linalg.eigvalsh(eps)
-        assert w.min() > 1.0 - 1e-10
-
-    def test_screening_weakens_bare_interaction(self, toy_dft, toy_dense_eigen, toy_coulomb):
-        vals, vecs = toy_dense_eigen
-        eps = dielectric_matrix_dense(vals, vecs, toy_dft.n_occupied, 0.3, toy_coulomb)
-        W = screened_interaction_dense(eps, toy_coulomb)
-        nu = np.column_stack([toy_coulomb.apply_nu(e) for e in np.eye(eps.shape[0])])
-        nu = 0.5 * (nu + nu.T)
-        # 0 <= W <= nu in the Loewner order.
-        assert np.linalg.eigvalsh(W).min() > -1e-9
-        assert np.linalg.eigvalsh(nu - W).min() > -1e-9
+        chi0 = build_chi0_dense(vals, vecs, toy_dft.n_occupied, 0.3)
+        sym = symmetrized_chi0_dense(chi0, toy_coulomb)
+        assert np.linalg.eigvalsh(sym).max() < 1e-10
 
     def test_screening_strengthens_toward_static_limit(self, toy_dft, toy_dense_eigen,
                                                        toy_coulomb):
         vals, vecs = toy_dense_eigen
-        tops = []
-        for omega in (5.0, 0.5, 0.05):
-            eps = dielectric_matrix_dense(vals, vecs, toy_dft.n_occupied, omega,
-                                          toy_coulomb)
-            tops.append(np.linalg.eigvalsh(eps).max())
-        assert tops[0] < tops[1] < tops[2]
+        lowest = [nu_chi0_eigenvalues_dense(vals, vecs, toy_dft.n_occupied, omega,
+                                            toy_coulomb).min()
+                  for omega in (5.0, 0.5, 0.05)]
+        assert lowest[0] > lowest[1] > lowest[2]
 
 
 class TestDielectricIterative:
@@ -50,37 +42,22 @@ class TestDielectricIterative:
     def spectrum(self, toy_dft, toy_coulomb):
         op = Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
                           toy_dft.occupied_energies, toy_coulomb, tol=1e-4)
-        return dielectric_spectrum(op, omega=0.3, n_eig=16, tol=1e-5, seed=0), op
+        v0 = np.random.default_rng(0).standard_normal((op.n_points, 16))
+        return filtered_subspace_iteration(
+            lambda V: op.apply_symmetrized(V, 0.3), v0, tol=1e-5,
+            max_iterations=30)
 
     def test_matches_dense_extremes(self, spectrum, toy_dft, toy_dense_eigen, toy_coulomb):
-        spec, _ = spectrum
         vals, vecs = toy_dense_eigen
-        eps = dielectric_matrix_dense(vals, vecs, toy_dft.n_occupied, 0.3, toy_coulomb)
-        w = np.sort(np.linalg.eigvalsh(eps))[::-1]
-        assert spec.converged
-        assert np.allclose(spec.eigenvalues[:8], w[:8], atol=2e-3)
+        mu = nu_chi0_eigenvalues_dense(vals, vecs, toy_dft.n_occupied, 0.3, toy_coulomb)
+        assert spectrum.converged
+        assert np.allclose(spectrum.eigenvalues[:8], mu[:8], atol=2e-3)
 
     def test_energy_term_identity(self, spectrum):
-        # Tr[ln eps + (I - eps)] == Tr[ln(1 - mu) + mu].
-        spec, _ = spectrum
-        from repro.core import trace_from_eigenvalues
-
-        assert spec.energy_term() == pytest.approx(
-            trace_from_eigenvalues(spec.mu), rel=1e-12
-        )
-
-    def test_macroscopic_screening_is_top_eigenvalue(self, spectrum):
-        spec, _ = spectrum
-        assert spec.macroscopic_screening == pytest.approx(spec.eigenvalues.max())
-        assert spec.macroscopic_screening > 1.0
-
-    def test_validation(self, spectrum):
-        _, op = spectrum
-        with pytest.raises(ValueError):
-            dielectric_spectrum(op, omega=0.3, n_eig=0)
-        bad = DielectricSpectrum(0.3, np.array([-0.1, 2.0]), True, 1)
-        with pytest.raises(ValueError):
-            bad.energy_term()
+        # Tr[ln(1 - mu) + mu] == Tr[ln eps + (I - eps)] with eps = 1 - mu.
+        mu = spectrum.eigenvalues
+        verifier = Verifier()
+        assert verifier.check_trace_identity(mu, trace_from_eigenvalues(mu), rtol=1e-12)
 
 
 class TestAlternativeGrids:

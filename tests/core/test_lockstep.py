@@ -84,7 +84,7 @@ def _alone(op, j, V):
         return solve_with_dynamic_block_size(
             p.apply_a, p.rhs(), tol=op.tol, max_iterations=op.max_iterations,
             x0=p.x0, max_block_size=min(op.max_block_size, N_V),
-            solver=op.solver, cost_fn=flop_cost_model(op._apply_cost), n=n)
+            solver=op.solver, cost_fn=flop_cost_model(op.h.apply_cost), n=n)
     Y, chunks = np.empty((n, N_V), dtype=complex), []
     for start in range(0, N_V, op.fixed_block_size):
         sl = slice(start, min(start + op.fixed_block_size, N_V))

@@ -123,6 +123,44 @@ class TestWorkerDeath:
                  rank_faults={0: 1, 1: 1})
 
 
+    def test_planted_death_leaves_the_result_lock_free(self):
+        """A ``die`` that lands while the worker's feeder thread is still
+        writing a result must not take the shared write lock with it."""
+        import multiprocessing
+        import threading
+        from types import SimpleNamespace
+
+        from repro.parallel.spmd import _spmd_worker_main
+
+        ctx = multiprocessing.get_context("fork")
+        result_q, task_q = ctx.Queue(), ctx.SimpleQueue()
+        # 2 MiB outgrows the pipe buffer, so the feeder blocks mid-write.
+        blob = bytes(2 << 20)
+        stub = SimpleNamespace(_fault_hook=None, _task_qs={0: task_q},
+                               _result_q=result_q,
+                               _worker_apply=lambda msg: {"blob": blob})
+        proc = ctx.Process(target=_spmd_worker_main, args=(stub, 0), daemon=True)
+        proc.start()
+        try:
+            task_q.put(("apply", 0, 0))
+            assert result_q._reader.poll(30)  # the feeder has begun writing
+            task_q.put(("die",))
+            drained = []
+            reader = threading.Thread(
+                target=lambda: drained.append(result_q.get()), daemon=True)
+            reader.start()
+            proc.join(30)
+            assert proc.exitcode == 17
+            assert result_q._wlock.acquire(timeout=1)
+            result_q._wlock.release()
+            reader.join(30)
+            assert drained and len(drained[0][4]["blob"]) == len(blob)
+        finally:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+
+
 class TestZeroCopyDescriptors:
     def test_task_descriptors_are_metadata_only(self, toy_dft, toy_coulomb,
                                                 monkeypatch):

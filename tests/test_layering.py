@@ -3,7 +3,8 @@ imports count): the solver layer sits below the DFT layer, the grid
 package's underscore names stay inside it, private scipy modules are
 imported in two named files only, and no module brings its own worker
 pool. The examples and benchmarks, which tier-1 never imports, import only
-names the package still has."""
+names the package still has, and every module is reached by something
+other than the tests."""
 
 import ast
 import importlib
@@ -101,3 +102,52 @@ def test_examples_and_benchmarks_import_names_that_exist():
     assert len(imported) > 100
     assert [f"{path.relative_to(REPO)}: {module} {name}"
             for path, module, name in imported if not _resolves(module, name)] == []
+
+
+# ``python -m`` entry points: run, never imported.
+ENTRY_POINTS = {"repro.__main__", "repro.verify.__main__", "repro.obs.regress"}
+# Modules only the tests reach, each kept for a stated reason.
+TEST_ONLY = {
+    # The alternative quadrature rules wait for the l-convergence study
+    # (ROADMAP item 3) before they are used or deleted.
+    "repro.core.frequency_grids",
+    # Fault injectors the escalation-chain and SPMD worker-death tests
+    # plant through the solver stages and ``SpmdScheduler(fault_hook=)``.
+    "repro.resilience.faults",
+    # Matrix-property checks no library code calls; ROADMAP item 10 lists
+    # the module for deletion.
+    "repro.utils.validation",
+}
+
+
+def _module_name(path):
+    parts = path.relative_to(ROOT.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_every_module_is_reached_by_more_than_its_tests():
+    # A package __init__ re-exporting its own submodule does not count: the
+    # names must be imported by a src module, a benchmark or an example.
+    # ``from pkg import name`` is followed through pkg's re-exports.
+    modules = {_module_name(p): p for p in ROOT.rglob("*.py")}
+    packages = {_module_name(p) for p in ROOT.rglob("__init__.py")}
+    reexports = {pkg: {name: module for module, name in _imports(modules[pkg])
+                       if name and module.startswith(pkg + ".")}
+                 for pkg in packages}
+
+    def target(module, name):
+        if name and f"{module}.{name}" in modules:
+            return f"{module}.{name}"
+        if name in reexports.get(module, {}):
+            return target(reexports[module][name], None)
+        return module
+
+    importers = [(_module_name(p), p) for p in modules.values()]
+    importers += [(None, p) for p in (*REPO.glob("examples/*.py"),
+                                      *REPO.glob("benchmarks/**/*.py"))]
+    reached = {target(module, name)
+               for me, path in importers for module, name in _imports(path)
+               if not (me in packages and module.startswith(me + "."))}
+    assert ENTRY_POINTS | TEST_ONLY <= set(modules)
+    unreached = set(modules) - packages - reached - ENTRY_POINTS
+    assert unreached == TEST_ONLY
