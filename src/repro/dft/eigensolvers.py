@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.dft.hamiltonian import Hamiltonian
+from repro.grid.kronecker import KroneckerLaplacian
 from repro.utils.rng import default_rng
 
 
@@ -75,7 +76,9 @@ class EigenResult:
     ``subspace`` is the whole filtered block, the ``n_states + n_buffer``
     Ritz vectors in ascending order; its leading columns are ``orbitals``.
     Passing it back as ``v0`` warm-starts the next solve without drawing
-    fresh random buffer columns.
+    fresh random buffer columns. ``spectral_bound`` is the upper bound the
+    filter ran with; a caller that solves under a slowly moving potential
+    passes it back as ``spectral_bound`` instead of paying for a new one.
     """
 
     eigenvalues: np.ndarray
@@ -84,10 +87,25 @@ class EigenResult:
     residual: float
     converged: bool
     subspace: np.ndarray
+    spectral_bound: float
 
 
 class ChebyshevFilteredSubspace:
     """CheFSI driver for the lowest eigenpairs of a Hamiltonian.
+
+    A solve filters only as hard as its tolerance needs:
+
+    * a cold solve (``v0`` omitted) starts from the lowest
+      ``n_states + n_buffer`` modes of the grid's own FD Laplacian, not from
+      noise; a warm one from ``v0`` (plus random buffer columns if short);
+    * the residual of every Rayleigh-Ritz step comes from the ``H V`` that
+      step already holds, so checking costs no H-apply, and a start that
+      already meets ``tol`` returns after 0 passes;
+    * every pass but a cold solve's first (which runs at ``degree``) picks
+      the lowest degree whose Chebyshev damping takes the mean residual
+      ``r`` to ``tol``: ``ceil(ln(r / tol) / arccosh(|x|)) + 1``, clamped
+      to ``[2, degree]``, where ``x`` is the highest wanted Ritz value
+      mapped onto the filter's ``[cut, upper]`` interval.
 
     Parameters
     ----------
@@ -96,11 +114,14 @@ class ChebyshevFilteredSubspace:
     n_states:
         Number of lowest eigenpairs.
     degree:
-        Chebyshev filter degree per iteration.
+        Highest Chebyshev filter degree a pass may use.
     tol:
         Mean relative Ritz-residual stopping tolerance.
     max_iterations:
         Filtered-iteration cap.
+    spectral_bound:
+        Upper spectral bound to filter with; estimated by padded power
+        iteration (12 single-vector applies) when omitted.
     """
 
     def __init__(
@@ -112,6 +133,7 @@ class ChebyshevFilteredSubspace:
         max_iterations: int = 60,
         seed: int | None = None,
         n_buffer: int | None = None,
+        spectral_bound: float | None = None,
     ) -> None:
         if n_states < 1 or n_states > h.n_points:
             raise ValueError(f"n_states must be in 1..{h.n_points}")
@@ -121,6 +143,7 @@ class ChebyshevFilteredSubspace:
         self.tol = float(tol)
         self.max_iterations = int(max_iterations)
         self.seed = seed
+        self.spectral_bound = spectral_bound
         # Buffer states decouple the wanted spectrum from the filter cut;
         # without them subspace iteration stalls on clustered levels at the
         # subspace boundary.
@@ -144,43 +167,58 @@ class ChebyshevFilteredSubspace:
         return lam + 0.2 * abs(lam) + 1.0
 
     def solve(self, v0: np.ndarray | None = None) -> EigenResult:
-        rng = default_rng(self.seed)
-        n, m = self.h.n_points, self.n_states + self.n_buffer
+        n, m, k = self.h.n_points, self.n_states + self.n_buffer, self.n_states
         if v0 is None:
-            V = rng.standard_normal((n, m))
+            V = KroneckerLaplacian(self.h.grid, self.h.radius).lowest_modes(m)
         else:
             v0 = np.asarray(v0, dtype=float)
             if v0.ndim != 2 or v0.shape[0] != n or v0.shape[1] > m:
                 raise ValueError(f"v0 shape {v0.shape} incompatible with ({n}, <= {m})")
-            V = np.column_stack([v0, rng.standard_normal((n, m - v0.shape[1]))])
+            fill = default_rng(self.seed).standard_normal((n, m - v0.shape[1]))
+            V = np.column_stack([v0, fill])
         V, _ = np.linalg.qr(V)
-        upper = self._upper_bound()
-        # First Rayleigh-Ritz to seed the filter bounds.
-        vals, V = self._rayleigh_ritz(V)
-        residual = np.inf
+        upper = self.spectral_bound
+        if upper is None:
+            upper = self._upper_bound()
+        vals, V, HV = self._rayleigh_ritz(V)
+        residual = _mean_residual(HV[:, :k], V[:, :k], vals[:k])
         it = 0
-        for it in range(1, self.max_iterations + 1):
+        while residual > self.tol and it < self.max_iterations:
             spread = max(vals[-1] - vals[0], 1e-3)
             cut = vals[-1] + 0.05 * spread
             low = vals[0] - 0.05 * spread
-            V = chebyshev_filter(self.h.apply, V, self.degree, low, cut, upper)
+            if it == 0 and v0 is None:
+                degree = self.degree
+            else:
+                degree = self._pass_degree(vals[k - 1], cut, upper, residual)
+            it += 1
+            V = chebyshev_filter(self.h.apply, V, degree, low, cut, upper)
             V, _ = np.linalg.qr(V)
-            vals, V = self._rayleigh_ritz(V)
-            residual = self._mean_residual(V[:, : self.n_states], vals[: self.n_states])
-            if residual <= self.tol:
-                break
-        return EigenResult(vals[: self.n_states], V[:, : self.n_states], it, residual,
-                           residual <= self.tol, V)
+            vals, V, HV = self._rayleigh_ritz(V)
+            residual = _mean_residual(HV[:, :k], V[:, :k], vals[:k])
+        return EigenResult(vals[:k], V[:, :k], it, residual, residual <= self.tol, V, upper)
 
-    def _rayleigh_ritz(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _pass_degree(self, lam_k: float, cut: float, upper: float, residual: float) -> int:
+        """Lowest degree in ``[2, degree]`` whose filter should damp the mean
+        residual from ``residual`` to ``tol``, for wanted Ritz values up to
+        ``lam_k``."""
+        # |x| > 1: lam_k lies below the cut, outside the damped interval.
+        x = abs(lam_k - 0.5 * (upper + cut)) / (0.5 * (upper - cut))
+        decay = np.arccosh(x)  # -ln rho, rho = 1 / (|x| + sqrt(x^2 - 1))
+        needed = int(np.ceil(np.log(residual / self.tol) / decay)) + 1
+        return min(max(needed, 2), self.degree)
+
+    def _rayleigh_ritz(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ritz values, Ritz vectors ``V Q`` and their images ``H V Q``."""
         HV = self.h.apply(V)
         hs = V.T @ HV
         hs = 0.5 * (hs + hs.T)
         vals, Q = scipy.linalg.eigh(hs)
-        return vals, V @ Q
+        return vals, V @ Q, HV @ Q
 
-    def _mean_residual(self, V: np.ndarray, vals: np.ndarray) -> float:
-        R = self.h.apply(V) - V * vals
-        norms = np.linalg.norm(R, axis=0)
-        scale = np.maximum(np.abs(vals), 1.0)
-        return float(np.mean(norms / scale))
+
+def _mean_residual(HV: np.ndarray, V: np.ndarray, vals: np.ndarray) -> float:
+    """Mean of ``||H v - lambda v|| / max(|lambda|, 1)`` over the columns."""
+    norms = np.linalg.norm(HV - V * vals, axis=0)
+    scale = np.maximum(np.abs(vals), 1.0)
+    return float(np.mean(norms / scale))

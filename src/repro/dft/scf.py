@@ -136,7 +136,9 @@ def run_scf(
         CheFSI is warm-started from the previous iteration's whole subspace
         and solves only as tightly as the previous density residual warrants
         (see ``_EIG_TOL_RATIO``); the SCF converges only on an iteration it
-        solved to ``max(0.1 tol, 1e-8)``.
+        solved to ``max(0.1 tol, 1e-8)``. The first solve starts from the
+        grid's lowest Laplacian modes and estimates the spectral upper
+        bound every later solve of the run reuses.
     tol:
         SCF convergence threshold on the relative density residual
         ``dv * ||rho_out - rho_in||_1 / n_electrons``.
@@ -147,6 +149,10 @@ def run_scf(
         Kerker preconditioning wavevector (Bohr^-1) applied to the density
         residual before mixing — damps the long-wavelength charge sloshing
         that otherwise stalls defect cells. ``None`` disables it.
+    chefsi_degree:
+        Highest Chebyshev filter degree a CheFSI pass may use; each pass
+        after a cold solve's first picks the lowest degree (at least 2)
+        that should take its residual to the tolerance.
     gaussian_pseudos:
         When given, use soft local-only pseudopotentials instead of GTH
         (tiny model systems).
@@ -207,6 +213,9 @@ def run_scf(
 
     rho = np.full(grid.n_points, n_electrons / grid.volume)
     subspace: np.ndarray | None = None
+    # Estimated at the first CheFSI solve; its 20 % + 1 Ha padding covers
+    # the potential's later moves.
+    spectral_bound: float | None = None
     eig_tol_final = max(tol * 0.1, 1e-8)
     eigenvalues = np.zeros(n_states)
     orbitals = np.zeros((grid.n_points, n_states))
@@ -230,9 +239,11 @@ def run_scf(
             # Warm start from the previous iteration's whole filtered subspace.
             eig_tol = max(eig_tol_final, min(_EIG_TOL_CAP, _EIG_TOL_RATIO * resid))
             res = ChebyshevFilteredSubspace(
-                h, n_states, degree=chefsi_degree, tol=eig_tol, seed=seed
+                h, n_states, degree=chefsi_degree, tol=eig_tol, seed=seed,
+                spectral_bound=spectral_bound,
             ).solve(v0=subspace)
             eigenvalues, orbitals, subspace = res.eigenvalues, res.orbitals, res.subspace
+            spectral_bound = res.spectral_bound
             passes, eig_converged = res.iterations, res.converged
 
         if smearing is None:

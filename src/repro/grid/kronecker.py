@@ -46,6 +46,16 @@ class KroneckerLaplacian:
         """All 3-D Laplacian eigenvalues (flat)."""
         return self.symbol.ravel()
 
+    def lowest_modes(self, m: int) -> np.ndarray:
+        """The ``m`` eigenvectors of ``-nabla^2`` with the smallest
+        eigenvalues, as l2-orthonormal flat columns ``(n_points, m)``:
+        tensor products of the 1-D eigenvectors, ordered by eigenvalue sum."""
+        flat = np.argsort(-self.symbol, axis=None, kind="stable")[:m]
+        Qx, Qy, Qz = self._eigvecs
+        i, j, k = np.unravel_index(flat, self.symbol.shape)
+        modes = Qx[:, None, None, i] * Qy[None, :, None, j] * Qz[None, None, :, k]
+        return self.grid.to_vector(modes)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.apply_multiplier(self.symbol, v)
 

@@ -208,20 +208,26 @@ def _spmd_worker_main(sched: "SpmdScheduler", rank: int) -> None:
         if kind == "stop":
             return
         if kind == "die":
-            # Flush this worker's queued results first: a feeder thread
-            # killed mid-write would leave the shared result-queue lock
-            # held, and every surviving rank's next put would block.
-            result_q.close()
-            result_q.join_thread()
-            os._exit(17)
+            _flushed_exit(result_q, 17)
         tid, gen = msg[1], msg[2]
         try:
             t0 = time.perf_counter()
             payload = sched._worker_apply(msg)
             payload["busy"] = time.perf_counter() - t0
             result_q.put((tid, gen, rank, "ok", payload))
+        except SystemExit as death:  # a planted mid-task death
+            _flushed_exit(result_q, death.code if isinstance(death.code, int) else 1)
         except BaseException:
             result_q.put((tid, gen, rank, "error", traceback.format_exc()))
+
+
+def _flushed_exit(result_q, code: int) -> None:
+    """End the worker process, but flush its queued results first: a feeder
+    thread killed mid-write would leave the shared result-queue lock held,
+    and every surviving rank's next put would block."""
+    result_q.close()
+    result_q.join_thread()
+    os._exit(code)
 
 
 class SpmdScheduler(Scheduler, _SliceAssignment):

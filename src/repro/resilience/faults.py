@@ -9,9 +9,9 @@ waiting for a genuinely pathological system:
   returns its initial iterate with ``converged=False, breakdown=True`` —
   while all other calls pass through untouched.
 * :class:`DieOnceFile` arranges for exactly one SPMD worker process to die
-  (``os._exit``) the first time it sees a chosen orbital; the resubmitted
-  task (on a surviving worker) proceeds normally. The token file makes
-  the fault fire at most once across the forked workers.
+  the first time it sees a chosen orbital; the resubmitted task (on a
+  surviving worker) proceeds normally. The token file makes the fault fire
+  at most once across the forked workers.
 """
 
 from __future__ import annotations
@@ -90,4 +90,6 @@ class DieOnceFile:
             os.remove(self.token_path)  # atomically consume the token
         except FileNotFoundError:
             return
-        os._exit(self.exit_code)
+        # The worker loop turns this into a process exit once its queued
+        # results are flushed (``os._exit`` here could strand the lock).
+        raise SystemExit(self.exit_code)

@@ -160,6 +160,50 @@ class TestWorkerDeath:
                 proc.kill()
                 proc.join()
 
+    def test_mid_task_death_leaves_the_result_lock_free(self, tmp_path):
+        """A ``DieOnceFile`` that fires inside a task, while the worker's
+        feeder thread is still writing the previous task's result, must not
+        take the shared write lock with it either."""
+        import multiprocessing
+        import threading
+        from types import SimpleNamespace
+
+        from repro.parallel.spmd import _spmd_worker_main
+
+        ctx = multiprocessing.get_context("fork")
+        result_q, task_q = ctx.Queue(), ctx.SimpleQueue()
+        blob = bytes(2 << 20)
+        fault = DieOnceFile(str(tmp_path / "die.token"), orbital=1,
+                            exit_code=23).arm()
+
+        def apply(msg):
+            fault(msg[1])  # the hook's call for the task's first orbital
+            return {"blob": blob}
+
+        stub = SimpleNamespace(_fault_hook=None, _task_qs={0: task_q},
+                               _result_q=result_q, _worker_apply=apply)
+        proc = ctx.Process(target=_spmd_worker_main, args=(stub, 0), daemon=True)
+        proc.start()
+        try:
+            task_q.put(("apply", 0, 0))
+            assert result_q._reader.poll(30)  # the feeder has begun writing
+            task_q.put(("apply", 1, 0))  # reaches orbital 1: the worker dies
+            drained = []
+            reader = threading.Thread(
+                target=lambda: drained.append(result_q.get()), daemon=True)
+            reader.start()
+            proc.join(30)
+            assert proc.exitcode == 23
+            assert result_q._wlock.acquire(timeout=1)
+            result_q._wlock.release()
+            reader.join(30)
+            assert drained and drained[0][0] == 0
+            assert len(drained[0][4]["blob"]) == len(blob)
+        finally:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+
 
 class TestZeroCopyDescriptors:
     def test_task_descriptors_are_metadata_only(self, toy_dft, toy_coulomb,
