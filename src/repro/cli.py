@@ -284,7 +284,8 @@ def _run(args, tracer, recorder) -> int:
         print("warning: SCF did not reach tolerance; continuing with best density",
               file=sys.stderr)
     print(f"SCF done in {dft.n_iterations} iterations "
-          f"({sum(dft.history.eigensolver_passes)} CheFSI filter passes); "
+          f"({sum(dft.history.eigensolver_passes)} CheFSI filter passes, "
+          f"{sum(dft.history.eigensolver_single_passes)} in single precision); "
           f"n_s = {dft.n_occupied}", file=sys.stderr)
 
     coulomb = CoulombOperator(grid, radius=dft.hamiltonian.radius)

@@ -22,6 +22,15 @@ from repro.dft.hamiltonian import Hamiltonian
 from repro.grid.kronecker import KroneckerLaplacian
 from repro.utils.rng import default_rng
 
+#: A filter pass runs in float32 while the mean residual is above
+#: ``_SINGLE_FLOOR * eps32 * upper``. Repeated float32 passes level off at
+#: 0.74-0.78 eps32 * upper (20^3 Dirichlet dimer, 15^3 Si8), so at the floor
+#: that rounding level is under a fifth of the residual.
+_SINGLE_FLOOR = 4.0
+#: A float32 pass that leaves more than this share of its starting residual
+#: has reached float32's rounding level: the rest of the solve runs float64.
+_SINGLE_STALL = 0.5
+
 
 def dense_lowest_eigenpairs(
     h: Hamiltonian, n_states: int, constants: tuple | None = None
@@ -79,6 +88,8 @@ class EigenResult:
     fresh random buffer columns. ``spectral_bound`` is the upper bound the
     filter ran with; a caller that solves under a slowly moving potential
     passes it back as ``spectral_bound`` instead of paying for a new one.
+    ``single_passes`` of the ``iterations`` filter passes ran in float32;
+    everything returned is float64.
     """
 
     eigenvalues: np.ndarray
@@ -88,6 +99,7 @@ class EigenResult:
     converged: bool
     subspace: np.ndarray
     spectral_bound: float
+    single_passes: int
 
 
 class ChebyshevFilteredSubspace:
@@ -103,9 +115,17 @@ class ChebyshevFilteredSubspace:
       already meets ``tol`` returns after 0 passes;
     * every pass but a cold solve's first (which runs at ``degree``) picks
       the lowest degree whose Chebyshev damping takes the mean residual
-      ``r`` to ``tol``: ``ceil(ln(r / tol) / arccosh(|x|)) + 1``, clamped
-      to ``[2, degree]``, where ``x`` is the highest wanted Ritz value
-      mapped onto the filter's ``[cut, upper]`` interval.
+      ``r`` to its target: ``ceil(ln(r / target) / decay) + 1``, clamped
+      to ``[2, degree]``. ``decay`` is ``arccosh(|x|)``, ``x`` the highest
+      wanted Ritz value mapped onto the filter's ``[cut, upper]`` interval;
+      after the solve's first pass it drops to the damping per degree that
+      pass achieved, but to no less than half of ``arccosh(|x|)``;
+    * while ``r`` is above the floor ``f = 4 eps32 upper`` a pass filters
+      a float32 copy of the block through a float32 sibling of ``h`` (built
+      once per solve) and aims at ``max(tol, f)``; QR, Rayleigh-Ritz and the
+      residual stay float64, so every residual tested is exact. Below the
+      floor, or once a float32 pass has not halved ``r``, the solve filters
+      in float64.
 
     Parameters
     ----------
@@ -180,32 +200,58 @@ class ChebyshevFilteredSubspace:
         upper = self.spectral_bound
         if upper is None:
             upper = self._upper_bound()
+        # Bounds go to the filter as Python floats: NumPy 2 promotes a float32
+        # block times an np.float64 scalar to float64.
+        upper = float(upper)
+        floor = _SINGLE_FLOOR * float(np.finfo(np.float32).eps) * upper
+        single, h32, singles, last = True, None, 0, None
         vals, V, HV = self._rayleigh_ritz(V)
         residual = _mean_residual(HV[:, :k], V[:, :k], vals[:k])
         it = 0
         while residual > self.tol and it < self.max_iterations:
             spread = max(vals[-1] - vals[0], 1e-3)
-            cut = vals[-1] + 0.05 * spread
-            low = vals[0] - 0.05 * spread
+            cut = float(vals[-1] + 0.05 * spread)
+            low = float(vals[0] - 0.05 * spread)
+            single = single and residual > floor
             if it == 0 and v0 is None:
                 degree = self.degree
             else:
-                degree = self._pass_degree(vals[k - 1], cut, upper, residual)
+                target = max(self.tol, floor) if single else self.tol
+                degree = self._pass_degree(vals[k - 1], cut, upper, residual, target, last)
             it += 1
-            V = chebyshev_filter(self.h.apply, V, degree, low, cut, upper)
+            if single:
+                if h32 is None:
+                    h32 = self.h.astype(np.float32)
+                V = chebyshev_filter(h32.apply, V.astype(np.float32), degree, low, cut, upper)
+                V = V.astype(np.float64)
+                singles += 1
+            else:
+                V = chebyshev_filter(self.h.apply, V, degree, low, cut, upper)
             V, _ = np.linalg.qr(V)
             vals, V, HV = self._rayleigh_ritz(V)
-            residual = _mean_residual(HV[:, :k], V[:, :k], vals[:k])
-        return EigenResult(vals[:k], V[:, :k], it, residual, residual <= self.tol, V, upper)
+            r0, residual = residual, _mean_residual(HV[:, :k], V[:, :k], vals[:k])
+            last = (degree, r0, residual)
+            # A float32 pass that did not halve the residual met float32's
+            # rounding level.
+            single = single and residual <= _SINGLE_STALL * r0
+        return EigenResult(vals[:k], V[:, :k], it, residual, residual <= self.tol, V, upper,
+                           singles)
 
-    def _pass_degree(self, lam_k: float, cut: float, upper: float, residual: float) -> int:
+    def _pass_degree(self, lam_k: float, cut: float, upper: float, residual: float,
+                     target: float, last: tuple | None = None) -> int:
         """Lowest degree in ``[2, degree]`` whose filter should damp the mean
-        residual from ``residual`` to ``tol``, for wanted Ritz values up to
-        ``lam_k``."""
+        residual from ``residual`` to ``target``, for wanted Ritz values up to
+        ``lam_k``. ``last = (d, r0, r1)`` is the solve's previous pass: degree
+        ``d`` took the residual from ``r0`` to ``r1``. A pass that removed
+        less than the filter's damping predicts lowers the damping assumed
+        per degree, to no less than half of it."""
         # |x| > 1: lam_k lies below the cut, outside the damped interval.
         x = abs(lam_k - 0.5 * (upper + cut)) / (0.5 * (upper - cut))
         decay = np.arccosh(x)  # -ln rho, rho = 1 / (|x| + sqrt(x^2 - 1))
-        needed = int(np.ceil(np.log(residual / self.tol) / decay)) + 1
+        if last is not None:
+            d, r0, r1 = last
+            decay = min(decay, max(np.log(r0 / r1) / d, 0.5 * decay))
+        needed = int(np.ceil(np.log(residual / target) / decay)) + 1
         return min(max(needed, 2), self.degree)
 
     def _rayleigh_ritz(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

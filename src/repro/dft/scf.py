@@ -51,8 +51,9 @@ class SCFHistory:
 
     ``eigensolver_passes`` / ``eigensolver_tols`` / ``eigensolver_converged``
     describe each iteration's eigensolve: CheFSI filter passes, the Ritz
-    residual tolerance it ran at and whether it reached it. The dense solver
-    is exact: 0 passes at tolerance 0.
+    residual tolerance it ran at and whether it reached it;
+    ``eigensolver_single_passes`` counts the passes that filtered in float32.
+    The dense solver is exact: 0 passes at tolerance 0.
     """
 
     density_residuals: list[float] = field(default_factory=list)
@@ -60,6 +61,7 @@ class SCFHistory:
     eigensolver_passes: list[int] = field(default_factory=list)
     eigensolver_tols: list[float] = field(default_factory=list)
     eigensolver_converged: list[bool] = field(default_factory=list)
+    eigensolver_single_passes: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -138,7 +140,10 @@ def run_scf(
         (see ``_EIG_TOL_RATIO``); the SCF converges only on an iteration it
         solved to ``max(0.1 tol, 1e-8)``. The first solve starts from the
         grid's lowest Laplacian modes and estimates the spectral upper
-        bound every later solve of the run reuses.
+        bound every later solve of the run reuses. A solve filters in float32
+        while its residual is far above float32's rounding level (the loose
+        early iterations) and in float64 after; ``SCFHistory`` counts the
+        float32 passes. The dense path is float64 throughout.
     tol:
         SCF convergence threshold on the relative density residual
         ``dv * ||rho_out - rho_in||_1 / n_electrons``.
@@ -152,7 +157,9 @@ def run_scf(
     chefsi_degree:
         Highest Chebyshev filter degree a CheFSI pass may use; each pass
         after a cold solve's first picks the lowest degree (at least 2)
-        that should take its residual to the tolerance.
+        that should take its residual to the tolerance, assuming no more
+        damping per degree than the solve's previous pass achieved (nor less
+        than half the filter's predicted damping).
     gaussian_pseudos:
         When given, use soft local-only pseudopotentials instead of GTH
         (tiny model systems).
@@ -234,7 +241,7 @@ def run_scf(
 
         if eigensolver == "dense":
             eigenvalues, orbitals = dense_lowest_eigenpairs(h, n_states, dense_constants)
-            passes, eig_tol, eig_converged = 0, 0.0, True
+            passes, singles, eig_tol, eig_converged = 0, 0, 0.0, True
         else:
             # Warm start from the previous iteration's whole filtered subspace.
             eig_tol = max(eig_tol_final, min(_EIG_TOL_CAP, _EIG_TOL_RATIO * resid))
@@ -244,7 +251,7 @@ def run_scf(
             ).solve(v0=subspace)
             eigenvalues, orbitals, subspace = res.eigenvalues, res.orbitals, res.subspace
             spectral_bound = res.spectral_bound
-            passes, eig_converged = res.iterations, res.converged
+            passes, singles, eig_converged = res.iterations, res.single_passes, res.converged
 
         if smearing is None:
             occ = insulator_occupations(eigenvalues, n_electrons)
@@ -259,10 +266,12 @@ def run_scf(
         history.eigensolver_passes.append(passes)
         history.eigensolver_tols.append(eig_tol)
         history.eigensolver_converged.append(eig_converged)
+        history.eigensolver_single_passes.append(singles)
         if tracer.enabled:
             tracer.record("scf_iteration", t_iter, iteration=it,
                           residual=resid, band_energy=band, eigensolver_passes=passes,
-                          eigensolver_tol=eig_tol, eigensolver_converged=eig_converged)
+                          eigensolver_tol=eig_tol, eigensolver_converged=eig_converged,
+                          eigensolver_single_passes=singles)
             tracer.gauge("scf_density_residual", resid, iteration=it)
         # Orbitals handed on must meet the final eigen-tolerance, not a loose one.
         if resid < tol and eig_converged and eig_tol <= eig_tol_final:
@@ -279,7 +288,8 @@ def run_scf(
     if tracer.enabled:
         tracer.record("scf", t_scf, iterations=it, converged=converged,
                       eigensolver=eigensolver,
-                      eigensolver_passes=sum(history.eigensolver_passes))
+                      eigensolver_passes=sum(history.eigensolver_passes),
+                      eigensolver_single_passes=sum(history.eigensolver_single_passes))
 
     # Final energies at the converged density.
     eps_xc, v_xc = lda_xc(rho)

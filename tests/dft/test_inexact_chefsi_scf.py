@@ -56,6 +56,11 @@ def chefsi_run():
     return dft, solves, tracer
 
 
+@pytest.fixture(scope="module")
+def dense_run():
+    return _scf(eigensolver="dense")
+
+
 class TestInexactChefsiSCF:
     def test_auto_takes_the_chefsi_branch(self, chefsi_run):
         dft, solves, _ = chefsi_run
@@ -68,15 +73,22 @@ class TestInexactChefsiSCF:
         assert dft.converged
         assert dft.history.density_residuals[-1] < TOL
 
-    def test_eigenvalues_match_dense_scf(self, chefsi_run):
-        dft = chefsi_run[0]
-        dense = _scf(eigensolver="dense")
+    def test_eigenvalues_match_dense_scf(self, chefsi_run, dense_run):
+        dft, dense = chefsi_run[0], dense_run
         assert dense.converged
         assert np.abs(dft.eigenvalues - dense.eigenvalues).max() < 1e-6
 
     def test_at_most_half_the_filter_passes_of_tight_solves(self, chefsi_run):
         dft = chefsi_run[0]
         assert sum(dft.history.eigensolver_passes) <= COLD_TIGHT_PASSES // 2
+
+    def test_single_precision_passes_are_recorded(self, chefsi_run, dense_run):
+        dft, solves, _ = chefsi_run
+        singles = dft.history.eigensolver_single_passes
+        assert singles == [res.single_passes for _, res in solves]
+        assert sum(singles) > 0
+        assert all(0 <= s <= p for s, p in zip(singles, dft.history.eigensolver_passes))
+        assert dense_run.history.eigensolver_single_passes == [0] * dense_run.n_iterations
 
     def test_tolerance_loose_first_and_final_last(self, chefsi_run):
         tols = chefsi_run[0].history.eigensolver_tols
@@ -109,8 +121,11 @@ class TestInexactChefsiSCF:
         assert [a["eigensolver_passes"] for a in iters] == hist.eigensolver_passes
         assert [a["eigensolver_tol"] for a in iters] == hist.eigensolver_tols
         assert [a["eigensolver_converged"] for a in iters] == hist.eigensolver_converged
+        assert ([a["eigensolver_single_passes"] for a in iters]
+                == hist.eigensolver_single_passes)
         (scf,) = [e["attrs"] for e in spans if e["name"] == "scf"]
         assert scf["eigensolver_passes"] == sum(hist.eigensolver_passes)
+        assert scf["eigensolver_single_passes"] == sum(hist.eigensolver_single_passes)
 
 
 def test_unconverged_final_eigensolve_is_not_scf_convergence(monkeypatch):
