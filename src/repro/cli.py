@@ -48,6 +48,11 @@ from repro.obs import (
 from repro.parallel import compute_rpa_energy_parallel
 
 
+#: Ignored pair-occupation mass (``RPAEnergyResult.ignored_occupation``)
+#: above which a run warns that its SCF's occupations were fractional.
+IGNORED_OCCUPATION_WARN = 1e-3
+
+
 def build_system(name: str):
     """Construct (crystal, grid, scf_kwargs, default_n_eig) for a system name."""
     name = name.lower()
@@ -342,6 +347,11 @@ def _run(args, tracer, recorder) -> int:
               f"after the escalation chain); energy error bound "
               f"{result.skipped_solve_error_bound:.3e} Ha on the energy above",
               file=sys.stderr)
+    if result.ignored_occupation > IGNORED_OCCUPATION_WARN:
+        print(f"WARNING: the SCF's occupations are fractional; the RPA stage "
+              f"treats the first n_s = {dft.n_occupied} orbitals as fully "
+              f"occupied and ignores {result.ignored_occupation:.3e} pair(s) "
+              "of occupation", file=sys.stderr)
     return status or (3 if late or degraded else 0)
 
 

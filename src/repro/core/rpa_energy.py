@@ -108,6 +108,11 @@ class RPAEnergyResult:
     per_rank_chi0_seconds: np.ndarray = field(default_factory=lambda: np.zeros(1))
     n_rank_failures: int = 0
     machine: object | None = None  # MachineProfile behind a simulated run
+    #: Pair-occupation mass the integer-occupation chi0 leaves out:
+    #: sum_{j <= n_s} (1 - f_j) + sum_{j > n_s} f_j over the SCF's states.
+    #: Exactly 0.0 for an insulator; > 0 means a smeared SCF's fractional
+    #: occupations were rounded to the first n_s orbitals.
+    ignored_occupation: float = 0.0
 
     @property
     def converged(self) -> bool:
@@ -410,6 +415,8 @@ def compute_rpa_energy(
         n_ranks=sched.n_ranks,
         block_size_cap=chi0_operator.max_block_size,
         machine=sched.machine,
+        ignored_occupation=float((1.0 - dft.occupations[:dft.n_occupied]).sum()
+                                 + dft.occupations[dft.n_occupied:].sum()),
         **sched.report(),
     )
 

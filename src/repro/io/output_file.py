@@ -65,6 +65,10 @@ def format_output_log(result: RPAEnergyResult, n_ranks: int = 1,
         f"Total RPA correlation energy: {result.energy: .5E} (Ha), "
         f"{result.energy_per_atom: .5E} (Ha/atom)"
     )
+    lines.append(
+        f"Ignored occupation (pairs outside the first n_s orbitals' "
+        f"integer filling): {result.ignored_occupation:.3E}"
+    )
     lines.append(_RULE)
     lines.append("                        Timing info")
     lines.append(_RULE)

@@ -5,6 +5,11 @@ MPI installation: per-rank work is executed for real and timed on virtual
 clocks; communication and ScaLAPACK kernels are charged from calibrated
 cost models. Figures 4-6 regenerate from these simulated walltimes. The
 ``spmd`` backend runs the same sweep on real worker processes.
+
+Both backends share one manager-worker recovery policy, the paper's
+Section V future work (``executor._SliceAssignment``): ranks start on the
+static block-column layout, and a failed rank's column slices move to the
+least-loaded survivor.
 """
 
 from repro.parallel.costmodel import (
@@ -26,17 +31,6 @@ from repro.parallel.executor import (
     SimulatedScheduler,
     WorkerRecoveryError,
     make_scheduler,
-)
-from repro.parallel.manager_worker import (
-    Chi0WorkloadProfiler,
-    RecoveryReplay,
-    ScheduleComparison,
-    WorkerFailure,
-    WorkItem,
-    list_schedule_makespan,
-    replay_schedule,
-    replay_schedule_with_recovery,
-    static_block_column_makespan,
 )
 from repro.parallel.rpa_parallel import (
     PARALLEL_BACKENDS,
@@ -62,14 +56,5 @@ __all__ = [
     "make_scheduler",
     "PARALLEL_BACKENDS",
     "WorkerRecoveryError",
-    "WorkItem",
-    "WorkerFailure",
-    "RecoveryReplay",
-    "ScheduleComparison",
-    "list_schedule_makespan",
-    "replay_schedule",
-    "replay_schedule_with_recovery",
-    "static_block_column_makespan",
-    "Chi0WorkloadProfiler",
     "compute_rpa_energy_parallel",
 ]

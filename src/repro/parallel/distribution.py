@@ -43,14 +43,6 @@ class BlockColumnDistribution:
         start = int(counts[:rank].sum())
         return slice(start, start + int(counts[rank]))
 
-    def owner_of(self, col: int) -> int:
-        """Rank owning column ``col``."""
-        if not 0 <= col < self.n_cols:
-            raise ValueError(f"column {col} out of range")
-        counts = self.counts()
-        bounds = np.cumsum(counts)
-        return int(np.searchsorted(bounds, col, side="right"))
-
     def max_block_size(self) -> int:
         """Algorithm 4's block-size cap ``n_eig / p`` (Section III-D)."""
         return int(self.counts().min())

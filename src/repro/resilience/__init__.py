@@ -5,7 +5,7 @@ solves through by default — block COCG -> breakdown-free block COCG ->
 shift-regularized GMRES, nothing to configure; a converged first stage is
 the plain solver call — and the fault injection hooks the recovery tests
 drive. The worker-recovery pieces live next to the runtimes they extend
-(``repro.parallel.manager_worker``, ``repro.parallel.spmd``); this package
+(``repro.parallel.executor``, ``repro.parallel.spmd``); this package
 deliberately does not import them, so ``core`` can depend on the policy
 without a cycle.
 """

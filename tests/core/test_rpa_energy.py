@@ -33,6 +33,39 @@ def iterative_result(toy_dft, toy_coulomb):
     return compute_rpa_energy(toy_dft, cfg, coulomb=toy_coulomb, keep_vectors=True)
 
 
+@pytest.fixture(scope="module")
+def smeared_toy_dft():
+    """The toy crystal's SCF with Fermi-Dirac smearing: a fractional state."""
+    from repro.cli import build_system
+    from repro.dft import run_scf
+
+    crystal, grid, kwargs, _ = build_system("toy")
+    return run_scf(crystal, grid, **{**kwargs, "tol": 1e-6, "smearing": 0.02})
+
+
+class TestIgnoredOccupation:
+    def test_insulator_reads_exactly_zero(self, toy_dft, iterative_result):
+        assert set(toy_dft.occupations) == {0.0, 1.0}
+        assert iterative_result.ignored_occupation == 0.0
+
+    def test_smeared_scf_reads_its_fractional_mass(self, smeared_toy_dft,
+                                                  toy_coulomb):
+        from repro.parallel import compute_rpa_energy_parallel
+
+        dft = smeared_toy_dft
+        f, n_s = dft.occupations, dft.n_occupied
+        assert 0.0 < f[n_s] < 1.0
+        cfg = RPAConfig(n_eig=16, n_quadrature=2, seed=1)
+        serial = compute_rpa_energy(dft, cfg, coulomb=toy_coulomb)
+        expected = (1.0 - f[:n_s]).sum() + f[n_s:].sum()
+        assert serial.ignored_occupation == pytest.approx(expected, rel=1e-14)
+        assert serial.ignored_occupation > 1e-3
+        # One fill in the sweep: every backend reports the same number.
+        simulated = compute_rpa_energy_parallel(dft, cfg, n_ranks=2,
+                                                coulomb=toy_coulomb)
+        assert simulated.ignored_occupation == serial.ignored_occupation
+
+
 class TestIterativeVsDirect:
     def test_energy_matches_truncated_direct(self, toy_dft, toy_coulomb, iterative_result):
         # Same n_eig truncation on both sides: agreement is limited only by

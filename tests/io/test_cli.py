@@ -145,6 +145,29 @@ class TestMain:
         assert "3 Sternheimer solve(s) degraded" in warnings[0]
         assert "energy error bound" in warnings[0]
 
+    def test_fractional_occupations_warn_without_changing_the_exit(
+            self, capsys, monkeypatch):
+        # A smeared SCF hands the integer-occupation RPA stage fractional
+        # states: the run says how much occupation it ignored, once, and
+        # still exits 0.
+        import repro.cli as cli
+
+        def smeared(name):
+            crystal, grid, kwargs, n_eig = build_system(name)
+            return crystal, grid, {**kwargs, "tol": 1e-6, "smearing": 0.02}, n_eig
+
+        monkeypatch.setattr(cli, "build_system", smeared)
+        rc = main(["--system", "toy", "--n-eig", "24"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        warnings = [ln for ln in captured.err.splitlines()
+                    if ln.startswith("WARNING:")]
+        assert len(warnings) == 1
+        assert "fractional" in warnings[0] and "pair(s)" in warnings[0]
+        line = next(ln for ln in captured.out.splitlines()
+                    if ln.startswith("Ignored occupation"))
+        assert float(line.rsplit(":", 1)[1]) > 1e-3
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="spmd backend requires the fork start method")
     def test_process_backend_verify_exit_status_sees_worker_checks(

@@ -116,6 +116,13 @@ class TestOutputLog:
         assert f"{result.energy: .5E}" in log
         assert f"{result.energy_per_atom: .5E}" in log
 
+    def test_reports_ignored_occupation(self, result):
+        # An insulating SCF: the integer-occupation chi0 ignores nothing.
+        assert result.ignored_occupation == 0.0
+        line = next(ln for ln in format_output_log(result).splitlines()
+                    if ln.startswith("Ignored occupation"))
+        assert float(line.rsplit(":", 1)[1]) == 0.0
+
     def test_memory_estimate(self):
         mb = estimate_memory_mb(n_d=3375, n_eig=768, n_s=16)
         # Artifact banner for Si8 on 24 ranks reports ~37 MB per rank; the

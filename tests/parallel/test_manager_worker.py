@@ -1,135 +1,101 @@
-"""Tests for the manager-worker scheduling extension (paper Section V)."""
+"""The manager-worker policy (paper Section V) as the simulated backend runs it.
+
+``SimulatedScheduler`` starts every rank on the paper's static
+block-column layout and, when ranks fail, moves their column slices to the
+least-loaded survivor (``_SliceAssignment``, shared with the SPMD
+backend). These tests pin the static charges, the virtual timeline and the
+one-survivor limit on the toy system at fixed s = 1, where every column
+slice solves bitwise the same wherever it runs.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import Chi0Operator
-from repro.obs import Tracer
+from repro.obs import Tracer, use_tracer
 from repro.parallel import (
-    Chi0WorkloadProfiler,
-    WorkItem,
-    list_schedule_makespan,
-    replay_schedule,
-    static_block_column_makespan,
+    PACE_PHOENIX,
+    BlockColumnDistribution,
+    SimulatedScheduler,
 )
 
+WIDTH = 8
+OMEGA = 0.5
 
-class TestListScheduling:
-    def test_single_worker_is_sum(self):
-        assert list_schedule_makespan([1.0, 2.0, 3.0], 1) == pytest.approx(6.0)
 
-    def test_perfectly_divisible(self):
-        assert list_schedule_makespan([1.0] * 8, 4) == pytest.approx(2.0)
+@pytest.fixture(scope="module")
+def chi0op(toy_dft, toy_coulomb):
+    return Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
+                        toy_dft.occupied_energies, toy_coulomb,
+                        dynamic_block_size=False, fixed_block_size=1)
 
-    def test_lpt_beats_fifo_on_adversarial_order(self):
-        # Small jobs first leaves the big job at the end: FIFO is bad.
-        durations = [1.0] * 6 + [6.0]
-        fifo = list_schedule_makespan(durations, 3, lpt=False)
-        lpt = list_schedule_makespan(durations, 3, lpt=True)
-        assert lpt <= fifo
-        assert lpt == pytest.approx(6.0)
 
-    def test_empty(self):
-        assert list_schedule_makespan([], 4) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            list_schedule_makespan([1.0], 0)
-        with pytest.raises(ValueError):
-            list_schedule_makespan([-1.0], 2)
-
-    @settings(deadline=None, max_examples=40)
-    @given(
-        durations=st.lists(st.floats(min_value=0.0, max_value=10.0),
-                           min_size=1, max_size=40),
-        p=st.integers(min_value=1, max_value=8),
-    )
-    def test_property_makespan_bounds(self, durations, p):
-        ms = list_schedule_makespan(durations, p)
-        total, longest = sum(durations), max(durations)
-        # Classic list-scheduling bounds.
-        assert ms >= max(total / p, longest) - 1e-9
-        assert ms <= total + 1e-9
-        # Graham: list scheduling <= 2 * OPT <= 2 * max(total/p, longest).
-        assert ms <= 2.0 * max(total / p, longest) + 1e-9
+@pytest.fixture(scope="module")
+def block(toy_dft):
+    return np.random.default_rng(7).standard_normal(
+        (toy_dft.grid.n_points, WIDTH))
 
 
 class TestStaticMakespan:
-    def test_charges_column_owner(self):
-        items = [
-            WorkItem(0, (0, 2), 1.0),
-            WorkItem(0, (2, 4), 5.0),
-            WorkItem(1, (0, 2), 2.0),
-            WorkItem(1, (2, 4), 1.0),
-        ]
-        # p = 2 over 4 columns: rank 0 owns 0..1, rank 1 owns 2..3.
-        ms = static_block_column_makespan(items, n_cols=4, p=2)
-        assert ms == pytest.approx(6.0)  # rank 1: 5 + 1
-
-    def test_item_validation(self):
-        with pytest.raises(ValueError):
-            WorkItem(0, (2, 2), 1.0)
-        with pytest.raises(ValueError):
-            WorkItem(0, (0, 1), -1.0)
-
-
-class TestProfilerIntegration:
-    def test_compare_schedules_on_toy(self, toy_dft, toy_coulomb):
-        op = Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                          toy_dft.occupied_energies, toy_coulomb,
-                          tol=1e-3, dynamic_block_size=False)
-        prof = Chi0WorkloadProfiler(op, chunk=4)
-        rng = np.random.default_rng(0)
-        V = rng.standard_normal((toy_dft.grid.n_points, 16))
-        cmp = prof.compare_schedules(V, omega=0.3, p=4)
-        assert cmp.n_items == toy_dft.n_occupied * 4
-        # Hierarchy: ideal <= dynamic <= static (dynamic can't be worse than
-        # any fixed assignment of the same items on the same workers).
-        assert cmp.ideal_makespan <= cmp.dynamic_makespan + 1e-9
-        assert cmp.dynamic_makespan <= cmp.static_makespan * 1.001 + 1e-9
-        assert 0.0 <= cmp.improvement <= 1.0
-
-    def test_profiler_validation(self, toy_dft, toy_coulomb):
-        op = Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
-                          toy_dft.occupied_energies, toy_coulomb)
-        with pytest.raises(ValueError):
-            Chi0WorkloadProfiler(op, chunk=0)
-        prof = Chi0WorkloadProfiler(op)
-        with pytest.raises(ValueError):
-            prof.measure(np.zeros(5), omega=0.3)
+    def test_charges_column_owner(self, chi0op, block):
+        sched = SimulatedScheduler(chi0op, 3, WIDTH, PACE_PHOENIX)
+        dist = BlockColumnDistribution(WIDTH, 3)
+        assert sched.assignment == {r: [dist.owned_slice(r)] for r in range(3)}
+        sched.apply(block, OMEGA)
+        # Each rank is charged exactly the measured time of its own columns.
+        assert np.array_equal(sched.clocks.per_rank(), sched.last_apply_per_rank)
+        assert np.all(sched.last_apply_per_rank > 0)
 
 
 class TestReplaySchedule:
-    ITEMS = [WorkItem(0, (0, 4), 3.0), WorkItem(0, (4, 8), 1.0),
-             WorkItem(1, (0, 4), 2.0), WorkItem(1, (4, 8), 2.0)]
+    @staticmethod
+    def _virtual_spans(tracer):
+        return [e for e in tracer.events
+                if e["type"] == "span" and e["domain"] == "virtual"]
 
-    def test_makespan_matches_list_schedule(self):
-        durations = [it.seconds for it in self.ITEMS]
-        for lpt in (True, False):
-            assert replay_schedule(self.ITEMS, 2, lpt=lpt) == pytest.approx(
-                list_schedule_makespan(durations, 2, lpt=lpt))
-
-    def test_emits_virtual_spans_per_worker(self):
+    def test_emits_virtual_spans_per_worker(self, chi0op, block):
         tr = Tracer()
-        makespan = replay_schedule(self.ITEMS, 2, tracer=tr)
-        spans = [e for e in tr.events if e["type"] == "span"]
-        assert len(spans) == len(self.ITEMS)
-        assert all(e["name"] == "work_item" and e["domain"] == "virtual"
-                   for e in spans)
-        assert {e["rank"] for e in spans} == {0, 1}
-        # Items on one worker never overlap, and none extends past makespan.
-        for w in (0, 1):
-            mine = sorted((e for e in spans if e["rank"] == w),
+        with use_tracer(tr):
+            sched = SimulatedScheduler(chi0op, 3, WIDTH, PACE_PHOENIX)
+            sched.apply(block, OMEGA)
+            spans = self._virtual_spans(tr)
+            assert all(e["name"] == "chi0_apply" for e in spans)
+            assert sorted(e["rank"] for e in spans) == [0, 1, 2]
+            sched.apply(block, OMEGA)
+        spans = self._virtual_spans(tr)
+        assert len(spans) == 6
+        # Spans on one rank never overlap, and none extends past elapsed.
+        for r in range(3):
+            mine = sorted((e for e in spans if e["rank"] == r),
                           key=lambda e: e["ts"])
             for a, b in zip(mine, mine[1:]):
-                assert a["ts"] + a["dur"] <= b["ts"] + 1e-12
-            assert all(e["ts"] + e["dur"] <= makespan + 1e-12 for e in mine)
+                assert a["ts"] + a["dur"] <= b["ts"]
+            assert all(e["ts"] + e["dur"] <= sched.elapsed for e in mine)
 
-    def test_no_tracer_is_pure_makespan(self):
-        assert replay_schedule(self.ITEMS, 4) == pytest.approx(3.0)
+    def test_no_tracer_is_pure_makespan(self, chi0op, block):
+        sched = SimulatedScheduler(chi0op, 4, WIDTH, PACE_PHOENIX)
+        sched.apply(block, OMEGA)
+        assert sched.elapsed == sched.last_apply_per_rank.max()
 
-    def test_validation(self):
+    def test_validation(self, chi0op):
         with pytest.raises(ValueError):
-            replay_schedule(self.ITEMS, 0)
+            SimulatedScheduler(chi0op, 0, WIDTH, PACE_PHOENIX)
+        with pytest.raises(ValueError):
+            SimulatedScheduler(chi0op, 4, 3, PACE_PHOENIX)
+
+
+class TestListScheduling:
+    def test_single_worker_is_sum(self, chi0op, block):
+        clean = SimulatedScheduler(chi0op, 3, WIDTH, PACE_PHOENIX)
+        reference = clean.apply(block, OMEGA)
+        sched = SimulatedScheduler(chi0op, 3, WIDTH, PACE_PHOENIX,
+                                   rank_faults={0: 1, 2: 1})
+        sched.start_point(1)
+        assert list(sched.assignment) == [1]
+        columns = sorted(c for sl in sched.assignment[1]
+                         for c in range(sl.start, sl.stop))
+        assert columns == list(range(WIDTH))
+        assert np.array_equal(sched.apply(block, OMEGA), reference)
+        # The survivor's clock carries the whole apply; the dead ranks none.
+        assert sched.elapsed == sched.last_apply_per_rank[1]
+        assert sched.per_rank_chi0[0] == sched.per_rank_chi0[2] == 0.0

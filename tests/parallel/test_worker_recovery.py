@@ -1,37 +1,29 @@
-"""Worker-death recovery: worker processes, simulated MPI ranks, schedules.
+"""Worker-death recovery: worker processes and simulated MPI ranks.
 
-Three layers of the same contract — losing a worker mid-sweep must never
+Two layers of the same contract — losing a worker mid-sweep must never
 change the physics:
 
 * ``SpmdScheduler`` hands a dead worker process's column slices to a
   survivor and resubmits exactly the lost tasks (bit-identical to the same
   slices run in process) — "process pool" in ``TestProcessPoolRecovery``
   now means the SPMD backend's worker processes;
-* ``compute_rpa_energy_parallel`` reassigns a dead simulated rank's column
-  slices to the least-loaded survivor (energies unchanged, only the time
-  accounting moves);
-* ``replay_schedule_with_recovery`` models the manager-worker policy for
-  the same failures at the scheduling level, with bounded retries and
-  graceful skip.
+* ``SimulatedScheduler`` (and ``compute_rpa_energy_parallel`` on top of
+  it) reassigns a dead simulated rank's column slices to the least-loaded
+  survivor (energies unchanged, only the time accounting moves).
 """
-
 import sys
 
 import numpy as np
 import pytest
 
-from repro.core import Chi0Operator
+from repro.core import Chi0Operator, SerialScheduler
 from repro.obs import Tracer, use_tracer
 from repro.parallel import (
     PACE_PHOENIX,
-    RecoveryReplay,
+    BlockColumnDistribution,
     SimulatedScheduler,
-    WorkerFailure,
     WorkerRecoveryError,
-    WorkItem,
     compute_rpa_energy_parallel,
-    replay_schedule,
-    replay_schedule_with_recovery,
 )
 from repro.parallel.spmd import SpmdScheduler
 from repro.resilience import DieOnceFile
@@ -144,87 +136,72 @@ class TestRankFaultRecovery:
 
 
 class TestScheduleRecovery:
-    def _items(self, n=12, seed=0):
-        rng = np.random.default_rng(seed)
-        return [WorkItem(j, (0, 4), float(d))
-                for j, d in enumerate(rng.uniform(0.5, 2.0, n))]
+    """The slice reassignment itself, one ``SimulatedScheduler`` apply at a
+    time (fixed s = 1, so a slice solves bitwise the same on any rank)."""
 
-    def test_no_failures_matches_plain_replay(self):
-        items = self._items()
-        plain = replay_schedule(items, p=3)
-        rec = replay_schedule_with_recovery(items, p=3)
-        assert isinstance(rec, RecoveryReplay)
-        assert rec.makespan == plain
-        assert rec.completed == len(items)
-        assert not rec.degraded
-        assert rec.n_worker_failures == 0
+    WIDTH = 8
+    OMEGA = 0.5
 
-    def test_mid_item_death_reassigns_and_charges_lost_time(self):
-        items = [WorkItem(0, (0, 4), 2.0), WorkItem(1, (0, 4), 2.0)]
-        rec = replay_schedule_with_recovery(
-            items, p=2, failures=[WorkerFailure(worker=0, at_time=1.0)],
-        )
-        assert rec.n_worker_failures == 1
-        assert rec.n_reassigned == 1
-        assert rec.lost_seconds == pytest.approx(1.0)
-        assert rec.completed == 2
-        assert not rec.degraded
-        # Survivor runs its own item then the reassigned one.
-        assert rec.makespan == pytest.approx(4.0)
+    def _scheduler(self, toy_dft, toy_coulomb, n_ranks, rank_faults=None):
+        op = Chi0Operator(toy_dft.hamiltonian, toy_dft.occupied_orbitals,
+                          toy_dft.occupied_energies, toy_coulomb,
+                          dynamic_block_size=False, fixed_block_size=1)
+        return SimulatedScheduler(op, n_ranks, self.WIDTH, PACE_PHOENIX,
+                                  rank_faults=rank_faults)
 
-    def test_retry_exhaustion_skips_gracefully(self):
-        # Both workers die almost immediately: the single long item can
-        # never complete and must be skipped, not looped forever.
-        items = [WorkItem(0, (0, 8), 10.0)]
-        failures = [WorkerFailure(0, 0.5), WorkerFailure(1, 0.5)]
-        rec = replay_schedule_with_recovery(items, p=2, failures=failures,
-                                            max_retries=3)
-        assert rec.degraded
-        assert [it.orbital for it in rec.skipped] == [0]
-        assert rec.completed == 0
-        assert rec.n_worker_failures == 2
+    def _block(self, toy_dft):
+        return np.random.default_rng(3).standard_normal(
+            (toy_dft.grid.n_points, self.WIDTH))
 
-    def test_max_retries_zero_skips_on_first_loss(self):
-        items = [WorkItem(0, (0, 4), 5.0), WorkItem(1, (0, 4), 1.0)]
-        rec = replay_schedule_with_recovery(
-            items, p=2, failures=[WorkerFailure(0, 1.0)], max_retries=0,
-        )
-        assert rec.degraded and len(rec.skipped) == 1
-        assert rec.completed == 1
+    def test_no_failures_matches_plain_replay(self, toy_dft, toy_coulomb):
+        V = self._block(toy_dft)
+        sched = self._scheduler(toy_dft, toy_coulomb, 3)
+        for k in (1, 2, 3):
+            sched.start_point(k)
+        W = sched.apply(V, self.OMEGA)
+        assert sched.n_rank_failures == 0
+        dist = BlockColumnDistribution(self.WIDTH, 3)
+        assert sched.assignment == {r: [dist.owned_slice(r)] for r in range(3)}
+        # Bitwise per owned slice. The full block agrees only to rounding:
+        # BLAS rounds Eq. 13's projection psi^T B differently at other widths.
+        serial = SerialScheduler(sched.op)
+        for r in range(3):
+            sl = dist.owned_slice(r)
+            assert np.array_equal(W[:, sl], serial.apply(V[:, sl], self.OMEGA))
+        full = serial.apply(V, self.OMEGA)
+        assert np.abs(W - full).max() <= 1e-14 * np.abs(full).max()
 
-    def test_dead_before_start_takes_no_work(self):
-        items = self._items(6, seed=3)
-        rec = replay_schedule_with_recovery(
-            items, p=3, failures=[WorkerFailure(2, 0.0)],
-        )
-        assert rec.completed == len(items)
-        assert rec.n_worker_failures == 1
-        # Effective parallelism is 2 workers; makespan at least total/2... at
-        # least the 2-worker LPT schedule.
-        two_worker = replay_schedule(items, p=2)
-        assert rec.makespan == pytest.approx(two_worker)
-
-    def test_failure_events_reach_the_tracer(self):
+    def test_dead_before_start_takes_no_work(self, toy_dft, toy_coulomb):
         tracer = Tracer()
-        items = [WorkItem(0, (0, 4), 2.0), WorkItem(1, (0, 4), 2.0)]
         with use_tracer(tracer):
-            replay_schedule_with_recovery(
-                items, p=2, failures=[WorkerFailure(0, 1.0)], tracer=tracer,
-            )
-        names = [e["name"] for e in tracer.events]
-        assert "worker_failure" in names
-        lost = [e for e in tracer.events if e["name"] == "work_item_lost"]
-        assert len(lost) == 1 and lost[0]["dur"] == pytest.approx(1.0)
+            sched = self._scheduler(toy_dft, toy_coulomb, 3, rank_faults={2: 1})
+            sched.start_point(1)
+            sched.apply(self._block(toy_dft), self.OMEGA)
+        assert 2 not in sched.assignment
+        assert sched.per_rank_chi0[2] == 0.0
+        assert np.all(sched.per_rank_chi0[:2] > 0)
+        ranks = {e["rank"] for e in tracer.events
+                 if e["type"] == "span" and e["domain"] == "virtual"}
+        assert ranks == {0, 1}
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            replay_schedule_with_recovery([], p=0)
-        with pytest.raises(ValueError):
-            replay_schedule_with_recovery([], p=2, max_retries=-1)
-        with pytest.raises(ValueError):
-            replay_schedule_with_recovery([], p=2,
-                                          failures=[WorkerFailure(7, 1.0)])
-        with pytest.raises(ValueError):
-            WorkerFailure(-1, 0.0)
-        with pytest.raises(ValueError):
-            WorkerFailure(0, -1.0)
+    def test_failure_events_reach_the_tracer(self, toy_dft, toy_coulomb):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            sched = self._scheduler(toy_dft, toy_coulomb, 4, rank_faults={0: 2})
+            # Rank 2 is the least loaded survivor, not the first one.
+            sched.per_rank_chi0[:] = [0.0, 3.0, 1.0, 2.0]
+            sched.start_point(1)
+            assert sched.n_rank_failures == 0
+            sched.start_point(2)
+        assert sched.n_rank_failures == 1
+        failures = [e for e in tracer.events if e["name"] == "rank_failure"]
+        assert len(failures) == 1
+        assert failures[0]["rank"] == 0
+        assert failures[0]["attrs"]["quadrature_point"] == 2
+        moved = [e for e in tracer.events if e["name"] == "task_reassigned"]
+        owned = BlockColumnDistribution(self.WIDTH, 4).owned_slice(0)
+        assert len(moved) == 1
+        assert moved[0]["attrs"]["from_rank"] == 0
+        assert moved[0]["attrs"]["columns"] == (owned.start, owned.stop)
+        assert moved[0]["rank"] == 2
+        assert sched.assignment[2][-1] == owned

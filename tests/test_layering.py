@@ -108,8 +108,8 @@ def test_examples_and_benchmarks_import_names_that_exist():
 ENTRY_POINTS = {"repro.__main__", "repro.verify.__main__", "repro.obs.regress"}
 # Modules only the tests reach, each kept for a stated reason.
 TEST_ONLY = {
-    # The alternative quadrature rules wait for the l-convergence study
-    # (ROADMAP item 3) before they are used or deleted.
+    # The alternative quadrature rules lost the l-convergence study;
+    # ROADMAP item 13 plans the module's deletion with its error estimate.
     "repro.core.frequency_grids",
     # Fault injectors the escalation-chain and SPMD worker-death tests
     # plant through the solver stages and ``SpmdScheduler(fault_hook=)``.
